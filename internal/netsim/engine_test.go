@@ -82,11 +82,11 @@ func TestEngineCascade(t *testing.T) {
 	ticks := []Tick{
 		1,
 		wheelSlots - 1,
-		wheelSlots,     // level 1
-		wheelSlots + 1, // same level-1 slot, later tick
-		3 * wheelSlots * wheelSlots,                 // level 2
-		5 * wheelSlots * wheelSlots * wheelSlots,    // level 3
-		Tick(1)<<48 + 17,                            // overflow
+		wheelSlots,                               // level 1
+		wheelSlots + 1,                           // same level-1 slot, later tick
+		3 * wheelSlots * wheelSlots,              // level 2
+		5 * wheelSlots * wheelSlots * wheelSlots, // level 3
+		Tick(1)<<48 + 17,                         // overflow
 		Tick(1)<<48 + 17 + wheelSlots*wheelSlots*11, // overflow, later
 	}
 	var got []Tick

@@ -44,7 +44,7 @@ func benchIngest(b *testing.B, j *journal.Journal) {
 			go func() {
 				defer wg.Done()
 				v, err := kit.streamWith(context.Background(), addr,
-					transport.Sender{TimeScale: 1e6, Chunk: 64 << 10})
+					transport.Sender{TimeScale: 1e6, Chunk: 64 << 10}, nil)
 				if err != nil {
 					b.Error(err)
 				} else if !v.IsAdmitted() {

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"net"
 	"runtime"
@@ -15,12 +17,19 @@ import (
 	"mpegsmooth/internal/transport"
 )
 
-// payloadFNV is the sender-side mirror of the server's running integrity
-// hash: FNV-1a over every payload in index order.
+// payloadFNV is the sender-side mirror of the server's fnv-mode prefix
+// tag, computed here from its definition rather than by the transport
+// package: FNV-1a over one 16-byte record per payload in index order,
+// big-endian uint64(len) ‖ CRC-32C ‖ CRC-32/IEEE.
 func payloadFNV(payloads [][]byte) uint64 {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	h := fnv.New64a()
 	for _, p := range payloads {
-		h.Write(p)
+		var rec [16]byte
+		binary.BigEndian.PutUint64(rec[0:8], uint64(len(p)))
+		binary.BigEndian.PutUint32(rec[8:12], crc32.Checksum(p, castagnoli))
+		binary.BigEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(p))
+		h.Write(rec[:])
 	}
 	return h.Sum64()
 }

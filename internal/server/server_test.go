@@ -63,14 +63,16 @@ func makeClient(t testing.TB, tr *trace.Trace) *clientKit {
 
 // stream dials, declares, and — when admitted — paces the whole trace.
 func (c *clientKit) stream(ctx context.Context, addr string) (transport.Verdict, error) {
-	return c.streamWith(ctx, addr, transport.Sender{TimeScale: soakTimeScale})
+	return c.streamWith(ctx, addr, transport.Sender{TimeScale: soakTimeScale}, nil)
 }
 
 // streamWith is stream with an explicit sender configuration; the
 // benchmarks collapse client-side pacing entirely (TimeScale 1e6,
 // picture-sized chunks) so they time the server machinery, not the
-// schedule clock or the load generator's syscall count.
-func (c *clientKit) streamWith(ctx context.Context, addr string, sender transport.Sender) (transport.Verdict, error) {
+// schedule clock or the load generator's syscall count. When admitted,
+// it calls gate (if set) after reading the verdict and streams only
+// once gate returns.
+func (c *clientKit) streamWith(ctx context.Context, addr string, sender transport.Sender, gate func()) (transport.Verdict, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return transport.Verdict{}, err
@@ -84,6 +86,9 @@ func (c *clientKit) streamWith(ctx context.Context, addr string, sender transpor
 	v, err := fr.ReadVerdict()
 	if err != nil || !v.IsAdmitted() {
 		return v, err
+	}
+	if gate != nil {
+		gate()
 	}
 	if err := sender.Send(ctx, fw, c.sched, c.payloads); err != nil {
 		return v, err
@@ -411,12 +416,25 @@ func TestSoakConcurrentClients(t *testing.T) {
 		admitted int
 		rejected int
 		failures []error
+		// verdicts holds every admitted client after its verdict until
+		// all totalN verdicts are in: a stream that finished early would
+		// release its reservation and let a late hello in.
+		verdicts sync.WaitGroup
 	)
+	verdicts.Add(totalN)
 	for i := 0; i < totalN; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := kit.stream(t.Context(), addr)
+			held := false
+			v, err := kit.streamWith(t.Context(), addr, transport.Sender{TimeScale: soakTimeScale}, func() {
+				held = true
+				verdicts.Done()
+				verdicts.Wait()
+			})
+			if !held {
+				verdicts.Done()
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

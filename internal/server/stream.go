@@ -513,9 +513,9 @@ type StreamSnapshot struct {
 	Resumes int         `json:"resumes"`
 	Parked  bool        `json:"parked"`
 	Faults  FaultCounts `json:"faults"`
-	// PayloadFNV is the running FNV-1a hash over every accepted payload
-	// in index order — a byte-exact integrity fingerprint chaos tests
-	// compare against the sender's.
+	// PayloadFNV is the running prefix tag over every accepted payload
+	// in index order (transport.PrefixHash) — the integrity fingerprint
+	// chaos tests compare against the sender's.
 	PayloadFNV uint64 `json:"payload_fnv"`
 	// DecisionStats summary: see metrics.DecisionStats.
 	OutOfBand             int     `json:"out_of_band"`

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 
 	"mpegsmooth/internal/mpeg"
@@ -63,25 +64,79 @@ func TestFrameReaderSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFrameWriterSteadyStateZeroAlloc pins the egress side the same
-// way: once the writer's scratch buffer is warm, framing a picture
-// header and its payload chunk must not allocate.
-func TestFrameWriterSteadyStateZeroAlloc(t *testing.T) {
-	fw := NewFrameWriter(io.Discard)
+// writePictures returns a step that frames one picture the way the
+// pacing loop does: a rate notification, the staged header, and the
+// payload in two chunks, the first carrying the header.
+func writePictures(t *testing.T, fw *FrameWriter) func() {
 	payload := make([]byte, 4096)
-	writeOne := func() {
+	return func() {
+		if err := fw.WriteRate(RateNotification{Index: 0, Rate: 1e6}); err != nil {
+			t.Fatal(err)
+		}
 		if err := fw.WritePictureHeader(0, mpeg.TypeI, payload); err != nil {
 			t.Fatal(err)
 		}
-		if err := fw.WriteChunk(payload); err != nil {
+		if err := fw.WriteChunk(payload[:1024]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteChunk(payload[1024:]); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestFrameWriterSteadyStateZeroAlloc pins the egress side the same
+// way: once the writer's scratch buffer is warm, framing a picture —
+// staging its header and sending it with the first payload chunk —
+// must not allocate. io.Discard takes net.Buffers' sequential-Write
+// fallback.
+func TestFrameWriterSteadyStateZeroAlloc(t *testing.T) {
+	writeOne := writePictures(t, NewFrameWriter(io.Discard))
 	writeOne() // warm the scratch buffer
 	// Indexes repeat across runs; the reader end would reject that, but
 	// framing doesn't care and io.Discard has no reader end.
 	if allocs := testing.AllocsPerRun(200, writeOne); allocs != 0 {
 		t.Errorf("steady-state frame write allocates %.1f objects/frame, want 0", allocs)
+	}
+}
+
+// TestFrameWriterTCPZeroAlloc is the same pin over a loopback
+// *net.TCPConn, where header and first chunk leave in one writev.
+func TestFrameWriterTCPZeroAlloc(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := conn.(*net.TCPConn); !ok {
+		t.Fatalf("dialed %T, want *net.TCPConn", conn)
+	}
+	writeOne := writePictures(t, NewFrameWriter(conn))
+	writeOne() // warm the scratch buffer and the connection's iovec cache
+	allocs := testing.AllocsPerRun(200, writeOne)
+	conn.Close()
+	<-drained
+	if allocs != 0 {
+		t.Errorf("steady-state frame write over TCP allocates %.1f objects/frame, want 0", allocs)
 	}
 }
 

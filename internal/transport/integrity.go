@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // IntegrityMode selects the prefix-verification hash a stream session
@@ -13,15 +14,17 @@ import (
 // Verdict.PrefixFNV; the sender verifies its own prefix before
 // (re)playing anything.
 //
-// FNV-1a (the default, and the only pre-negotiation behaviour) detects
-// accidental divergence — corruption the CRCs missed, replayed bytes
-// from the wrong stream. HMAC-SHA256 additionally resists an
-// adversarial peer: without the shared key, a forged AlreadyComplete or
-// resume verdict cannot present a matching prefix tag.
+// The FNV mode (the default, and the only pre-negotiation behaviour)
+// detects accidental divergence — corruption the frame CRCs missed,
+// replayed bytes from the wrong stream, shifted picture boundaries.
+// HMAC-SHA256 additionally resists an adversarial peer: without the
+// shared key, a forged AlreadyComplete or resume verdict cannot present
+// a matching prefix tag.
 type IntegrityMode byte
 
 const (
-	// IntegrityFNV: running FNV-1a over accepted payloads (default).
+	// IntegrityFNV: FNV-1a chained over one 16-byte digest record per
+	// accepted payload (default; see fnvPrefix).
 	IntegrityFNV IntegrityMode = 0
 	// IntegrityHMAC: a chained HMAC-SHA256 — chain₀ = HMAC(key, "init"),
 	// chainₙ = HMAC(key, chainₙ₋₁ ‖ payloadₙ) — whose 32-byte chain
@@ -103,20 +106,33 @@ func PrefixSum(mode IntegrityMode, key []byte, payloads [][]byte, n int) (uint64
 // prefix), matching hash/fnv.New64a.
 const fnvOffset = 14695981039346656037
 
-// fnvPrefix implements PrefixHash with FNV-1a, whose internal state IS
-// its 64-bit sum — trivially resumable.
-type fnvPrefix struct {
-	state uint64
-}
-
 // fnvPrime is the FNV-1a 64-bit prime. hash/fnv does not expose
 // seeding from a prior state, so Absorb applies the FNV-1a step
 // directly; TestFNVPrefixMatchesStdlib pins the equivalence.
 const fnvPrime = 1099511628211
 
+// castagnoli selects the hardware CRC-32C path in hash/crc32.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// fnvPrefix implements PrefixHash as FNV-1a chained over one 16-byte
+// record per payload: big-endian uint64(len) ‖ CRC-32C ‖ CRC-32/IEEE.
+// Both CRCs run in hardware, so a picture costs two vectorised passes
+// instead of a byte-serial FNV-1a multiply chain over its whole
+// payload. The pair of CRCs catches every burst of up to 32 bits in a
+// payload, and the length field pins picture boundaries; any other
+// divergence escapes only through a 64-bit collision. The state is the
+// 64-bit FNV-1a value, so it stays trivially resumable.
+type fnvPrefix struct {
+	state uint64
+}
+
 func (f *fnvPrefix) Absorb(payload []byte) {
+	var rec [16]byte
+	binary.BigEndian.PutUint64(rec[0:8], uint64(len(payload)))
+	binary.BigEndian.PutUint32(rec[8:12], crc32.Checksum(payload, castagnoli))
+	binary.BigEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(payload))
 	s := f.state
-	for _, b := range payload {
+	for _, b := range rec {
 		s ^= uint64(b)
 		s *= fnvPrime
 	}
@@ -147,7 +163,10 @@ func (f *fnvPrefix) Mode() IntegrityMode { return IntegrityFNV }
 
 // hmacPrefix implements PrefixHash with the chained HMAC-SHA256
 // construction. The chain value commits to the whole prefix in order;
-// forging a tag for a different prefix requires the key.
+// forging a tag for a different prefix requires the key. It MACs every
+// payload byte rather than fnvPrefix's CRC digests: CRCs are linear, so
+// an attacker can choose different bytes with the same digests and a
+// MAC over them would vouch for both.
 type hmacPrefix struct {
 	key   []byte
 	chain []byte // 32 bytes

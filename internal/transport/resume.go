@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net"
 	"time"
@@ -99,17 +98,6 @@ type StreamResult struct {
 	// Faults counts classified failures the loop recovered from (or
 	// died on), by class.
 	Faults map[FaultClass]int
-}
-
-// prefixFNV hashes payloads[:n] in order with FNV-1a — the sender-side
-// mirror of the server's running accepted-payload hash at watermark n
-// in the default integrity mode.
-func prefixFNV(payloads [][]byte, n int) uint64 {
-	h := fnv.New64a()
-	for _, p := range payloads[:n] {
-		h.Write(p)
-	}
-	return h.Sum64()
 }
 
 // newNonce draws a crypto-random nonzero hello nonce, falling back to
@@ -429,7 +417,7 @@ func (rs *ResumableSender) Stream(ctx context.Context, decisions []core.Decision
 		if want := prefix(next); v.PrefixFNV != want {
 			conn.Close()
 			result.Faults[FaultOther]++
-			return result, fmt.Errorf("transport: server prefix fnv %016x at picture %d, ours %016x: %w",
+			return result, fmt.Errorf("transport: server prefix tag %016x at picture %d, ours %016x: %w",
 				v.PrefixFNV, next, want, ErrDiverged)
 		}
 		if resumed {

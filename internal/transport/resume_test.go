@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -54,14 +56,14 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 		resumes  int
 		sessions int
 	)
-	// prefix mirrors the real server's running accepted-prefix FNV-1a;
+	// prefix mirrors the real server's running accepted-prefix tag;
 	// call under mu.
 	prefix := func(n int) uint64 {
 		ordered := make([][]byte, n)
 		for i := 0; i < n; i++ {
 			ordered[i] = got[i]
 		}
-		return prefixFNV(ordered, n)
+		return referenceTag(ordered)
 	}
 	ended := make(chan struct{}) // closed when the server reads the end marker
 	go func() {
@@ -166,6 +168,96 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 		if PayloadSum64(got[i]) != PayloadSum64(p) {
 			t.Fatalf("picture %d corrupted or missing", i)
 		}
+	}
+}
+
+// TestResumableSenderRejectsByteWiseTag: a server still on the
+// byte-wise FNV-1a prefix tag answers the resume with a tag the sender
+// cannot match. The sender must stop with ErrDiverged before it
+// replays a byte.
+func TestResumableSenderRejectsByteWiseTag(t *testing.T) {
+	sched, payloads := testSchedule(t, 18)
+	const token = 778
+	const accept = 5
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	replayed := make(chan any, 1) // what the resumed connection carried after the verdict
+	go func() {
+		// First connection: admit, accept a prefix, then drop the link.
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		fr, fw := NewFrameReader(conn), NewFrameWriter(conn)
+		if _, err := fr.ReadMessage(); err != nil {
+			conn.Close()
+			return
+		}
+		fw.WriteVerdict(Verdict{Code: Admitted, Available: 1e6, ResumeToken: token, PrefixFNV: byteFNV(nil)})
+		for got := 0; got < accept; {
+			msg, err := fr.ReadMessage()
+			if err != nil {
+				break
+			}
+			if _, ok := msg.(*PictureFrame); ok {
+				got++
+			}
+		}
+		conn.Close()
+
+		// Second connection: answer the resume with the old tag.
+		conn, err = ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fr, fw = NewFrameReader(conn), NewFrameWriter(conn)
+		if _, err := fr.ReadMessage(); err != nil {
+			replayed <- err
+			return
+		}
+		fw.WriteVerdict(Verdict{Code: Admitted, Available: 1e6, ResumeToken: token,
+			NextIndex: accept, PrefixFNV: byteFNV(payloads[:accept])})
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if msg, err := fr.ReadMessage(); err != nil {
+			replayed <- err
+		} else {
+			replayed <- msg
+		}
+	}()
+
+	rs := &ResumableSender{
+		Sender: Sender{TimeScale: 200, Chunk: 512},
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", ln.Addr().String())
+		},
+		Hello:            validHello(),
+		Backoff:          Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
+		MaxAttempts:      3,
+		HandshakeTimeout: 5 * time.Second,
+		Seed:             1,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := rs.StreamSchedule(ctx, sched, payloads)
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("stream error %v, want ErrDiverged", err)
+	}
+	if res.Resumes != 0 {
+		t.Fatalf("sender counted %d resumes on a diverged prefix", res.Resumes)
+	}
+	select {
+	case got := <-replayed:
+		if got != io.EOF {
+			t.Fatalf("resumed connection carried %v after the verdict, want EOF", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never saw the resumed connection end")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"testing"
@@ -64,6 +65,63 @@ func rawFrame(kind byte, seq uint32, body []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
+// writeLog records each Write call separately, the way a faultnet
+// wrapper sees its op sequence.
+type writeLog struct{ writes [][]byte }
+
+func (l *writeLog) Write(p []byte) (int, error) {
+	l.writes = append(l.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestFrameWriterStagedHeaderOps: staging a picture header changes
+// neither the bytes on the wire nor, on a writer without writev, the
+// sequence of Write calls — every frame and chunk is still its own
+// Write, in order. A staged header goes out ahead of whatever frame
+// follows it.
+func TestFrameWriterStagedHeaderOps(t *testing.T) {
+	payload := []byte("0123456789")
+	var log writeLog
+	w := NewFrameWriter(&log)
+	steps := []func() error{
+		func() error { return w.WriteRate(RateNotification{Index: 0, Rate: 1e6}) },
+		func() error { return w.WritePictureHeader(0, mpeg.TypeP, payload) },
+		func() error { return w.WriteChunk(payload[:4]) },
+		func() error { return w.WriteChunk(payload[4:]) },
+		func() error { return w.WritePictureHeader(1, mpeg.TypeB, payload) },
+		func() error { return w.WriteEnd() }, // flushes the staged header first
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	picBody := func(index uint32, ty mpeg.PictureType) []byte {
+		body := binary.BigEndian.AppendUint32(nil, index)
+		body = append(body, byte(ty))
+		body = binary.BigEndian.AppendUint32(body, uint32(len(payload)))
+		return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(payload))
+	}
+	rateBody := binary.BigEndian.AppendUint32(nil, 0)
+	rateBody = binary.BigEndian.AppendUint64(rateBody, math.Float64bits(1e6))
+	want := [][]byte{
+		rawFrame(kindRate, 0, rateBody),
+		rawFrame(kindPicture, 1, picBody(0, mpeg.TypeP)),
+		payload[:4],
+		payload[4:],
+		rawFrame(kindPicture, 2, picBody(1, mpeg.TypeB)),
+		rawFrame(kindEnd, 3, nil),
+	}
+	if len(log.writes) != len(want) {
+		t.Fatalf("%d writes, want %d", len(log.writes), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(log.writes[i], want[i]) {
+			t.Errorf("write %d: %x, want %x", i, log.writes[i], want[i])
+		}
+	}
+}
+
 func TestWireValidation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)
@@ -89,7 +147,9 @@ func TestWireValidation(t *testing.T) {
 	if err := w2.WritePictureHeader(0, mpeg.TypeI, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	b2.Write([]byte{1, 2, 3})
+	if err := w2.WriteChunk([]byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewFrameReader(&b2).ReadMessage(); err == nil {
 		t.Error("truncated payload should fail")
 	}

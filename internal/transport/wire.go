@@ -32,6 +32,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"net"
 	"time"
 
 	"mpegsmooth/internal/mpeg"
@@ -251,13 +252,13 @@ type Verdict struct {
 	// received — meaningful on the verdict answering a StreamResume,
 	// where it is the sender's replay point.
 	NextIndex int
-	// PrefixFNV is the server's running FNV-1a hash over every payload
-	// it has accepted so far, in index order — the hash of the stream
-	// prefix [0, NextIndex). On an admitted verdict the sender verifies
-	// its own prefix hash against it before (re)playing anything, so
-	// divergent state is detected up front (ErrDiverged) instead of
-	// shipped. On an AlreadyComplete verdict it is the finished stream's
-	// final hash.
+	// PrefixFNV is the server's running prefix tag (the negotiated
+	// IntegrityMode's hash) over every payload it has accepted so far,
+	// in index order — the tag of the stream prefix [0, NextIndex). On
+	// an admitted verdict the sender verifies its own prefix tag
+	// against it before (re)playing anything, so divergent state is
+	// detected up front (ErrDiverged) instead of shipped. On an
+	// AlreadyComplete verdict it is the finished stream's final tag.
 	PrefixFNV uint64
 	// Epoch is the issuing primary's fencing term. A clustered server
 	// stamps every verdict with the epoch it promoted at; a sender that
@@ -286,22 +287,36 @@ type deadlineReader interface {
 // per-connection sequence number. One FrameWriter must own a
 // connection's write side for the whole session — the handshake and the
 // stream share its counter.
+//
+// A picture header is staged, not written: the picture's first
+// WriteChunk sends header and chunk in one vectored write, and any
+// other frame sends a staged header ahead of itself. The bytes and
+// frame order on the wire are those of writing each frame as it comes.
 type FrameWriter struct {
 	w   io.Writer
 	d   deadlineWriter
 	seq uint32
 	// WriteTimeout, when nonzero and the underlying writer supports
-	// write deadlines, bounds every frame and payload-chunk write so a
-	// dead or stalled receiver cannot wedge the sender goroutine. It is
-	// re-armed per write, mirroring Receiver.ReadTimeout.
+	// write deadlines, bounds every write so a dead or stalled receiver
+	// cannot wedge the sender goroutine. It is re-armed per write (a
+	// picture's header and first chunk share one), mirroring
+	// Receiver.ReadTimeout.
 	WriteTimeout time.Duration
 	// MaxPayload caps the picture payload size this writer will frame
 	// (default DefaultMaxPictureBytes, never above MaxPictureBytes).
 	MaxPayload int
 	// scratch is the reused frame-encoding buffer: every body is fixed
-	// and small, and the frame is fully written before writeFrame
-	// returns, so one buffer serves the writer's whole session.
+	// and small, and a frame is fully written before the next one is
+	// encoded, so one buffer serves the writer's whole session.
 	scratch []byte
+	// staged reports that scratch holds a frame not yet written: a
+	// picture header waiting for its first chunk.
+	staged bool
+	// iov backs vec, the header+chunk gather list. As fields they ride
+	// the writer's allocation; built per call they would escape through
+	// the io.Writer interface and cost an allocation per picture.
+	iov [2][]byte
+	vec net.Buffers
 }
 
 // NewFrameWriter wraps a connection's write side. If w supports
@@ -321,30 +336,57 @@ func (fw *FrameWriter) maxPayload() int {
 	return DefaultMaxPictureBytes
 }
 
-// write arms the per-write deadline (when configured) and writes p.
-func (fw *FrameWriter) write(p []byte) error {
+// arm sets the per-write deadline, when one is configured.
+func (fw *FrameWriter) arm() error {
 	if fw.d != nil && fw.WriteTimeout > 0 {
 		if err := fw.d.SetWriteDeadline(time.Now().Add(fw.WriteTimeout)); err != nil {
 			return fmt.Errorf("transport: arming write deadline: %w", err)
 		}
 	}
+	return nil
+}
+
+// write arms the per-write deadline and writes p.
+func (fw *FrameWriter) write(p []byte) error {
+	if err := fw.arm(); err != nil {
+		return err
+	}
 	_, err := fw.w.Write(p)
 	return err
 }
 
-// writeFrame emits kind|seq|body|crc and advances the sequence counter.
-func (fw *FrameWriter) writeFrame(kind byte, body []byte) error {
+// flush writes the staged frame on its own.
+func (fw *FrameWriter) flush() error {
+	if !fw.staged {
+		return nil
+	}
+	fw.staged = false
+	return fw.write(fw.scratch)
+}
+
+// stage writes any staged frame, then encodes kind|seq|body|crc into
+// scratch as the new staged frame and advances the sequence counter.
+func (fw *FrameWriter) stage(kind byte, body []byte) error {
+	if err := fw.flush(); err != nil {
+		return err
+	}
 	buf := fw.scratch[:0]
 	buf = append(buf, kind)
 	buf = binary.BigEndian.AppendUint32(buf, fw.seq)
 	buf = append(buf, body...)
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	fw.scratch = buf
-	if err := fw.write(buf); err != nil {
+	fw.seq++
+	fw.staged = true
+	return nil
+}
+
+// writeFrame writes kind|seq|body|crc behind any staged frame.
+func (fw *FrameWriter) writeFrame(kind byte, body []byte) error {
+	if err := fw.stage(kind, body); err != nil {
 		return err
 	}
-	fw.seq++
-	return nil
+	return fw.flush()
 }
 
 // WriteHello writes a stream-opening hello.
@@ -427,9 +469,11 @@ func (fw *FrameWriter) WriteRate(n RateNotification) error {
 	return fw.writeFrame(kindRate, body[:])
 }
 
-// WritePictureHeader writes the header frame of a picture, carrying the
+// WritePictureHeader stages the header frame of a picture, carrying the
 // payload's size and CRC32; the caller streams the payload bytes
-// (paced) immediately after via WriteChunk.
+// (paced) immediately after via WriteChunk, and the first chunk takes
+// the header with it. It does no I/O beyond sending a previous staged
+// header, so a write error on this header surfaces from WriteChunk.
 func (fw *FrameWriter) WritePictureHeader(index int, t mpeg.PictureType, payload []byte) error {
 	if index < 0 || index > math.MaxUint32 {
 		return fmt.Errorf("transport: picture index %d out of range", index)
@@ -442,13 +486,25 @@ func (fw *FrameWriter) WritePictureHeader(index int, t mpeg.PictureType, payload
 	body[4] = byte(t)
 	binary.BigEndian.PutUint32(body[5:9], uint32(len(payload)))
 	binary.BigEndian.PutUint32(body[9:13], crc32.ChecksumIEEE(payload))
-	return fw.writeFrame(kindPicture, body[:])
+	return fw.stage(kindPicture, body[:])
 }
 
 // WriteChunk writes raw payload bytes under the configured write
-// deadline; the pacing loop calls it once per chunk.
+// deadline; the pacing loop calls it once per chunk. A staged picture
+// header goes out with the chunk in one net.Buffers write: one writev
+// on a *net.TCPConn, sequential Writes on writers that cannot gather.
 func (fw *FrameWriter) WriteChunk(p []byte) error {
-	return fw.write(p)
+	if !fw.staged {
+		return fw.write(p)
+	}
+	fw.staged = false
+	if err := fw.arm(); err != nil {
+		return err
+	}
+	fw.iov = [2][]byte{fw.scratch, p}
+	fw.vec = fw.iov[:]
+	_, err := fw.vec.WriteTo(fw.w)
+	return err
 }
 
 // WriteEnd writes the orderly end-of-stream marker.

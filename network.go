@@ -157,8 +157,9 @@ const (
 
 // Prefix-integrity modes (see IntegrityMode).
 const (
-	// IntegrityFNV: FNV-1a over the accepted prefix — fast corruption
-	// detection, the wire-format default.
+	// IntegrityFNV: FNV-1a chained over per-picture length and CRC
+	// digests of the accepted prefix — fast corruption detection, the
+	// wire-format default.
 	IntegrityFNV = transport.IntegrityFNV
 	// IntegrityHMAC: chained HMAC-SHA256 under a shared key — prefix
 	// verification an on-path attacker cannot forge.
