@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench muxbench ingestbench chaos datagram dgfuzz fadingsweep crash cluster replfuzz journal protocol results examples clean
+.PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster replfuzz journal protocol results examples clean
 
 all: build vet test test-race
 
@@ -103,15 +103,6 @@ muxbench:
 	$(GO) test $(MUXBENCH_FLAGS) -run TestMuxBenchArtifact -count=1 \
 		./internal/netsim/ -muxbench-out $(CURDIR)/BENCH_netsim.json
 	@cat BENCH_netsim.json
-
-# The ingest hot-path benchmark: journal-backed server ingest (the
-# group-commit before/after) plus the cluster local and quorum-2
-# variants, recorded to BENCH_ingest.json against the committed
-# pre-group-commit baseline in BENCH_ingest.baseline.json.
-ingestbench:
-	$(GO) test $(INGESTBENCH_FLAGS) -run TestIngestBenchArtifact -count=1 -v \
-		./internal/cluster/ -ingestbench-out $(CURDIR)/BENCH_ingest.json
-	@cat BENCH_ingest.json
 
 examples:
 	$(GO) run ./examples/quickstart

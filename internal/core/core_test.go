@@ -142,7 +142,7 @@ func TestTheorem1OnPaperTrace(t *testing.T) {
 		{K: 1, H: 1, D: 0.0667},
 		{K: 9, H: 9, D: 0.1333 + 10.0/30},
 		{K: 2, H: 18, D: 0.15},
-		{K: 1, H: 9, D: 0.2, Variant: MovingAverage},
+		{K: 1, H: 9, D: 0.2, Policy: MovingAveragePolicy{}},
 	} {
 		s, err := Smooth(tr, cfg)
 		if err != nil {
@@ -254,9 +254,9 @@ func TestMovingAverageTracksIdealMoreClosely(t *testing.T) {
 	// ideal smoothing more closely ... In particular, the area difference
 	// is smaller."
 	tr := paperTrace(t, 270)
-	cfgB := Config{K: 1, H: tr.GOP.N, D: 0.2, Variant: Basic}
+	cfgB := Config{K: 1, H: tr.GOP.N, D: 0.2, Policy: BasicPolicy{}}
 	cfgM := cfgB
-	cfgM.Variant = MovingAverage
+	cfgM.Policy = MovingAveragePolicy{}
 	mb := measuresFor(t, tr, cfgB)
 	mm := measuresFor(t, tr, cfgM)
 	if mm.AreaDiff >= mb.AreaDiff {
@@ -493,24 +493,33 @@ func TestPiecewiseCBR(t *testing.T) {
 
 func TestScheduleWriteCSV(t *testing.T) {
 	tr := paperTrace(t, 27)
-	s, err := Smooth(tr, Config{K: 1, H: 9, D: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// Metadata line + header + one row per picture.
-	if len(lines) != 2+tr.Len() {
-		t.Fatalf("%d lines, want %d", len(lines), 2+tr.Len())
-	}
-	if !strings.HasPrefix(lines[0], "# name=Driving1 K=1 H=9") {
-		t.Fatalf("metadata line %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[2], "0,I,") {
-		t.Fatalf("first row %q", lines[2])
+	for _, tc := range []struct {
+		policy Policy
+		meta   string
+	}{
+		{nil, "# name=Driving1 K=1 H=9 D=0.200000000 policy=basic"},
+		{MovingAveragePolicy{}, "# name=Driving1 K=1 H=9 D=0.200000000 policy=moving-average"},
+	} {
+		s, err := Smooth(tr, Config{K: 1, H: 9, D: 0.2, Policy: tc.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		// Metadata line + header + one row per picture.
+		if len(lines) != 2+tr.Len() {
+			t.Fatalf("%d lines, want %d", len(lines), 2+tr.Len())
+		}
+		// The metadata names the policy that made the schedule.
+		if lines[0] != tc.meta {
+			t.Errorf("metadata line %q, want %q", lines[0], tc.meta)
+		}
+		if !strings.HasPrefix(lines[2], "0,I,") {
+			t.Fatalf("first row %q", lines[2])
+		}
 	}
 }
 
@@ -530,11 +539,5 @@ func TestSmoothScalesToLongTraces(t *testing.T) {
 	}
 	if v := s.CheckContinuousService(); v != -1 {
 		t.Fatalf("continuous service violated at %d", v)
-	}
-}
-
-func TestVariantString(t *testing.T) {
-	if Basic.String() != "basic" || MovingAverage.String() != "moving-average" {
-		t.Error("variant names wrong")
 	}
 }

@@ -130,7 +130,7 @@ func TestMovingAverageUsesPatternSum(t *testing.T) {
 		sizes[i] = 3000
 	}
 	tr := &trace.Trace{Name: "ma", Tau: 0.1, GOP: mpeg.GOP{M: 1, N: 3}, Sizes: sizes}
-	s, err := Smooth(tr, Config{K: 1, H: 3, D: 1.0, Variant: MovingAverage, Estimator: OracleEstimator{}})
+	s, err := Smooth(tr, Config{K: 1, H: 3, D: 1.0, Policy: MovingAveragePolicy{}, Estimator: OracleEstimator{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestLiveMatchesOffline(t *testing.T) {
 		{K: 3, H: 18, D: 0.25},
 		{K: 9, H: 9, D: 0.1333 + 10.0/30},
 		{K: 1, H: 1, D: 0.0667},
-		{K: 1, H: 9, D: 0.2, Variant: MovingAverage},
+		{K: 1, H: 9, D: 0.2, Policy: MovingAveragePolicy{}},
 		{K: 1, H: 9, D: 0.2, Estimator: TypeMeanEstimator{}},
 	} {
 		offline, err := Smooth(tr, cfg)

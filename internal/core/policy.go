@@ -203,14 +203,11 @@ func (MinimumVariability) Select(b Bounds, s State) float64 {
 // policyValidator is implemented by policies with parameters to check.
 type policyValidator interface{ Validate() error }
 
-// policy resolves the effective Policy: an explicit Config.Policy wins,
-// otherwise the deprecated Variant field maps onto the matching policy.
+// policy resolves the effective Policy: Config.Policy, or BasicPolicy
+// when it is nil.
 func (c Config) policy() Policy {
 	if c.Policy != nil {
 		return c.Policy
-	}
-	if c.Variant == MovingAverage {
-		return MovingAveragePolicy{}
 	}
 	return BasicPolicy{}
 }

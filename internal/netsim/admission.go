@@ -3,9 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"time"
-
-	"mpegsmooth/internal/lru"
 )
 
 // Admission is a peak-rate admission controller for a shared link: each
@@ -25,29 +22,10 @@ type Admission struct {
 	capacity float64
 	reserved float64
 
-	admitted   int64
-	rejected   int64
-	duplicates int64
-	active     int64
-	parked     int64
-
-	// nonces maps a live hello nonce to its reservation, so a repeated
-	// hello (a sender whose admission verdict was lost in flight and who
-	// redialed) is recognized as the *same* stream and never reserves
-	// twice. Entries are released with the reservation and expire after
-	// their TTL as a leak backstop. The ledger is a last-touch LRU sized
-	// from the observed admission rate × the TTL, so a flood of
-	// short-lived streams grows the ledger to hold every in-window nonce
-	// instead of race-evicting one a legitimate duplicate hello still
-	// needs.
-	nonces     *lru.Map[uint64, nonceReservation]
-	nonceSizer lru.Sizer
-}
-
-// nonceReservation is one nonce-identified reservation in the ledger.
-type nonceReservation struct {
-	peak    float64
-	expires time.Time
+	admitted int64
+	rejected int64
+	active   int64
+	parked   int64
 }
 
 // NewAdmission creates a controller for a link of the given capacity in
@@ -56,7 +34,7 @@ func NewAdmission(capacity float64) (*Admission, error) {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		return nil, fmt.Errorf("netsim: non-positive link capacity %v", capacity)
 	}
-	return &Admission{capacity: capacity, nonces: lru.New[uint64, nonceReservation](1024)}, nil
+	return &Admission{capacity: capacity}, nil
 }
 
 // Admit decides on a stream declaring the given peak rate: it reserves
@@ -80,87 +58,15 @@ func (a *Admission) Admit(peak float64) bool {
 	return true
 }
 
-// AdmitNonce is Admit for a hello carrying a client nonce. When the
-// nonce already holds a live reservation the call is a duplicate hello
-// — the client's copy of an earlier verdict was lost in flight — and
-// AdmitNonce reports (false, true) WITHOUT reserving again or counting
-// a rejection: the caller reattaches the sender to the existing stream
-// instead. A zero nonce disables dedup and behaves exactly like Admit.
-// Expired ledger entries are pruned lazily on each call.
-func (a *Admission) AdmitNonce(nonce uint64, peak float64, now time.Time, ttl time.Duration) (admitted, duplicate bool) {
-	a.nonceSizer.Note(now)
-	a.nonces.SetCap(a.nonceSizer.Cap(ttl, now))
-	a.pruneNonces(now)
-	if nonce != 0 {
-		if r, live := a.nonces.Get(nonce); live {
-			if now.After(r.expires) {
-				a.nonces.Delete(nonce)
-			} else {
-				a.duplicates++
-				return false, true
-			}
-		}
-	}
-	if !a.Admit(peak) {
-		return false, false
-	}
-	if nonce != 0 {
-		a.nonces.Put(nonce, nonceReservation{peak: peak, expires: now.Add(ttl)})
-	}
-	return true, false
-}
-
 // Rehydrate force-installs a reservation recovered from the crash
-// journal: the peak is reserved and the nonce re-registered without
-// counting a new admission, so "streams admitted" stays one per client
-// stream across server generations. Capacity is not re-checked — the
-// journal is authoritative for state the previous generation already
-// committed to.
-func (a *Admission) Rehydrate(nonce uint64, peak float64, now time.Time, ttl time.Duration) {
+// journal: the peak is reserved without counting a new admission, so
+// "streams admitted" stays one per client stream across server
+// generations. Capacity is not re-checked — the journal is
+// authoritative for state the previous generation already committed to.
+func (a *Admission) Rehydrate(peak float64) {
 	a.reserved += peak
 	a.active++
-	if nonce != 0 {
-		a.nonceSizer.Note(now)
-		a.nonces.SetCap(a.nonceSizer.Cap(ttl, now))
-		a.nonces.Put(nonce, nonceReservation{peak: peak, expires: now.Add(ttl)})
-	}
 }
-
-// ReleaseNonce is Release for a reservation taken through AdmitNonce;
-// it drops the nonce from the ledger along with the reservation. A zero
-// or unknown nonce releases the peak alone.
-func (a *Admission) ReleaseNonce(nonce uint64, peak float64) {
-	a.nonces.Delete(nonce)
-	a.Release(peak)
-}
-
-// pruneNonces drops expired ledger entries from the cold end of the
-// LRU. Touch recency tracks expiry closely enough (constant TTL,
-// entries touched on duplicate hits) that stopping at the first
-// in-window entry keeps the sweep O(expired), not O(ledger).
-func (a *Admission) pruneNonces(now time.Time) {
-	var dead []uint64
-	a.nonces.Range(func(n uint64, r nonceReservation) bool {
-		if now.After(r.expires) {
-			dead = append(dead, n)
-			return true
-		}
-		return false
-	})
-	for _, n := range dead {
-		a.nonces.Delete(n)
-	}
-}
-
-// NonceLedgerSize returns the count of live nonce reservations.
-func (a *Admission) NonceLedgerSize() int { return a.nonces.Len() }
-
-// NonceLedgerCap returns the ledger's current adaptive capacity.
-func (a *Admission) NonceLedgerCap() int { return a.nonces.Cap() }
-
-// Duplicates returns the count of hellos recognized as retransmissions
-// of a live nonce-identified reservation.
-func (a *Admission) Duplicates() int64 { return a.duplicates }
 
 // Release returns an admitted stream's reservation when it ends. The
 // peak must match what was admitted.

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"testing"
-	"time"
 
 	"mpegsmooth/internal/core"
 	"mpegsmooth/internal/trace"
@@ -71,73 +70,27 @@ func TestAdmissionParkGauge(t *testing.T) {
 	}
 }
 
-// TestAdmitNonceDeduplicates pins the exactly-once reservation ledger:
-// a repeated hello nonce is reported as a duplicate without reserving a
-// second peak, release frees both the peak and the nonce, and a zero
-// nonce opts out of dedup entirely.
-func TestAdmitNonceDeduplicates(t *testing.T) {
+// TestRehydrate: journal-recovered reservations restore the peak
+// without counting a second admission — the invariant the
+// kill-and-restart chaos harness sums across server generations.
+func TestRehydrate(t *testing.T) {
 	a, err := NewAdmission(10e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(100, 0)
-	const ttl = time.Minute
-
-	admitted, dup := a.AdmitNonce(0xABC, 4e6, now, ttl)
-	if !admitted || dup {
-		t.Fatalf("first nonce admit: admitted=%v dup=%v", admitted, dup)
+	a.Rehydrate(4e6)
+	if got := a.Admitted(); got != 0 {
+		t.Fatalf("rehydration counted as admission: %d", got)
 	}
-	admitted, dup = a.AdmitNonce(0xABC, 4e6, now.Add(time.Second), ttl)
-	if admitted || !dup {
-		t.Fatalf("repeated nonce: admitted=%v dup=%v, want duplicate", admitted, dup)
+	if got := a.Reserved(); got != 4e6 {
+		t.Fatalf("reserved %v, want 4e6", got)
 	}
-	if a.Reserved() != 4e6 {
-		t.Fatalf("duplicate hello changed the reservation: %.0f", a.Reserved())
+	if got := a.Active(); got != 1 {
+		t.Fatalf("active %v, want 1", got)
 	}
-	if a.Duplicates() != 1 {
-		t.Fatalf("duplicates counter %d, want 1", a.Duplicates())
-	}
-	// A duplicate is neither an admission nor a rejection.
-	if a.Admitted() != 1 || a.Rejected() != 0 {
-		t.Fatalf("admitted=%d rejected=%d after duplicate", a.Admitted(), a.Rejected())
-	}
-
-	a.ReleaseNonce(0xABC, 4e6)
-	if a.Reserved() != 0 || a.Active() != 0 {
-		t.Fatalf("release left reserved=%.0f active=%d", a.Reserved(), a.Active())
-	}
-	// The nonce died with the reservation: the same nonce can reserve
-	// again (a genuinely new stream reusing an id is the client's bug,
-	// but the ledger must not leak forever).
-	if admitted, dup = a.AdmitNonce(0xABC, 4e6, now.Add(2*time.Second), ttl); !admitted || dup {
-		t.Fatalf("nonce reuse after release: admitted=%v dup=%v", admitted, dup)
-	}
-	a.ReleaseNonce(0xABC, 4e6)
-
-	// Zero nonce: plain admission, never deduplicated.
-	for i := 0; i < 2; i++ {
-		if admitted, dup = a.AdmitNonce(0, 1e6, now, ttl); !admitted || dup {
-			t.Fatalf("zero-nonce admit %d: admitted=%v dup=%v", i, admitted, dup)
-		}
-	}
-}
-
-// TestAdmitNonceTTLExpiry: the ledger prunes entries past their TTL (a
-// leak backstop), after which the nonce no longer deduplicates.
-func TestAdmitNonceTTLExpiry(t *testing.T) {
-	a, err := NewAdmission(10e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(100, 0)
-	if admitted, dup := a.AdmitNonce(7, 1e6, now, time.Second); !admitted || dup {
-		t.Fatal("first admit failed")
-	}
-	if _, dup := a.AdmitNonce(7, 1e6, now.Add(500*time.Millisecond), time.Second); !dup {
-		t.Fatal("nonce not deduplicated inside its TTL")
-	}
-	if admitted, dup := a.AdmitNonce(7, 1e6, now.Add(2*time.Second), time.Second); !admitted || dup {
-		t.Fatalf("expired nonce still deduplicating: admitted=%v dup=%v", admitted, dup)
+	a.Release(4e6)
+	if got := a.Reserved(); got != 0 {
+		t.Fatalf("reserved %v after release, want 0", got)
 	}
 }
 

@@ -1,27 +1,28 @@
-// Lock-sharded session ledgers. The nonce table (live hello nonce →
-// stream) and the completion-tombstone LRU used to live under the
-// server mutex, so every duplicate-hello probe and late-resume lookup
-// in a saturated soak serialized on the same lock that guards
-// admission. Both ledgers are keyed by values that are uniform by
+// Lock-sharded session ledgers: the server's only record of recent
+// sessions. The nonce table maps a live hello nonce to its stream; the
+// tombstone table maps a completed stream's resume token to its final
+// state for one TTL. Both are keyed by values that are uniform by
 // construction (crypto-random nonces and resume tokens), so a
-// fixed-width shard array with per-shard mutexes spreads that traffic
-// ~evenly with no resizing or rebalancing.
+// fixed-width shard array with per-shard mutexes spreads duplicate-hello
+// probes and late-resume lookups ~evenly, off the admission mutex, with
+// no resizing or rebalancing.
 //
-// The sharding changes locking, not semantics. The admission
-// controller's AdmitNonce — still under s.mu — remains the
-// authoritative double-reserve guard: a racy miss in the nonce ledger
-// only costs a sender one RejectedBusy round trip. And gap-freedom for
-// late resumes holds because finish entombs a completed stream before
-// s.mu is released: any resume that finds the token gone from
-// s.resumable serialized after that critical section and therefore
+// The nonce table is written only under s.mu — in admit, its rollback,
+// finish, and journal recovery — so a read under s.mu is authoritative:
+// admit's check there is the guard against reserving a second peak for
+// one nonce. handleHello's lock-free probe is only the fast path that
+// reattaches a retransmitted hello; a racy miss there costs the sender
+// one RejectedBusy round trip, never a second reservation.
+//
+// Gap-freedom for late resumes holds because finish entombs a completed
+// stream before s.mu is released: any resume that finds the token gone
+// from s.resumable serialized after that critical section and therefore
 // finds the tombstone.
 package server
 
 import (
 	"sync"
 	"time"
-
-	"mpegsmooth/internal/lru"
 )
 
 // ledgerShards is the shard count for both ledgers; a power of two so
@@ -45,17 +46,10 @@ type nonceShard struct {
 }
 
 // nonceLedger routes duplicate hellos (a sender redialing because our
-// admission verdict was lost) back to their live stream.
+// admission verdict was lost) back to their live stream. The zero value
+// is ready to use.
 type nonceLedger struct {
 	shards [ledgerShards]nonceShard
-}
-
-func newNonceLedger() *nonceLedger {
-	l := &nonceLedger{}
-	for i := range l.shards {
-		l.shards[i].m = map[uint64]*stream{}
-	}
-	return l
 }
 
 func (l *nonceLedger) get(nonce uint64) *stream {
@@ -69,6 +63,9 @@ func (l *nonceLedger) get(nonce uint64) *stream {
 func (l *nonceLedger) put(nonce uint64, st *stream) {
 	sh := &l.shards[ledgerShard(nonce)]
 	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = map[uint64]*stream{}
+	}
 	sh.m[nonce] = st
 	sh.mu.Unlock()
 }
@@ -80,87 +77,57 @@ func (l *nonceLedger) del(nonce uint64) {
 	sh.mu.Unlock()
 }
 
-// tombShard is one stripe of the tombstone ledger: a last-touch LRU
-// with its own adaptive sizer, exactly the pre-sharding design at 1/32
-// scale. Uniform tokens land ~uniformly, so per-shard rate × TTL is the
-// global rate × TTL divided by the shard count and the aggregate cap
-// tracks the same completion flood the single ledger did.
+// tombShard is one stripe of the tombstone ledger: the tombstones by
+// token, plus the tokens in insertion order. Every tombstone is written
+// with the same TTL (recovered ones, with their earlier expiries, go in
+// first), so insertion order is expiry order and put sweeps the expired
+// prefix in O(expired). A live token at the front stops the sweep;
+// lookup's expiry check, not the sweep, is what retires a tombstone.
 type tombShard struct {
 	mu    sync.Mutex
-	m     *lru.Map[uint64, tombstone]
-	sizer lru.Sizer
+	m     map[uint64]tombstone
+	order []uint64
 }
 
 // tombLedger remembers recently completed streams by resume token so a
 // sender whose completion ack was lost gets a precise AlreadyComplete
 // verdict (with the final hash) instead of an unknown-token rejection.
+// Each tombstone stays answerable for exactly its TTL, whatever the
+// completion rate: memory is completion rate × TTL. The zero value is
+// ready to use.
 type tombLedger struct {
 	shards [ledgerShards]tombShard
 }
 
-// tombShardKeep is each shard's capacity floor — the global
-// tombstoneKeep split across shards.
-const tombShardKeep = tombstoneKeep / ledgerShards
-
-func newTombLedger() *tombLedger {
-	l := &tombLedger{}
-	for i := range l.shards {
-		l.shards[i].m = lru.New[uint64, tombstone](tombShardKeep)
-		l.shards[i].sizer = lru.Sizer{Min: tombShardKeep}
-	}
-	return l
-}
-
-// put entombs one completed stream. The shard's adaptive cap tracks its
-// completion rate × ttl, expired entries are swept from the cold end,
-// and a tombstone a late sender keeps probing stays warm — a completion
-// flood can only evict entries the TTL would have expired anyway.
-func (l *tombLedger) put(token uint64, t tombstone, ttl time.Duration) {
-	now := time.Now()
+// put entombs one completed stream, first dropping the shard's
+// tombstones that expired by now.
+func (l *tombLedger) put(token uint64, t tombstone, now time.Time) {
 	sh := &l.shards[ledgerShard(token)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.sizer.Note(now)
-	sh.m.SetCap(sh.sizer.Cap(ttl, now))
-	var dead []uint64
-	sh.m.Range(func(tok uint64, old tombstone) bool {
-		if now.Before(old.expires) {
-			return false // touch recency ≈ expiry order; the rest are live
+	n := 0
+	for _, tok := range sh.order {
+		if now.Before(sh.m[tok].expires) {
+			break
 		}
-		dead = append(dead, tok)
-		return true
-	})
-	for _, tok := range dead {
-		sh.m.Delete(tok)
+		delete(sh.m, tok)
+		n++
 	}
-	sh.m.Put(token, t)
+	if sh.m == nil {
+		sh.m = map[uint64]tombstone{}
+	}
+	sh.order = append(sh.order[n:], token)
+	sh.m[token] = t
 }
 
-// lookup finds a live tombstone; the lookup touches the entry, keeping
-// probed tombstones ahead of eviction.
-func (l *tombLedger) lookup(token uint64) (tombstone, bool) {
+// lookup finds a tombstone that has not expired by now.
+func (l *tombLedger) lookup(token uint64, now time.Time) (tombstone, bool) {
 	sh := &l.shards[ledgerShard(token)]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.m.Get(token)
-	if !ok {
-		return tombstone{}, false
-	}
-	if time.Now().After(t.expires) {
-		sh.m.Delete(token)
+	t, ok := sh.m[token]
+	sh.mu.Unlock()
+	if !ok || !now.Before(t.expires) {
 		return tombstone{}, false
 	}
 	return t, true
-}
-
-// len sums live entries across shards (ops snapshot).
-func (l *tombLedger) len() int {
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += sh.m.Len()
-		sh.mu.Unlock()
-	}
-	return n
 }

@@ -38,6 +38,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,8 +207,8 @@ type Server struct {
 	// redialing sender to its live stream; the tombstone ledger answers
 	// a resume after a lost completion ack with a precise
 	// AlreadyComplete verdict instead of an unknown-token rejection.
-	nonces     *nonceLedger
-	tombstones *tombLedger
+	nonces     nonceLedger
+	tombstones tombLedger
 
 	// journal is cfg.Journal (nil disables durability); the recovered
 	// counters report what the journal replay rebuilt at startup.
@@ -237,10 +238,6 @@ type Server struct {
 
 // finishedKeep bounds the retained per-stream history.
 const finishedKeep = 256
-
-// tombstoneKeep is the completion-tombstone ledger's capacity floor;
-// the adaptive sizer grows it with the observed completion rate.
-const tombstoneKeep = 4096
 
 // tombstone records a completed stream's final state: enough to answer
 // a late resume (the sender's copy of the completion ack was lost) with
@@ -285,8 +282,6 @@ func New(cfg Config) (*Server, error) {
 		admission:     adm,
 		streams:       map[uint64]*stream{},
 		resumable:     map[uint64]*stream{},
-		nonces:        newNonceLedger(),
-		tombstones:    newTombLedger(),
 		worstHeadroom: math.Inf(1),
 	}
 	s.egress = newLink(s.cfg.Egress, s.cfg.WriteTimeout)
@@ -478,7 +473,7 @@ func (s *Server) recoverFromJournal() {
 		if rec.Hello.Nonce != 0 {
 			s.nonces.put(rec.Hello.Nonce, st)
 		}
-		s.admission.Rehydrate(rec.Hello.Nonce, rec.Hello.PeakRate, now, s.nonceTTL())
+		s.admission.Rehydrate(rec.Hello.PeakRate)
 		s.recoveredStreams++
 		s.mu.Unlock()
 		s.cfg.Logf("smoothd: recovered stream %d (token %016x) parked at picture %d awaiting resume",
@@ -491,20 +486,27 @@ func (s *Server) recoverFromJournal() {
 			st.closeConn()
 		}(st)
 	}
+	// Entomb in expiry order: the ledger sweeps expired tombstones off
+	// the front of each shard's insertion order.
+	var tombs []*journal.TombstoneRecord
 	for token, tb := range state.Tombstones {
 		if now.After(tb.Expires) || len(tb.HashState) < 8 {
 			expire(token, tb.Nonce, journal.ExpireTombstone, "tombstone (expired)")
 			continue
 		}
-		s.tombstones.put(token, tombstone{
+		tombs = append(tombs, tb)
+	}
+	slices.SortFunc(tombs, func(a, b *journal.TombstoneRecord) int { return a.Expires.Compare(b.Expires) })
+	for _, tb := range tombs {
+		s.tombstones.put(tb.Token, tombstone{
 			fnv:      binary.BigEndian.Uint64(tb.HashState),
 			pictures: tb.Pictures,
 			expires:  tb.Expires,
-		}, s.tombstoneTTL())
-		s.mu.Lock()
-		s.recoveredTombstones++
-		s.mu.Unlock()
+		}, now)
 	}
+	s.mu.Lock()
+	s.recoveredTombstones += int64(len(tombs))
+	s.mu.Unlock()
 }
 
 // journalWatermark coalesces the stream's accept watermark and prefix
@@ -658,7 +660,7 @@ func (s *Server) handleResume(conn net.Conn, fr *transport.FrameReader, fw *tran
 	var tomb tombstone
 	entombed := false
 	if st == nil {
-		tomb, entombed = s.tombstones.lookup(m.Token)
+		tomb, entombed = s.tombstones.lookup(m.Token, time.Now())
 	}
 	if entombed {
 		s.mu.Lock()
@@ -786,17 +788,17 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		s.mu.Unlock()
 		return reject(transport.RejectedBusy, errors.New("server: at stream limit or shutting down"))
 	}
-	admitted, duplicate := s.admission.AdmitNonce(hello.Nonce, hello.PeakRate, time.Now(), s.nonceTTL())
-	if duplicate {
-		// Backstop for a duplicate hello that raced past handleHello's
-		// nonce-map check: never reserve twice. Busy sends the sender
-		// back around; its retry finds the registered nonce and
+	if hello.Nonce != 0 && s.nonces.get(hello.Nonce) != nil {
+		// A duplicate hello that raced past handleHello's lock-free probe.
+		// Under s.mu the nonce map is authoritative (see ledger.go), so
+		// this is the guard against reserving twice. Busy sends the
+		// sender back around; its retry finds the registered nonce and
 		// reattaches.
 		s.mu.Unlock()
 		return reject(transport.RejectedBusy,
 			fmt.Errorf("server: hello nonce %016x already holds a reservation", hello.Nonce))
 	}
-	if !admitted {
+	if !s.admission.Admit(hello.PeakRate) {
 		avail := s.admission.Available()
 		s.mu.Unlock()
 		return nil, transport.Verdict{Code: transport.RejectedCapacity, Available: avail, Epoch: s.cfg.Epoch},
@@ -821,7 +823,7 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		// so concurrent admissions serialize only on the journal.
 		rollback := func(cause error) (*stream, transport.Verdict, error) {
 			s.mu.Lock()
-			s.admission.ReleaseNonce(hello.Nonce, hello.PeakRate)
+			s.admission.Release(hello.PeakRate)
 			delete(s.streams, st.id)
 			if hello.Nonce != 0 {
 				s.nonces.del(hello.Nonce)
@@ -857,16 +859,6 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		Code: transport.Admitted, Available: avail, ResumeToken: st.token, PrefixFNV: prefix,
 		Epoch: s.cfg.Epoch,
 	}, nil
-}
-
-// nonceTTL bounds a nonce's life in the admission ledger. finish always
-// releases, so the TTL is a leak backstop only — generous, so long
-// streams keep their duplicate-hello protection for their whole life.
-func (s *Server) nonceTTL() time.Duration {
-	if ttl := 4 * s.cfg.ResumeWindow; ttl > 10*time.Minute {
-		return ttl
-	}
-	return 10 * time.Minute
 }
 
 // tombstoneTTL bounds how long a completed stream answers late resumes
@@ -930,7 +922,7 @@ func (s *Server) run(st *stream, admitErr error) error {
 func (s *Server) finish(st *stream, err error) {
 	ss := st.snapshot()
 	s.mu.Lock()
-	s.admission.ReleaseNonce(st.hello.Nonce, st.hello.PeakRate)
+	s.admission.Release(st.hello.PeakRate)
 	delete(s.streams, st.id)
 	if st.hello.Nonce != 0 {
 		s.nonces.del(st.hello.Nonce)
@@ -942,11 +934,11 @@ func (s *Server) finish(st *stream, err error) {
 			// resume that finds the token gone from s.resumable
 			// serialized after this critical section, so it always finds
 			// either the live stream or the tombstone, never a gap.
-			ttl := s.tombstoneTTL()
+			now := time.Now()
 			s.tombstones.put(st.token, tombstone{
 				fnv: ss.PayloadFNV, pictures: ss.Pictures,
-				expires: time.Now().Add(ttl),
-			}, ttl)
+				expires: now.Add(s.tombstoneTTL()),
+			}, now)
 		}
 	}
 	if err != nil {

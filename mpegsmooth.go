@@ -70,11 +70,6 @@ type (
 	Config = core.Config
 	// Schedule is a smoothing run's result: per-picture rates and timing.
 	Schedule = core.Schedule
-	// Variant selects the basic or moving-average rate-selection rule.
-	//
-	// Deprecated: set Config.Policy instead; Variant survives as an
-	// alias onto the corresponding policy.
-	Variant = core.Variant
 	// Policy owns rate selection within the Theorem 1 band the decision
 	// kernel accumulates; implement it to add a new selection rule.
 	Policy = core.Policy
@@ -137,12 +132,6 @@ const (
 	TypeI = mpeg.TypeI
 	TypeP = mpeg.TypeP
 	TypeB = mpeg.TypeB
-)
-
-// Rate-selection variants (deprecated aliases onto the policies).
-const (
-	Basic         = core.Basic
-	MovingAverage = core.MovingAverage
 )
 
 // ParsePolicy parses a command-line policy specification: basic,
