@@ -2,6 +2,11 @@
 
 GO ?= go
 
+# Every target below that selects tests by name checks first that each
+# name (or prefix) in its pattern still lists a test in its packages, so
+# a renamed test fails the target instead of silently running nothing.
+REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
+
 .PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster replfuzz journal protocol results examples clean
 
 all: build vet test test-race
@@ -23,6 +28,7 @@ test-race:
 # The chaos suite: fault-injected soaks (corruption, resets, stalls)
 # under the race detector — resumable streams must complete byte-exact.
 chaos:
+	$(REQUIRE_TESTS) 'Chaos|Resum|Stall|Fault|Malformed|Partition' ./internal/server/ ./internal/transport/ ./internal/faultnet/
 	$(GO) test -race -v -run 'Chaos|Resum|Stall|Fault|Malformed|Partition' ./internal/server/ ./internal/transport/ ./internal/faultnet/
 
 # The datagram acceptance soak: resumable streams over the selective-
@@ -31,6 +37,7 @@ chaos:
 # across fixed seeds — byte-exact completion, exactly-once admission,
 # zero leaked reservations, race-mode.
 datagram:
+	$(REQUIRE_TESTS) 'TestDatagramChaosSoak' ./internal/server/
 	$(GO) test -race -v -run 'TestDatagramChaosSoak' -count=1 ./internal/server/
 
 # The datagram frame fuzzer: arbitrary bytes against the packet codec
@@ -38,6 +45,7 @@ datagram:
 # and as hostile delivery scripts against a receiving ARQ flow (the
 # stream layer must only ever see an in-order prefix).
 dgfuzz:
+	$(REQUIRE_TESTS) 'FuzzDatagramFrame' ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzDatagramFrame -fuzztime 10s ./internal/transport/
 
 # Regenerate the fading-channel sweep: admissible load for raw vs
@@ -51,6 +59,7 @@ fadingsweep:
 # exact delivery, exactly one admission per client across generations,
 # zero leaked reservations.
 crash:
+	$(REQUIRE_TESTS) 'TestCrash' ./internal/server/
 	$(GO) test -race -v -run 'TestCrash' -count=1 ./internal/server/
 
 # The multi-node failover harness: WAL replication to a warm-standby
@@ -60,6 +69,8 @@ crash:
 # partition-then-heal with epoch fencing) — all race-mode — plus the
 # OS-process failover and quorum smokes driving the real binary.
 cluster:
+	$(REQUIRE_TESTS) 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower' ./internal/cluster/
+	$(REQUIRE_TESTS) 'TestClusterFailoverSmoke|TestClusterQuorumSmoke' ./cmd/smoothd/
 	$(GO) test -race -v -run 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower' -count=1 ./internal/cluster/
 	$(GO) test -v -run 'TestClusterFailoverSmoke|TestClusterQuorumSmoke' -count=1 ./cmd/smoothd/
 
@@ -67,6 +78,7 @@ cluster:
 # framing (truncations, CRC flips, oversized payloads) must never
 # panic or over-read.
 replfuzz:
+	$(REQUIRE_TESTS) 'FuzzReplFrame' ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzReplFrame -fuzztime 10s ./internal/cluster/
 
 # The journal's own suite: CRC-framed WAL round-trips, torn-write and
@@ -75,6 +87,7 @@ replfuzz:
 # the replay path.
 journal:
 	$(GO) test -race -v -count=1 ./internal/journal/
+	$(REQUIRE_TESTS) 'FuzzJournalReplay' ./internal/journal/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal/
 
 # The exactly-once protocol property harness: every handshake message
@@ -83,6 +96,7 @@ journal:
 # schedules — across 8 fixed seeds. No double reservation, no byte
 # divergence, no spurious rejection.
 protocol:
+	$(REQUIRE_TESTS) 'TestProtocolExactlyOnce|TestProtocolRandomizedCompound' ./internal/server/
 	$(GO) test -race -v -run 'TestProtocolExactlyOnce|TestProtocolRandomizedCompound' ./internal/server/
 
 # Regenerate every figure of the paper's evaluation (plus extensions)

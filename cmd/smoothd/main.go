@@ -62,8 +62,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "graceful drain limit on shutdown")
 		timescale    = fs.Float64("timescale", 1, "egress pacing speed multiplier (1 = real time)")
 		journalDir   = fs.String("journal-dir", "", "session journal directory: admissions, watermarks, and completions survive a crash-restart (empty = no journal)")
-		commitWindow = fs.Duration("commit-window", 0, "journal group-commit window: how long a batch leader waits for more records before the shared fsync (0 = opportunistic batching only)")
-		commitBytes  = fs.Int("commit-bytes", 0, "journal group-commit byte threshold that closes an open commit window early (0 = default 64 KiB)")
 		integrity    = fs.String("integrity", "fnv", "prefix-integrity mode every hello must declare: fnv or hmac-sha256:<keyfile>")
 		datagram     = fs.Bool("datagram", false, "listen on UDP and run the stream protocol over the selective-repeat ARQ datagram transport (standalone mode only)")
 		quiet        = fs.Bool("quiet", false, "suppress per-session log lines")
@@ -106,12 +104,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		IntegrityKey:    key,
 		Logf:            logf,
 	}
-	jcfg := journal.Config{
-		Dir:          *journalDir,
-		CommitWindow: *commitWindow,
-		CommitBytes:  *commitBytes,
-		Logf:         logf,
-	}
+	jcfg := journal.Config{Dir: *journalDir, Logf: logf}
 	if *clusterRole != "" {
 		if *datagram {
 			return errors.New("-datagram is standalone-only: cluster replication stays on TCP")

@@ -46,9 +46,6 @@ type Config struct {
 	Rank int
 	// Peers lists every shard in the fleet (including this node's own).
 	Peers []Peer
-	// Vnodes sets the placement ring's virtual nodes per shard
-	// (DefaultVnodes when 0).
-	Vnodes int
 	// Journal configures this node's own journal — the primary's
 	// authoritative log, or the follower's warm standby replica.
 	Journal journal.Config
@@ -65,9 +62,6 @@ type Config struct {
 	FailoverTimeout   time.Duration
 	PromoteStagger    time.Duration
 	DialTimeout       time.Duration
-	// FollowBuffer is the per-follower journal feed buffer
-	// (journal.DefaultFollowBuffer when 0).
-	FollowBuffer int
 	// Replicas is the number of followers this shard is configured with
 	// — the replication factor beyond the primary (default 1). It
 	// bounds Quorum and is reported in /stats.
@@ -80,10 +74,9 @@ type Config struct {
 	Quorum int
 	// AckTimeout is the per-record deadline for gathering follower acks
 	// before the primary degrades to local-quorum commits (default
-	// FailoverTimeout/2). AckWindow bounds unacked in-flight records
-	// before the same degrade (default 1024).
+	// FailoverTimeout/2). More than ackWindow unacked in-flight records
+	// trigger the same degrade.
 	AckTimeout time.Duration
-	AckWindow  int
 	// Seed fixes the node's randomness — promotion-stagger jitter and
 	// replication dial backoff — for deterministic tests; 0 draws from
 	// the global source.
@@ -279,7 +272,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Rank < 0 {
 		return nil, fmt.Errorf("cluster: negative rank %d", cfg.Rank)
 	}
-	ring, err := NewRing(names, cfg.Vnodes)
+	ring, err := NewRing(names, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -295,9 +288,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = time.Second
 	}
-	if cfg.FollowBuffer <= 0 {
-		cfg.FollowBuffer = journal.DefaultFollowBuffer
-	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
 	}
@@ -310,9 +300,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = cfg.FailoverTimeout / 2
-	}
-	if cfg.AckWindow <= 0 {
-		cfg.AckWindow = 1024
 	}
 	// A primary that dies must leave its parked reservations resumable
 	// on the promoted follower; a zero resume window would expire them
@@ -411,7 +398,7 @@ func (n *Node) beginEpoch(jrnl *journal.Journal) (uint64, *quorumTracker, error)
 	}
 	var gate *quorumTracker
 	if n.cfg.Quorum >= 2 {
-		gate = newQuorumTracker(n.cfg.Quorum-1, uint64(n.cfg.AckWindow), n.cfg.AckTimeout, n.cfg.Logf)
+		gate = newQuorumTracker(n.cfg.Quorum-1, ackWindow, n.cfg.AckTimeout, n.cfg.Logf)
 	}
 	return epoch, gate, nil
 }

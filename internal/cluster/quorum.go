@@ -43,6 +43,11 @@ type ackState struct {
 	synced bool   // has sent at least one ack this attachment
 }
 
+// ackWindow bounds a primary's unacked in-flight records: past it the
+// quorum tracker degrades to local commits without waiting out the ack
+// deadline.
+const ackWindow = 1024
+
 // quorumTracker implements server.CommitGate for a primary.
 type quorumTracker struct {
 	need       int // follower acks required (quorum - 1)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -298,6 +300,44 @@ func TestTwoFollowerPromotionJitter(t *testing.T) {
 	}
 }
 
+// TestReplHelloOversizedRefused: a peer that sends the MSRP magic and a
+// hello header declaring a 64 MiB payload is cut off at once. The hello
+// read is capped at the largest hello, so the primary neither allocates
+// the declared payload nor holds the connection open for the
+// FailoverTimeout its handshake deadline allows.
+func TestReplHelloOversizedRefused(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	cfg := Config{
+		Shard:           "alpha",
+		Peers:           []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}},
+		Server:          server.Config{LinkRate: 1e7},
+		Journal:         journal.Config{Dir: t.TempDir()},
+		FailoverTimeout: 5 * time.Second,
+	}
+	startNode(t, cfg)
+
+	conn, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := append(append([]byte{}, replMagic...), replHello)
+	head = binary.BigEndian.AppendUint32(head, 64<<20)
+	if _, err := conn.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	switch {
+	case err == nil:
+		t.Fatal("primary answered a hello declaring a 64 MiB payload")
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		t.Fatal("primary still holds the connection 1s after an oversized hello header")
+	}
+	t.Logf("connection closed %v after the header (%v)", time.Since(start), err)
+}
+
 // buildReplFrame encodes one replication frame the way writeReplFrame
 // does, for the fuzzer's seed corpus.
 func buildReplFrame(t testing.TB, typ byte, payload []byte) []byte {
@@ -341,7 +381,7 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add(oversized)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, total, err := parseReplFrame(data)
+		typ, payload, total, err := parseReplFrame(data, maxReplPayload)
 		if err != nil {
 			return
 		}

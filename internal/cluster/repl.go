@@ -63,8 +63,9 @@ const (
 	replAck       byte = 'a'
 )
 
-// maxReplPayload bounds a replication payload during reads; the
-// snapshot image is the only large one.
+// maxReplPayload bounds a primary→follower payload during reads; the
+// snapshot image is the only large one. The primary reads the hello and
+// the acks under their own, exact caps.
 const maxReplPayload = 64 << 20
 
 // maxFollowerName bounds the name portion of the hello payload.
@@ -108,17 +109,28 @@ func writeReplFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// parseReplFrame decodes one frame from b, returning the frame type,
-// payload, and total encoded size. It is the pure core of readReplFrame
-// — and the fuzzer's entry point: arbitrary bytes must produce an error,
-// never a panic or an over-read.
-func parseReplFrame(b []byte) (byte, []byte, int, error) {
+// replPayloadLen returns the payload length a frame header declares,
+// or an error if it exceeds max.
+func replPayloadLen(head []byte, max int) (int, error) {
+	n := int(binary.BigEndian.Uint32(head[1:5]))
+	if n > max {
+		return 0, fmt.Errorf("cluster: replication frame declares %d-byte payload, cap %d", n, max)
+	}
+	return n, nil
+}
+
+// parseReplFrame decodes one frame from b whose payload may be at most
+// max bytes, returning the frame type, payload, and total encoded size.
+// readReplFrame decodes every frame it reads with it, and the fuzzer
+// drives it with arbitrary bytes: they must produce an error, never a
+// panic or an over-read.
+func parseReplFrame(b []byte, max int) (byte, []byte, int, error) {
 	if len(b) < 9 {
 		return 0, nil, 0, io.ErrUnexpectedEOF
 	}
-	n := int(binary.BigEndian.Uint32(b[1:5]))
-	if n > maxReplPayload {
-		return 0, nil, 0, fmt.Errorf("cluster: replication frame declares %d-byte payload", n)
+	n, err := replPayloadLen(b, max)
+	if err != nil {
+		return 0, nil, 0, err
 	}
 	total := 9 + n
 	if len(b) < total {
@@ -131,25 +143,25 @@ func parseReplFrame(b []byte) (byte, []byte, int, error) {
 	return b[0], b[5 : 5+n], total, nil
 }
 
-func readReplFrame(r io.Reader) (byte, []byte, error) {
+// readReplFrame reads one frame whose payload may be at most max bytes.
+// The declared length is checked before the frame is allocated, so a
+// peer cannot make the reader reserve more than this read may carry.
+func readReplFrame(r io.Reader, max int) (byte, []byte, error) {
 	var head [5]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(head[1:5]))
-	if n > maxReplPayload {
-		return 0, nil, fmt.Errorf("cluster: replication frame declares %d-byte payload", n)
-	}
-	rest := make([]byte, n+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	n, err := replPayloadLen(head[:], max)
+	if err != nil {
 		return 0, nil, err
 	}
-	sum := crc32.ChecksumIEEE(head[:])
-	sum = crc32.Update(sum, crc32.IEEETable, rest[:n])
-	if got := binary.BigEndian.Uint32(rest[n:]); got != sum {
-		return 0, nil, fmt.Errorf("cluster: replication frame crc %08x, want %08x", got, sum)
+	frame := make([]byte, 9+n)
+	copy(frame, head[:])
+	if _, err := io.ReadFull(r, frame[5:]); err != nil {
+		return 0, nil, err
 	}
-	return head[0], rest[:n], nil
+	typ, payload, _, err := parseReplFrame(frame, max)
+	return typ, payload, err
 }
 
 // publishLoop is the primary's replication acceptor: one goroutine per
@@ -183,9 +195,8 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 		n.logf("cluster: %s: replication handshake from %s without magic", n.id(), conn.RemoteAddr())
 		return
 	}
-	typ, payload, err := readReplFrame(conn)
-	if err != nil || typ != replHello ||
-		len(payload) <= helloPrefix || len(payload) > helloPrefix+maxFollowerName {
+	typ, payload, err := readReplFrame(conn, helloPrefix+maxFollowerName)
+	if err != nil || typ != replHello || len(payload) <= helloPrefix {
 		n.logf("cluster: %s: bad replication hello from %s: %v", n.id(), conn.RemoteAddr(), err)
 		return
 	}
@@ -203,7 +214,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 		return
 	}
 
-	snap, at, frames, cancel, err := jrnl.Follow(n.cfg.FollowBuffer)
+	snap, at, frames, cancel, err := jrnl.Follow(journal.DefaultFollowBuffer)
 	if err != nil {
 		return
 	}
@@ -233,7 +244,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 		defer close(ackDone)
 		br := bufio.NewReaderSize(conn, 4<<10)
 		for {
-			typ, payload, err := readReplFrame(br)
+			typ, payload, err := readReplFrame(br, ackLen)
 			if err != nil {
 				return
 			}
@@ -395,7 +406,7 @@ func (n *Node) streamFromPrimary(conn net.Conn) error {
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(n.cfg.FailoverTimeout))
-		typ, payload, err := readReplFrame(br)
+		typ, payload, err := readReplFrame(br, maxReplPayload)
 		if err != nil {
 			return err
 		}

@@ -196,6 +196,11 @@ type FaultFS struct {
 	writes int
 	syncs  int
 
+	// HoldSync's target: the Sync index, and the channels it closes on
+	// arrival and waits on.
+	holdAt        int
+	held, release chan struct{}
+
 	// Injected counts faults actually fired, so tests can assert the
 	// scenario exercised something.
 	injectedWrites int
@@ -235,6 +240,19 @@ func (f *FaultFS) Injected() (writes, syncs int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.injectedWrites, f.injectedSyncs
+}
+
+// HoldSync makes the Nth Sync (1-based, counted like FailSync) block
+// until release is called; held is closed once that Sync has arrived.
+// A test uses it to keep a group-commit leader inside its fsync while
+// more committers queue behind it. Hold and fail compose: if FailSync
+// names the same Sync, it fails once released.
+func (f *FaultFS) HoldSync(n int) (held <-chan struct{}, release func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.holdAt, f.held, f.release = n, make(chan struct{}), make(chan struct{})
+	rel := f.release
+	return f.held, sync.OnceFunc(func() { close(rel) })
 }
 
 func (f *FaultFS) ReadDir() ([]string, error)             { return f.inner.ReadDir() }
@@ -289,12 +307,20 @@ func (ff *faultFile) Sync() error {
 	f := ff.fs
 	f.mu.Lock()
 	f.syncs++
+	var held, release chan struct{}
+	if f.holdAt > 0 && f.syncs == f.holdAt {
+		held, release = f.held, f.release
+	}
 	fail := (f.cfg.FailSync > 0 && f.syncs == f.cfg.FailSync) ||
 		(f.cfg.SyncErrProb > 0 && f.rng.Float64() < f.cfg.SyncErrProb)
 	if fail {
 		f.injectedSyncs++
 	}
 	f.mu.Unlock()
+	if held != nil {
+		close(held)
+		<-release
+	}
 	if fail {
 		return fmt.Errorf("journal: injected fsync failure")
 	}

@@ -7,27 +7,55 @@ import (
 	"time"
 )
 
+// holdLeader starts an admission of token whose fsync — faulty's Nth
+// Sync — is held, and returns once that batch leader is parked inside
+// the fsync, with its result channel. Committers that arrive now queue
+// behind the leader and form the next batch when release is called.
+func holdLeader(t *testing.T, j *Journal, faulty *FaultFS, n int, token uint64) (release func(), result <-chan error) {
+	t.Helper()
+	held, release := faulty.HoldSync(n)
+	done := make(chan error, 1)
+	go func() {
+		_, err := j.Admitted(testStream(token))
+		done <- err
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("sync %d never arrived", n)
+	}
+	return release, done
+}
+
+// waitPending polls until n committers are parked on j's commit queue.
+func waitPending(t *testing.T, j *Journal, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for j.Stats().CommitPending < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("CommitPending = %d after 10s, want %d", j.Stats().CommitPending, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestGroupCommitBatchFsyncFailureNeverSplits: four concurrent
-// admissions are forced into one commit batch (a long window whose byte
-// threshold is exactly the four frames), and that batch's fsync is made
-// to fail deterministically. Every committer must see the failure, the
-// stats must count all four, and a replay must show none of them — the
-// batch fails whole, never splits into a durable prefix.
+// admissions are forced into one commit batch (they queue behind a
+// blocker admission whose fsync is held), and that batch's fsync is
+// made to fail deterministically. Every committer must see the
+// failure, the stats must count all four, and a replay must show none
+// of them — the batch fails whole, never splits into a durable prefix.
 func TestGroupCommitBatchFsyncFailureNeverSplits(t *testing.T) {
 	mem := NewMemFS()
-	// Sync 1 is Open's snapshot; sync 2 is the four-admit batch.
-	faulty := NewFaultFS(mem, FaultConfig{FailSync: 2})
-	frameLen := len(encodeAdmit(testStream(1)))
-	j, err := Open(Config{
-		FS:            faulty,
-		FlushInterval: noFlush,
-		CommitWindow:  10 * time.Second, // never expires: the byte threshold closes it
-		CommitBytes:   4 * frameLen,
-		Logf:          t.Logf,
-	})
+	// Sync 1 is Open's snapshot; sync 2 is the blocker's admit, held
+	// until the four committers queue; sync 3 is their batch.
+	faulty := NewFaultFS(mem, FaultConfig{FailSync: 3})
+	j, err := Open(Config{FS: faulty, FlushInterval: noFlush, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const blocker = 100
+	release, blocked := holdLeader(t, j, faulty, 2, blocker)
 
 	const committers = 4
 	errs := make([]error, committers)
@@ -39,7 +67,12 @@ func TestGroupCommitBatchFsyncFailureNeverSplits(t *testing.T) {
 			_, errs[i] = j.Admitted(testStream(uint64(i + 1)))
 		}(i)
 	}
+	waitPending(t, j, committers)
+	release()
 	wg.Wait()
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocker admission: %v", err)
+	}
 
 	for i, err := range errs {
 		if err == nil {
@@ -50,43 +83,42 @@ func TestGroupCommitBatchFsyncFailureNeverSplits(t *testing.T) {
 	if st.AppendErrors != committers {
 		t.Errorf("AppendErrors = %d, want %d (every record in the failed batch)", st.AppendErrors, committers)
 	}
-	if st.CommitBatches != 0 {
-		t.Errorf("CommitBatches = %d after a failed batch, want 0", st.CommitBatches)
+	if st.CommitBatches != 1 {
+		t.Errorf("CommitBatches = %d after the blocker and a failed batch, want 1", st.CommitBatches)
 	}
 
 	// The failure was repaired (truncated), not fatal: the journal keeps
-	// accepting, and sync 3 lands.
+	// accepting, and sync 4 lands.
 	if _, err := j.Admitted(testStream(9)); err != nil {
 		t.Fatalf("append after failed batch: %v", err)
 	}
 
 	j2, state := reopen(t, j, mem)
 	defer j2.Close()
-	if len(state.Streams) != 1 || state.Streams[9] == nil {
-		t.Fatalf("replay after failed batch: want exactly stream 9, got %+v", state.Streams)
+	if len(state.Streams) != 2 || state.Streams[9] == nil || state.Streams[blocker] == nil {
+		t.Fatalf("replay after failed batch: want exactly streams 9 and %d, got %+v", blocker, state.Streams)
 	}
 }
 
-// TestGroupCommitWindowBatches: with a commit window open, a burst of
-// concurrent admissions coalesces into fewer fsyncs than records, and
-// the batch counters stay consistent (records sum, max ≥ avg, leader
-// time accrued, queue drained).
+// TestGroupCommitWindowBatches: a burst of concurrent admissions that
+// queues behind an in-flight fsync coalesces into fewer fsyncs than
+// records, and the batch counters stay consistent (records sum, max ≥
+// avg, leader time accrued, queue drained).
 func TestGroupCommitWindowBatches(t *testing.T) {
 	mem := NewMemFS()
-	j, err := Open(Config{
-		FS:            mem,
-		FlushInterval: noFlush,
-		CommitWindow:  50 * time.Millisecond,
-		Logf:          t.Logf,
-	})
+	faulty := NewFaultFS(mem, FaultConfig{})
+	j, err := Open(Config{FS: faulty, FlushInterval: noFlush, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 
+	// The first admission leads alone, held in its fsync (sync 2, after
+	// Open's snapshot); the rest of the burst queues behind it.
 	const burst = 8
+	release, first := holdLeader(t, j, faulty, 2, 1)
 	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
+	for i := 1; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -95,18 +127,23 @@ func TestGroupCommitWindowBatches(t *testing.T) {
 			}
 		}(i)
 	}
+	waitPending(t, j, burst-1)
+	release()
 	wg.Wait()
+	if err := <-first; err != nil {
+		t.Fatalf("admit 0: %v", err)
+	}
 
 	st := j.Stats()
 	if st.CommitBatchRecords != burst {
 		t.Errorf("CommitBatchRecords = %d, want %d", st.CommitBatchRecords, burst)
 	}
-	if st.CommitBatches < 1 || st.CommitBatches >= burst {
-		t.Errorf("CommitBatches = %d, want in [1, %d): the window must have coalesced something",
-			st.CommitBatches, burst)
+	if st.CommitBatches != 2 {
+		t.Errorf("CommitBatches = %d, want 2: the held leader alone, then everything queued behind it",
+			st.CommitBatches)
 	}
-	if st.CommitMaxBatch < 2 {
-		t.Errorf("CommitMaxBatch = %d, want ≥ 2 under a %v window", st.CommitMaxBatch, 50*time.Millisecond)
+	if st.CommitMaxBatch != burst-1 {
+		t.Errorf("CommitMaxBatch = %d, want %d", st.CommitMaxBatch, burst-1)
 	}
 	if st.CommitNanos <= 0 {
 		t.Errorf("CommitNanos = %d, want > 0 after %d batches", st.CommitNanos, st.CommitBatches)
@@ -218,12 +255,7 @@ func TestCloseDrainsWatermarksExactlyOnce(t *testing.T) {
 func TestCloseMidCommitRace(t *testing.T) {
 	for seed := 0; seed < 3; seed++ {
 		mem := NewMemFS()
-		j, err := Open(Config{
-			FS:            mem,
-			FlushInterval: time.Millisecond,
-			CommitWindow:  time.Millisecond,
-			Logf:          t.Logf,
-		})
+		j, err := Open(Config{FS: mem, FlushInterval: time.Millisecond, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}

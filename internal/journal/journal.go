@@ -84,10 +84,6 @@ const DefaultSegmentBytes = 1 << 20
 // DefaultFlushInterval batches watermark records.
 const DefaultFlushInterval = 25 * time.Millisecond
 
-// DefaultCommitBytes closes an open commit window early once this many
-// encoded record bytes are queued.
-const DefaultCommitBytes = 64 << 10
-
 var (
 	errClosed = errors.New("journal: closed")
 	errBroken = errors.New("journal: broken (unrepairable append failure)")
@@ -457,16 +453,6 @@ type Config struct {
 	// DefaultFlushInterval; < 0 disables the background flusher — tests
 	// then call Flush explicitly).
 	FlushInterval time.Duration
-	// CommitWindow, when positive, keeps each commit batch open that
-	// long before the leader writes and fsyncs it, trading commit
-	// latency for bigger batches. Zero (the default) relies on natural
-	// batching alone: whatever queued behind the in-flight fsync forms
-	// the next batch.
-	CommitWindow time.Duration
-	// CommitBytes closes an open commit window early once this many
-	// encoded record bytes are queued (default DefaultCommitBytes).
-	// Only meaningful when CommitWindow > 0.
-	CommitBytes int
 	// Logf, when set, receives repair and replay notes.
 	Logf func(format string, args ...any)
 }
@@ -587,16 +573,13 @@ type Journal struct {
 	// the waiter at the front leads the batch. committing is true while
 	// a leader owns the active file (possibly with mu released for the
 	// write+fsync); commitCond is broadcast whenever a batch resolves.
-	// commitWake cuts an open commit window short (CommitBytes reached,
-	// or Abandon). commitSpare/batchBuf/waiterFree are reuse pools.
-	commitCond   sync.Cond
-	commitQ      []*commitWaiter
-	commitSpare  []*commitWaiter
-	commitQBytes int
-	committing   bool
-	commitWake   chan struct{}
-	batchBuf     []byte
-	waiterFree   []*commitWaiter
+	// commitSpare/batchBuf/waiterFree are reuse pools.
+	commitCond  sync.Cond
+	commitQ     []*commitWaiter
+	commitSpare []*commitWaiter
+	committing  bool
+	batchBuf    []byte
+	waiterFree  []*commitWaiter
 
 	// The record feed (see tail.go): committed frames are published to
 	// subscribers under j.mu, and the cursor counts what was published.
@@ -626,12 +609,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.FlushInterval == 0 {
 		cfg.FlushInterval = DefaultFlushInterval
-	}
-	if cfg.CommitWindow < 0 {
-		cfg.CommitWindow = 0
-	}
-	if cfg.CommitBytes <= 0 {
-		cfg.CommitBytes = DefaultCommitBytes
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -663,12 +640,11 @@ func Open(cfg Config) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{
-		cfg:        full,
-		fs:         full.FS,
-		state:      newState(),
-		dirty:      map[uint64]wmEntry{},
-		subs:       map[uint64]chan []byte{},
-		commitWake: make(chan struct{}, 1),
+		cfg:   full,
+		fs:    full.FS,
+		state: newState(),
+		dirty: map[uint64]wmEntry{},
+		subs:  map[uint64]chan []byte{},
 	}
 	j.commitCond.L = &j.mu
 	if err := j.replay(); err != nil {
@@ -809,20 +785,10 @@ func (j *Journal) putWaiterLocked(w *commitWaiter) {
 // becomes the leader for everything queued at that moment; everyone
 // else parks on commitCond. Because the leader performs its write+fsync
 // with j.mu released, new committers keep enqueuing *during* the disk
-// wait and form the next batch — the natural coalescing that makes
-// group commit pay even with CommitWindow zero. Caller holds j.mu and
-// still holds it on return; the caller reads w.seq/w.err and recycles w.
+// wait and form the next batch. Caller holds j.mu and still holds it
+// on return; the caller reads w.seq/w.err and recycles w.
 func (j *Journal) commitLocked(w *commitWaiter) (uint64, error) {
 	j.commitQ = append(j.commitQ, w)
-	j.commitQBytes += len(w.buf)
-	if j.committing && j.commitQBytes >= j.cfg.CommitBytes {
-		// Enough queued: if the leader is holding a commit window open,
-		// cut it short.
-		select {
-		case j.commitWake <- struct{}{}:
-		default:
-		}
-	}
 	for {
 		if w.done {
 			return w.seq, w.err
@@ -837,40 +803,16 @@ func (j *Journal) commitLocked(w *commitWaiter) (uint64, error) {
 }
 
 // leadBatchLocked runs one group-commit batch with the calling waiter
-// at the front of the queue. Caller holds j.mu; the lock is released
-// for the window wait and the disk IO and reacquired before return.
+// at the front of the queue. It is the only code that appends to or
+// syncs the active segment. It never finds the journal closed: Abandon
+// resolves every queued waiter, and Close closes after its own drain.
+// Caller holds j.mu; the lock is released for the disk IO and
+// reacquired before return.
 func (j *Journal) leadBatchLocked() {
 	j.committing = true
-	if d := j.cfg.CommitWindow; d > 0 && !j.closing && j.commitQBytes < j.cfg.CommitBytes {
-		// Hold the batch open so concurrent committers can join. Drain a
-		// stale wake token first; CommitBytes pressure or Abandon ends
-		// the window early. (Committers that queued before we took
-		// leadership count toward the threshold too — hence the check
-		// above, not just the wake signal.)
-		select {
-		case <-j.commitWake:
-		default:
-		}
-		j.mu.Unlock()
-		t := time.NewTimer(d)
-		select {
-		case <-t.C:
-		case <-j.commitWake:
-			t.Stop()
-		}
-		j.mu.Lock()
-	}
-
 	batch := j.commitQ
 	j.commitQ = j.commitSpare[:0]
 	j.commitSpare = batch
-	j.commitQBytes = 0
-	if len(batch) == 0 {
-		// Abandoned while the window was open: Abandon already failed
-		// and cleared the queue.
-		j.finishBatchLocked()
-		return
-	}
 
 	nrecs := 0
 	buf := j.batchBuf[:0]
@@ -889,10 +831,6 @@ func (j *Journal) leadBatchLocked() {
 		j.finishBatchLocked()
 	}
 
-	if j.closed {
-		fail(errClosed)
-		return
-	}
 	if j.broken {
 		fail(errBroken)
 		return
@@ -989,6 +927,12 @@ func (j *Journal) Admitted(rec StreamRecord) (uint64, error) {
 func (j *Journal) Watermark(token uint64, mark int, state []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.coalesceLocked(token, mark, state)
+}
+
+// coalesceLocked replaces a stream's pending watermark: the one path
+// Watermark and AppendRecords share. Caller holds j.mu.
+func (j *Journal) coalesceLocked(token uint64, mark int, state []byte) {
 	if j.closing || j.closed || j.broken {
 		return
 	}
@@ -1088,12 +1032,8 @@ func (j *Journal) Flush() error {
 	return j.flushDirtyLocked()
 }
 
-// flushDirtyLocked drains the coalesced watermarks into one commit
-// waiter and rides the group-commit path: the whole flush is one frame
-// run inside one batch fsync. On failure the watermarks are re-merged
-// into the dirty set (unless a newer mark superseded them) so the next
-// flush retries — exactly the keep-dirty-on-error behavior replay
-// idempotence expects. Caller holds j.mu.
+// flushDirtyLocked commits the coalesced watermarks, unless the journal
+// refuses new commits. Caller holds j.mu.
 func (j *Journal) flushDirtyLocked() error {
 	if len(j.dirty) == 0 {
 		return nil
@@ -1101,6 +1041,17 @@ func (j *Journal) flushDirtyLocked() error {
 	if err := j.appendableLocked(); err != nil {
 		return err
 	}
+	return j.commitDirtyLocked()
+}
+
+// commitDirtyLocked drains the coalesced watermarks into one commit
+// waiter and rides the group-commit path: the whole flush is one frame
+// run inside one batch fsync. On failure the watermarks are re-merged
+// into the dirty set (unless a newer mark superseded them) so the next
+// flush retries — exactly the keep-dirty-on-error behavior replay
+// idempotence expects. Close calls it past the gate that refuses new
+// commits. Caller holds j.mu.
+func (j *Journal) commitDirtyLocked() error {
 	w := j.getWaiterLocked()
 	for token, e := range j.dirty {
 		w.addWatermark(token, e.mark, e.state)
@@ -1142,10 +1093,11 @@ func (j *Journal) Compact() error {
 	return j.rotateLocked()
 }
 
-// Close drains the commit queue, writes the remaining coalesced
-// watermarks exactly once, syncs, and closes the journal. New commits
-// are rejected the moment Close begins, so the final watermark drain
-// is the journal's last write.
+// Close drains the commit queue, commits the remaining coalesced
+// watermarks as one last batch, and closes the journal. New commits are
+// rejected the moment Close begins and the queue is empty before the
+// drain is enqueued, so the drain is the journal's last batch and
+// happens exactly once.
 func (j *Journal) Close() error {
 	j.stopFlusher()
 	j.mu.Lock()
@@ -1161,7 +1113,10 @@ func (j *Journal) Close() error {
 		// Abandon raced in while we drained.
 		return nil
 	}
-	err := j.closeFlushLocked()
+	var err error
+	if len(j.dirty) > 0 {
+		err = j.commitDirtyLocked()
+	}
 	j.closed = true
 	j.closeSubsLocked()
 	if j.active != nil {
@@ -1171,49 +1126,6 @@ func (j *Journal) Close() error {
 		j.active = nil
 	}
 	return err
-}
-
-// closeFlushLocked writes the final coalesced watermarks straight to
-// the active segment. Close has already stopped the flusher, drained
-// the commit queue, and begun rejecting new commits, so this is the
-// journal's sole remaining writer: the drain happens exactly once.
-// Caller holds j.mu.
-func (j *Journal) closeFlushLocked() error {
-	if len(j.dirty) == 0 {
-		return nil
-	}
-	if j.broken {
-		return errBroken
-	}
-	w := j.getWaiterLocked()
-	defer j.putWaiterLocked(w)
-	for token, e := range j.dirty {
-		w.addWatermark(token, e.mark, e.state)
-		delete(j.dirty, token)
-	}
-	off := j.activeSize
-	if _, err := j.active.Write(w.buf); err != nil {
-		j.stats.AppendErrors += int64(len(w.recs))
-		j.repairLocked(off)
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if err := j.active.Sync(); err != nil {
-		j.stats.AppendErrors += int64(len(w.recs))
-		j.repairLocked(off)
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.activeSize = off + int64(len(w.buf))
-	j.stats.Fsyncs++
-	j.stats.Appends += int64(len(w.recs))
-	j.stats.AppendedBytes += int64(len(w.buf))
-	j.stats.WatermarkBatches++
-	prev := 0
-	for i, end := range w.ends {
-		j.publishLocked(w.buf[prev:end])
-		j.state.apply(w.recs[i])
-		prev = end
-	}
-	return nil
 }
 
 // Abandon closes the journal crash-style: no flush, no sync — pending
@@ -1236,12 +1148,6 @@ func (j *Journal) Abandon() {
 		w.done = true
 	}
 	j.commitQ = j.commitQ[:0]
-	j.commitQBytes = 0
-	// Cut short a leader sleeping in its commit window.
-	select {
-	case j.commitWake <- struct{}{}:
-	default:
-	}
 	j.closeSubsLocked()
 	if !j.committing && j.active != nil {
 		j.active.Close()

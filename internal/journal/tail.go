@@ -110,39 +110,15 @@ func (j *Journal) closeSubsLocked() {
 	}
 }
 
-// AppendRecord commits one decoded record — the follower side of the
-// feed. Records replicated from a primary land in the standby journal
-// through the same commit paths (and durability rules) as locally
-// originated facts: admits, completions, and expiries fsync; watermarks
-// coalesce for the flusher.
-func (j *Journal) AppendRecord(r Record) error {
-	switch r.Kind {
-	case kindAdmit:
-		_, err := j.Admitted(r.Stream)
-		return err
-	case kindWatermark:
-		j.Watermark(r.Token, r.Watermark, r.HashState)
-		return nil
-	case kindComplete:
-		_, err := j.Completed(r.Tomb)
-		return err
-	case kindExpire:
-		_, err := j.Expired(r.Token, r.Nonce, r.Reason)
-		return err
-	case kindEpoch:
-		_, err := j.AppendEpoch(r.Epoch)
-		return err
-	}
-	return fmt.Errorf("journal: append of unknown record kind %#02x", r.Kind)
-}
-
-// AppendRecords commits a run of decoded records as one group-commit
-// batch: watermarks coalesce for the flusher exactly as in AppendRecord,
-// and every durable kind (admit, complete, expire, epoch) rides a
-// single batch fsync. A follower that drained several replication
-// frames off its socket applies them all for the price of one sync —
-// its cumulative ack then acknowledges the whole run. An error fails
-// the entire durable run (the batch never splits).
+// AppendRecords commits a run of decoded records — the follower side
+// of the feed — as one group-commit batch. Records replicated from a
+// primary land in the standby journal under the same durability rules
+// as locally originated facts: watermarks coalesce for the flusher
+// exactly as in Watermark, and every durable kind (admit, complete,
+// expire, epoch) rides a single batch fsync. A follower that drained
+// several replication frames off its socket applies them all for the
+// price of one sync — its cumulative ack then acknowledges the whole
+// run. An error fails the entire durable run (the batch never splits).
 func (j *Journal) AppendRecords(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -150,20 +126,7 @@ func (j *Journal) AppendRecords(recs []Record) error {
 	for _, r := range recs {
 		switch r.Kind {
 		case kindWatermark:
-			if j.closing || j.closed || j.broken {
-				continue
-			}
-			e, ok := j.dirty[r.Token]
-			if !ok {
-				if n := len(j.wmFree); n > 0 {
-					e.state = j.wmFree[n-1][:0]
-					j.wmFree = j.wmFree[:n-1]
-				}
-			}
-			e.mark = r.Watermark
-			e.state = append(e.state[:0], r.HashState...)
-			j.dirty[r.Token] = e
-			j.stats.WatermarksCoalesced++
+			j.coalesceLocked(r.Token, r.Watermark, r.HashState)
 			continue
 		case kindEpoch:
 			if r.Epoch <= j.state.Epoch {

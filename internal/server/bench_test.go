@@ -85,20 +85,6 @@ func BenchmarkServerIngestJournal(b *testing.B) {
 	benchIngest(b, j)
 }
 
-// BenchmarkServerIngestJournalWindow adds the explicit commit window
-// (the -commit-window flag): leaders hold the batch open briefly so a
-// whole admission burst lands in one fsync.
-func BenchmarkServerIngestJournalWindow(b *testing.B) {
-	j, err := journal.Open(journal.Config{
-		Dir:          b.TempDir(),
-		CommitWindow: 200 * time.Microsecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchIngest(b, j)
-}
-
 func waitForBench(b *testing.B, srv *Server, completed int64) {
 	waitFor(b, "iteration drain", func() bool {
 		s := srv.Snapshot()

@@ -32,8 +32,8 @@ func startGeneration(t testing.TB, cfg Config, dir, addr string) (*generation, s
 }
 
 // startGenerationJournal is startGeneration with the journal config
-// under test control — the commit-window crash tests shape batching
-// with it.
+// under test control — the kill-inside-commit test holds an fsync with
+// it.
 func startGenerationJournal(t testing.TB, cfg Config, jcfg journal.Config, addr string) (*generation, string) {
 	t.Helper()
 	j, err := journal.Open(jcfg)
@@ -343,14 +343,15 @@ func TestCrashRecoveryAlreadyComplete(t *testing.T) {
 	}
 }
 
-// TestCrashKillInsideCommitWindow: the server is killed while a
-// group-commit window is still open with every client's admission
-// record queued and unfsynced. The durability ordering demands that no
-// admission verdict escaped (release happens only after the batch
-// fsync), so the kill must leave zero acknowledged-then-forgotten
-// clients: the next generation recovers nothing, every sender retries
-// its identical hello, and each completes with exactly one admission in
-// the new generation — byte-exact.
+// TestCrashKillInsideCommitWindow: the server is killed while the first
+// client's admission is inside its batch fsync (held there) and every
+// other client's admission is queued behind it, unwritten; the held
+// fsync then fails. The durability ordering demands that no admission
+// verdict escaped (release happens only after the batch fsync), so the
+// kill must leave zero acknowledged-then-forgotten clients: the next
+// generation recovers nothing, every sender retries its identical
+// hello, and each completes with exactly one admission in the new
+// generation — byte-exact.
 func TestCrashKillInsideCommitWindow(t *testing.T) {
 	for _, seed := range crashSoakSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -369,14 +370,18 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 		ReadTimeout:  5 * time.Second,
 		ResumeWindow: 20 * time.Second,
 	}
-	// A window long enough that the kill always lands inside it, and a
-	// byte threshold no admission burst can reach: only the window timer
-	// (or the kill) ends the batch.
+	// Sync 1 is Open's snapshot; sync 2 is the first admission's batch,
+	// held until the kill and then failed.
+	dfs, err := journal.DirFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := journal.NewFaultFS(dfs, journal.FaultConfig{FailSync: 2})
+	held, release := faulty.HoldSync(2)
+	defer release()
 	gen1, addr := startGenerationJournal(t, cfg, journal.Config{
-		Dir:           dir,
+		FS:            faulty,
 		FlushInterval: 5 * time.Millisecond,
-		CommitWindow:  30 * time.Second,
-		CommitBytes:   1 << 30,
 	}, "")
 
 	nonce := func(i int) uint64 { return uint64(seed)<<32 | uint64(0xAD0+i) }
@@ -386,39 +391,75 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 	}
 	outcomes := make([]outcome, clients)
 	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
+	hello := func(i int) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		hello := kit.hello
-		hello.Nonce = nonce(i)
-		if err := transport.NewFrameWriter(conn).WriteHello(hello); err != nil {
+		t.Cleanup(func() { conn.Close() })
+		h := kit.hello
+		h.Nonce = nonce(i)
+		if err := transport.NewFrameWriter(conn).WriteHello(h); err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, conn net.Conn) {
+		go func() {
 			defer wg.Done()
 			v, err := transport.NewFrameReader(conn).ReadVerdictTimeout(15 * time.Second)
 			outcomes[i] = outcome{v: v, err: err}
-		}(i, conn)
+		}()
 	}
 
-	// Every admission is now parked on the open batch, its fsync pending.
-	waitFor(t, "admissions queued in the open commit window", func() bool {
-		return gen1.jrnl.Stats().CommitPending >= clients
+	// The first admission leads its batch alone and parks in the held
+	// fsync; every other admission queues behind it, unwritten.
+	hello(0)
+	select {
+	case <-held:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the first admission never reached its fsync")
+	}
+	for i := 1; i < clients; i++ {
+		hello(i)
+	}
+	waitFor(t, "admissions queued behind the held fsync", func() bool {
+		return gen1.jrnl.Stats().CommitPending >= clients-1
 	})
-	gen1.kill(t)
-	wg.Wait()
 
-	// The fsync never happened, so no verdict may have been released: an
-	// Admitted verdict here is an acknowledged admission the journal
-	// forgot — exactly the ordering bug this test pins.
+	// Kill while the fsync is held: Abandon fails the queued committers
+	// and drops the connections, but Kill waits for the handler still
+	// inside the leader's fsync. Once the queue is cleared the kill has
+	// abandoned the journal; only then does the held fsync fail.
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		gen1.srv.Kill()
+	}()
+	waitFor(t, "the kill to abandon the journal", func() bool {
+		return gen1.jrnl.Stats().CommitPending == 0
+	})
+	release()
+	<-killed
+	if err := <-gen1.done; err != nil {
+		t.Fatalf("Serve after kill: %v", err)
+	}
+	wg.Wait()
+	if _, syncs := faulty.Injected(); syncs != 1 {
+		t.Fatalf("%d fsync faults fired, want 1 (the held batch)", syncs)
+	}
+
+	// No admission's fsync succeeded, so no verdict may have been
+	// released: an Admitted verdict here is an acknowledged admission
+	// the journal forgot — exactly the ordering bug this test pins.
 	for i, o := range outcomes {
 		if o.err == nil && o.v.IsAdmitted() {
 			t.Fatalf("client %d holds an admission verdict whose record was never fsynced (verdict %+v)", i, o.v)
 		}
+	}
+	// Kill waited for every handler, so each admission has resolved: all
+	// of them must have rolled back, whether or not the dropped
+	// connection could still carry a verdict.
+	if busy := gen1.srv.Snapshot().Streams.RejectedBusy; busy != clients {
+		t.Fatalf("gen1 rolled back %d admissions, want all %d: none was ever durable", busy, clients)
 	}
 
 	gen2, _ := startGeneration(t, cfg, dir, addr)

@@ -67,11 +67,12 @@ type DatagramConfig struct {
 	// Seed fixes the RTO jitter stream for deterministic tests; 0 draws
 	// a random seed.
 	Seed int64
-	// AcceptBacklog bounds the listener's queue of new flows awaiting
-	// Accept (default 64). Flows arriving past it are dropped; the
-	// peer's retransmission redelivers once the queue drains.
-	AcceptBacklog int
 }
+
+// dgAcceptBacklog bounds a listener's queue of new flows awaiting
+// Accept. Flows arriving past it are dropped; the peer's retransmission
+// redelivers once the queue drains.
+const dgAcceptBacklog = 64
 
 func (c DatagramConfig) withDefaults() DatagramConfig {
 	if c.MTU <= 0 {
@@ -94,9 +95,6 @@ func (c DatagramConfig) withDefaults() DatagramConfig {
 	}
 	if c.Linger <= 0 {
 		c.Linger = time.Second
-	}
-	if c.AcceptBacklog <= 0 {
-		c.AcceptBacklog = 64
 	}
 	if c.Seed == 0 {
 		c.Seed = randomSeed()
@@ -600,7 +598,7 @@ func ListenDatagram(pc net.PacketConn, cfg DatagramConfig) *DatagramListener {
 		pc:      pc,
 		cfg:     cfg,
 		conns:   make(map[string]*DGConn),
-		acceptQ: make(chan *DGConn, cfg.AcceptBacklog),
+		acceptQ: make(chan *DGConn, dgAcceptBacklog),
 		closeCh: make(chan struct{}),
 	}
 	go l.demux()
