@@ -7,7 +7,7 @@ GO ?= go
 # a renamed test fails the target instead of silently running nothing.
 REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
 
-.PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster replfuzz journal protocol results examples clean
+.PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster framefuzz journal protocol results examples clean
 
 all: build vet test test-race
 
@@ -74,11 +74,16 @@ cluster:
 	$(GO) test -race -v -run 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower' -count=1 ./internal/cluster/
 	$(GO) test -v -run 'TestClusterFailoverSmoke|TestClusterQuorumSmoke' -count=1 ./cmd/smoothd/
 
-# The replication-frame parser fuzzer: arbitrary bytes against the MSRP
-# framing (truncations, CRC flips, oversized payloads) must never
-# panic or over-read.
-replfuzz:
+# The frame fuzzers: arbitrary bytes against the shared frame codec
+# (truncations, CRC flips, oversized lengths must never panic or
+# over-read; accepted frames re-encode byte for byte), against the
+# stream wire's message decoder, and read as an MSRP stream.
+framefuzz:
+	$(REQUIRE_TESTS) 'FuzzFrame' ./internal/frame/
+	$(REQUIRE_TESTS) 'FuzzFrameReader' ./internal/transport/
 	$(REQUIRE_TESTS) 'FuzzReplFrame' ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime 10s ./internal/frame/
+	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzReplFrame -fuzztime 10s ./internal/cluster/
 
 # The journal's own suite: CRC-framed WAL round-trips, torn-write and

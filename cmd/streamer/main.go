@@ -1,6 +1,6 @@
 // Command streamer sends or receives a smoothed video stream over TCP:
 // the deployable form of the whole pipeline. The sender smooths a trace
-// (standing in for live encoder output — the incremental LiveSmoother
+// (standing in for live encoder output — an incremental Session
 // computes the identical schedule), paces each picture at its scheduled
 // rate, and declares every rate change with a notify(i, rate) message;
 // the receiver verifies integrity and reports observed timing.

@@ -138,7 +138,6 @@ func startNode(t testing.TB, cfg Config) *Node {
 func fastTimings(cfg *Config) {
 	cfg.HeartbeatInterval = 25 * time.Millisecond
 	cfg.FailoverTimeout = 500 * time.Millisecond
-	cfg.PromoteStagger = 250 * time.Millisecond
 	cfg.DialTimeout = 250 * time.Millisecond
 }
 

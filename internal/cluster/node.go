@@ -54,13 +54,11 @@ type Config struct {
 	Server server.Config
 	// HeartbeatInterval paces the primary's replication heartbeats
 	// (default 250ms). FailoverTimeout is how long a follower tolerates
-	// silence before concluding the primary is dead (default 2s);
-	// PromoteStagger separates the ranks' promotion attempts (default
-	// FailoverTimeout/2); DialTimeout bounds replication dials (default
-	// 1s).
+	// silence before concluding the primary is dead (default 2s); half
+	// of it separates the ranks' promotion attempts. DialTimeout bounds
+	// replication dials (default 1s).
 	HeartbeatInterval time.Duration
 	FailoverTimeout   time.Duration
-	PromoteStagger    time.Duration
 	DialTimeout       time.Duration
 	// Replicas is the number of followers this shard is configured with
 	// — the replication factor beyond the primary (default 1). It
@@ -282,9 +280,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.FailoverTimeout <= 0 {
 		cfg.FailoverTimeout = 2 * time.Second
 	}
-	if cfg.PromoteStagger <= 0 {
-		cfg.PromoteStagger = cfg.FailoverTimeout / 2
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = time.Second
 	}
@@ -439,8 +434,9 @@ func (n *Node) adoptPrimary(srv *server.Server, jrnl *journal.Journal, ln, replL
 // real lock is the OS: whoever binds the shard's stream address is the
 // new primary. Returns true when this node promoted.
 func (n *Node) tryPromote() bool {
-	stagger := time.Duration(n.cfg.Rank-1) * n.cfg.PromoteStagger
-	if jitter := n.cfg.PromoteStagger / 2; jitter > 0 {
+	step := n.cfg.FailoverTimeout / 2
+	stagger := time.Duration(n.cfg.Rank-1) * step
+	if jitter := step / 2; jitter > 0 {
 		stagger += time.Duration(n.rng.Int63n(int64(jitter)))
 	}
 	if stagger > 0 {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"net"
 	"os"
 	"testing"
 	"time"
 
+	"mpegsmooth/internal/frame"
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/server"
 )
@@ -301,10 +303,11 @@ func TestTwoFollowerPromotionJitter(t *testing.T) {
 }
 
 // TestReplHelloOversizedRefused: a peer that sends the MSRP magic and a
-// hello header declaring a 64 MiB payload is cut off at once. The hello
-// read is capped at the largest hello, so the primary neither allocates
-// the declared payload nor holds the connection open for the
-// FailoverTimeout its handshake deadline allows.
+// hello header declaring a 64 MiB or a 2 GiB payload is cut off at once.
+// The hello read is capped at the largest hello, so the primary neither
+// allocates the declared payload nor holds the connection open for the
+// FailoverTimeout its handshake deadline allows. 2 GiB does not fit a
+// 32-bit int: the cap must be compared before the length is converted.
 func TestReplHelloOversizedRefused(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	cfg := Config{
@@ -316,26 +319,71 @@ func TestReplHelloOversizedRefused(t *testing.T) {
 	}
 	startNode(t, cfg)
 
-	conn, err := net.Dial("tcp", addrs[1])
-	if err != nil {
-		t.Fatal(err)
+	for _, declared := range []uint32{64 << 20, 0x80000000} {
+		conn, err := net.Dial("tcp", addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := append(append([]byte{}, replMagic...), replHello)
+		head = binary.BigEndian.AppendUint32(head, declared)
+		if _, err := conn.Write(head); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(time.Second))
+		_, err = conn.Read(make([]byte, 1))
+		conn.Close()
+		switch {
+		case err == nil:
+			t.Fatalf("primary answered a hello declaring a %d-byte payload", declared)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			t.Fatalf("primary still holds the connection 1s after a hello header declaring %d bytes", declared)
+		}
+		t.Logf("%d bytes declared: connection closed %v after the header (%v)", declared, time.Since(start), err)
 	}
-	defer conn.Close()
-	head := append(append([]byte{}, replMagic...), replHello)
-	head = binary.BigEndian.AppendUint32(head, 64<<20)
-	if _, err := conn.Write(head); err != nil {
-		t.Fatal(err)
+}
+
+// TestReplFrameVectors pins MSRP's bytes: one frame of each message
+// type, as the writer wrote them before MSRP moved onto package frame.
+// The writer must still produce them, and each must read back under
+// the cap its reader applies.
+func TestReplFrameVectors(t *testing.T) {
+	cursor := appendCursor(nil, 3, journal.Offsets{SegmentSeq: 2, Records: 99, Bytes: 4096})
+	hello := binary.BigEndian.AppendUint64(nil, 3)
+	hello = binary.BigEndian.AppendUint32(hello, 1)
+	hello = append(hello, "alpha/1"...)
+	ack := binary.BigEndian.AppendUint64(nil, 3)
+	ack = binary.BigEndian.AppendUint64(ack, 42)
+	for _, c := range []struct {
+		typ     byte
+		payload []byte
+		max     uint32
+		want    string
+	}{
+		{replHello, hello, helloPrefix + maxFollowerName,
+			"6800000013000000000000000300000001616c7068612f3102fde8c3"},
+		{replSnapshot, append(append([]byte{}, cursor...), "MSJ1"...), maxReplPayload,
+			"730000002400000000000000030000000000000002000000000000006300000000000010004d534a31d5a61f62"},
+		{replRecord, append(append([]byte{}, cursor...), 0xDE, 0xAD), maxReplPayload,
+			"72000000220000000000000003000000000000000200000000000000630000000000001000deadb58bb407"},
+		{replHeartbeat, cursor, maxReplPayload,
+			"62000000200000000000000003000000000000000200000000000000630000000000001000cfa21255"},
+		{replAck, ack, ackLen,
+			"61000000100000000000000003000000000000002a48904252"},
+	} {
+		var buf bytes.Buffer
+		if err := writeReplFrame(&buf, c.typ, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != c.want {
+			t.Errorf("%c frame: %s, want %s", c.typ, got, c.want)
+		}
+		want, _ := hex.DecodeString(c.want)
+		typ, payload, err := frame.Read(bytes.NewReader(want), c.max)
+		if err != nil || typ != c.typ || !bytes.Equal(payload, c.payload) {
+			t.Errorf("%c vector reads back as %c %x, %v", c.typ, typ, payload, err)
+		}
 	}
-	start := time.Now()
-	conn.SetReadDeadline(start.Add(time.Second))
-	_, err = conn.Read(make([]byte, 1))
-	switch {
-	case err == nil:
-		t.Fatal("primary answered a hello declaring a 64 MiB payload")
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		t.Fatal("primary still holds the connection 1s after an oversized hello header")
-	}
-	t.Logf("connection closed %v after the header (%v)", time.Since(start), err)
 }
 
 // buildReplFrame encodes one replication frame the way writeReplFrame
@@ -349,10 +397,14 @@ func buildReplFrame(t testing.TB, typ byte, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReplFrame hammers the MSRP frame parser with arbitrary bytes:
-// truncations, CRC flips, and oversized declared payloads must all
-// produce an error — never a panic, an over-read, or a frame the
-// writer could not have produced.
+// FuzzReplFrame hammers what MSRP adds on top of package frame (whose
+// own fuzzer is FuzzFrame) with arbitrary bytes, read as a follower
+// reads the primary's stream: frame after frame under maxReplPayload,
+// each payload split at its publish cursor, and a record's rest parsed
+// as a journal record. Truncations, CRC flips, and oversized declared
+// payloads must all end the stream with an error, never a panic or an
+// over-read, and every frame read re-encodes through writeReplFrame to
+// the bytes it came from.
 func FuzzReplFrame(f *testing.F) {
 	hello := make([]byte, 0, helloPrefix+7)
 	hello = binary.BigEndian.AppendUint64(hello, 3)
@@ -381,24 +433,30 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add(oversized)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, total, err := parseReplFrame(data, maxReplPayload)
-		if err != nil {
-			return
-		}
-		if total < 9 || total > len(data) {
-			t.Fatalf("frame size %d out of bounds for %d input bytes", total, len(data))
-		}
-		if len(payload) != total-9 {
-			t.Fatalf("payload %d bytes inside a %d-byte frame", len(payload), total)
-		}
-		// Anything the parser accepts, the writer reproduces bit-exactly:
-		// accepted frames are exactly the writable ones.
-		var buf bytes.Buffer
-		if err := writeReplFrame(&buf, typ, payload); err != nil {
-			t.Fatalf("re-encoding an accepted frame: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), data[:total]) {
-			t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", buf.Bytes(), data[:total])
+		r := bytes.NewReader(data)
+		for {
+			start := len(data) - r.Len()
+			typ, payload, err := frame.Read(r, maxReplPayload)
+			if err != nil {
+				return
+			}
+			read := data[start : len(data)-r.Len()]
+			// Anything the reader accepts, the writer reproduces
+			// bit-exactly: accepted frames are exactly the writable ones.
+			var buf bytes.Buffer
+			if err := writeReplFrame(&buf, typ, payload); err != nil {
+				t.Fatalf("re-encoding an accepted frame: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), read) {
+				t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", buf.Bytes(), read)
+			}
+			_, _, rest, err := parseCursor(payload)
+			if err != nil || typ != replRecord {
+				continue
+			}
+			if _, size, err := journal.ParseFrame(rest); err == nil && size > len(rest) {
+				t.Fatalf("journal record of %d bytes inside a %d-byte rest", size, len(rest))
+			}
 		}
 	})
 }

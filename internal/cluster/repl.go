@@ -7,14 +7,15 @@
 // frame naming itself; the primary answers with one snapshot frame and
 // then a stream of record and heartbeat frames, while the follower
 // sends ack frames back upstream on the same connection. Every frame is
+// a length-prefixed frame of package frame,
 //
 //	type (1) | len (4) | payload | crc32 (4)
 //
-// where the CRC covers type|len|payload. Every primary→follower payload
-// begins with the primary's 32-byte publish cursor (fencing epoch,
-// active segment sequence, cumulative records, cumulative bytes), so
-// the follower can report replication lag at any instant and detect a
-// deposed primary by its stale epoch:
+// read under the cap of the largest payload its reader expects. Every
+// primary→follower payload begins with the primary's 32-byte publish
+// cursor (fencing epoch, active segment sequence, cumulative records,
+// cumulative bytes), so the follower can report replication lag at any
+// instant and detect a deposed primary by its stale epoch:
 //
 //	'h' hello      epoch | rank | follower name (follower → primary)
 //	's' snapshot   cursor | segment image of the live state
@@ -43,12 +44,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync/atomic"
 	"time"
 
+	"mpegsmooth/internal/frame"
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/transport"
 )
@@ -100,68 +101,9 @@ func parseCursor(b []byte) (epoch uint64, o journal.Offsets, rest []byte, err er
 }
 
 func writeReplFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, 0, 9+len(payload))
-	buf = append(buf, typ)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
+	buf := make([]byte, 0, frame.Overhead+len(payload))
+	_, err := w.Write(frame.Append(buf, typ, uint32(len(payload)), payload))
 	return err
-}
-
-// replPayloadLen returns the payload length a frame header declares,
-// or an error if it exceeds max.
-func replPayloadLen(head []byte, max int) (int, error) {
-	n := int(binary.BigEndian.Uint32(head[1:5]))
-	if n > max {
-		return 0, fmt.Errorf("cluster: replication frame declares %d-byte payload, cap %d", n, max)
-	}
-	return n, nil
-}
-
-// parseReplFrame decodes one frame from b whose payload may be at most
-// max bytes, returning the frame type, payload, and total encoded size.
-// readReplFrame decodes every frame it reads with it, and the fuzzer
-// drives it with arbitrary bytes: they must produce an error, never a
-// panic or an over-read.
-func parseReplFrame(b []byte, max int) (byte, []byte, int, error) {
-	if len(b) < 9 {
-		return 0, nil, 0, io.ErrUnexpectedEOF
-	}
-	n, err := replPayloadLen(b, max)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	total := 9 + n
-	if len(b) < total {
-		return 0, nil, 0, io.ErrUnexpectedEOF
-	}
-	sum := crc32.ChecksumIEEE(b[:5+n])
-	if got := binary.BigEndian.Uint32(b[5+n : total]); got != sum {
-		return 0, nil, 0, fmt.Errorf("cluster: replication frame crc %08x, want %08x", got, sum)
-	}
-	return b[0], b[5 : 5+n], total, nil
-}
-
-// readReplFrame reads one frame whose payload may be at most max bytes.
-// The declared length is checked before the frame is allocated, so a
-// peer cannot make the reader reserve more than this read may carry.
-func readReplFrame(r io.Reader, max int) (byte, []byte, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, err
-	}
-	n, err := replPayloadLen(head[:], max)
-	if err != nil {
-		return 0, nil, err
-	}
-	frame := make([]byte, 9+n)
-	copy(frame, head[:])
-	if _, err := io.ReadFull(r, frame[5:]); err != nil {
-		return 0, nil, err
-	}
-	typ, payload, _, err := parseReplFrame(frame, max)
-	return typ, payload, err
 }
 
 // publishLoop is the primary's replication acceptor: one goroutine per
@@ -195,7 +137,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 		n.logf("cluster: %s: replication handshake from %s without magic", n.id(), conn.RemoteAddr())
 		return
 	}
-	typ, payload, err := readReplFrame(conn, helloPrefix+maxFollowerName)
+	typ, payload, err := frame.Read(conn, helloPrefix+maxFollowerName)
 	if err != nil || typ != replHello || len(payload) <= helloPrefix {
 		n.logf("cluster: %s: bad replication hello from %s: %v", n.id(), conn.RemoteAddr(), err)
 		return
@@ -244,7 +186,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 		defer close(ackDone)
 		br := bufio.NewReaderSize(conn, 4<<10)
 		for {
-			typ, payload, err := readReplFrame(br, ackLen)
+			typ, payload, err := frame.Read(br, ackLen)
 			if err != nil {
 				return
 			}
@@ -271,7 +213,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 	var buf []byte
 	for {
 		select {
-		case frame, ok := <-frames:
+		case rec, ok := <-frames:
 			if !ok {
 				// The feed dropped this subscriber (it fell behind the
 				// buffer) or the journal closed. Either way the follower
@@ -281,7 +223,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 				return
 			}
 			buf = appendCursor(buf[:0], myEpoch, jrnl.FollowOffsets())
-			buf = append(buf, frame...)
+			buf = append(buf, rec...)
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverTimeout))
 			if err := writeReplFrame(conn, replRecord, buf); err != nil {
 				atomic.AddInt64(&n.followerDrops, 1)
@@ -406,7 +348,7 @@ func (n *Node) streamFromPrimary(conn net.Conn) error {
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(n.cfg.FailoverTimeout))
-		typ, payload, err := readReplFrame(br, maxReplPayload)
+		typ, payload, err := frame.Read(br, maxReplPayload)
 		if err != nil {
 			return err
 		}

@@ -11,8 +11,8 @@ import (
 // deliberately cheats through a separate path).
 //
 // A View holds the prefix of picture sizes the system has learned so far
-// — the whole trace for offline smoothing, the pushed prefix for a
-// LiveSmoother — plus the observation time that decides which of those
+// — the whole trace for offline smoothing, the pushed prefix for a live
+// Session — plus the observation time that decides which of those
 // count as "arrived".
 type View struct {
 	tau   float64

@@ -8,8 +8,8 @@ import (
 )
 
 // Session is the unified driver around the decision kernel: every
-// consumer — the offline Smooth, the incremental LiveSmoother, the
-// paced transport sender, the batch runner SmoothAll — is a thin layer
+// consumer — the offline Smooth, the paced transport sender, the batch
+// runner SmoothAll — is a thin layer
 // over one Session. Picture sizes are pushed in display order as they
 // become known, and rate decisions are returned as soon as their inputs
 // are determined; Close marks the end of the sequence and flushes the

@@ -10,7 +10,7 @@
 //
 // Layout: the journal directory holds numbered segments
 // (seg-00000001.wal …), each starting with a magic header and holding
-// framed records
+// records, each a length-prefixed frame of package frame
 //
 //	kind (1) | bodyLen (4) | body | crc32 (4)
 //
@@ -45,13 +45,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"mpegsmooth/internal/frame"
 	"mpegsmooth/internal/mpeg"
 	"mpegsmooth/internal/transport"
 )
@@ -219,20 +219,9 @@ type Record struct {
 // the group-commit path can encode straight into a reused batch buffer
 // with no per-record allocation.
 
-// beginFrame reserves the kind and length header; finishFrame patches
-// the length and appends the CRC once the body is in place.
-func beginFrame(dst []byte, kind byte) []byte {
-	return append(dst, kind, 0, 0, 0, 0)
-}
-
-func finishFrame(dst []byte, start int) []byte {
-	binary.BigEndian.PutUint32(dst[start+1:start+5], uint32(len(dst)-start-5))
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
-}
-
 func appendAdmitFrame(dst []byte, rec StreamRecord) []byte {
 	start := len(dst)
-	dst = beginFrame(dst, kindAdmit)
+	dst = frame.Begin(dst, kindAdmit, 0)
 	h := rec.Hello
 	dst = binary.BigEndian.AppendUint64(dst, rec.Token)
 	dst = binary.BigEndian.AppendUint64(dst, h.Nonce)
@@ -244,45 +233,45 @@ func appendAdmitFrame(dst []byte, rec StreamRecord) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(h.Pictures))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(h.PeakRate))
 	dst = append(dst, byte(h.Integrity))
-	return finishFrame(dst, start)
+	return frame.EndLen(dst, start)
 }
 
 func appendWatermarkFrame(dst []byte, token uint64, mark int, state []byte) []byte {
 	start := len(dst)
-	dst = beginFrame(dst, kindWatermark)
+	dst = frame.Begin(dst, kindWatermark, 0)
 	dst = binary.BigEndian.AppendUint64(dst, token)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(mark))
 	dst = append(dst, byte(len(state)))
 	dst = append(dst, state...)
-	return finishFrame(dst, start)
+	return frame.EndLen(dst, start)
 }
 
 func appendCompleteFrame(dst []byte, rec TombstoneRecord) []byte {
 	start := len(dst)
-	dst = beginFrame(dst, kindComplete)
+	dst = frame.Begin(dst, kindComplete, 0)
 	dst = binary.BigEndian.AppendUint64(dst, rec.Token)
 	dst = binary.BigEndian.AppendUint64(dst, rec.Nonce)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(rec.Pictures))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.Expires.UnixNano()))
 	dst = append(dst, byte(len(rec.HashState)))
 	dst = append(dst, rec.HashState...)
-	return finishFrame(dst, start)
+	return frame.EndLen(dst, start)
 }
 
 func appendExpireFrame(dst []byte, token, nonce uint64, reason ExpireReason) []byte {
 	start := len(dst)
-	dst = beginFrame(dst, kindExpire)
+	dst = frame.Begin(dst, kindExpire, 0)
 	dst = binary.BigEndian.AppendUint64(dst, token)
 	dst = binary.BigEndian.AppendUint64(dst, nonce)
 	dst = append(dst, byte(reason))
-	return finishFrame(dst, start)
+	return frame.EndLen(dst, start)
 }
 
 func appendEpochFrame(dst []byte, epoch uint64) []byte {
 	start := len(dst)
-	dst = beginFrame(dst, kindEpoch)
+	dst = frame.Begin(dst, kindEpoch, 0)
 	dst = binary.BigEndian.AppendUint64(dst, epoch)
-	return finishFrame(dst, start)
+	return frame.EndLen(dst, start)
 }
 
 // Single-frame wrappers, used by the segment fuzzers and tests.
@@ -418,26 +407,15 @@ func ScanSegment(data []byte) (recs []Record, valid int, err error) {
 // feed share: a feed consumer parses each published frame with it and
 // must always consume the frame exactly.
 func ParseFrame(b []byte) (Record, int, error) {
-	if len(b) < 9 {
-		return Record{}, 0, errors.New("torn record header")
+	kind, body, n, err := frame.Split(b, maxRecordBody)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	kind := b[0]
-	n := int(binary.BigEndian.Uint32(b[1:5]))
-	if n > maxRecordBody {
-		return Record{}, 0, fmt.Errorf("declares %d-byte body", n)
+	rec, err := decodeBody(kind, body)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	if len(b) < 9+n {
-		return Record{}, 0, errors.New("torn record body")
-	}
-	sum := crc32.ChecksumIEEE(b[:5+n])
-	if got := binary.BigEndian.Uint32(b[5+n : 9+n]); got != sum {
-		return Record{}, 0, fmt.Errorf("crc %08x, want %08x", got, sum)
-	}
-	rec, derr := decodeBody(kind, b[5:5+n])
-	if derr != nil {
-		return Record{}, 0, derr
-	}
-	return rec, 9 + n, nil
+	return rec, n, nil
 }
 
 // Config parameterizes a Journal.

@@ -3,7 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"mpegsmooth/internal/frame"
 )
 
 // Datagram packet layer: the wire format the ARQ connection (dgconn.go)
@@ -14,11 +15,12 @@ import (
 // bytes ('R','P','E','H','V','M','D') so a cross-fed byte is always an
 // immediate decode error rather than a plausible packet.
 //
-// Wire formats (big-endian, CRC32-IEEE over every preceding byte):
+// Every packet is one frame of package frame whose word is conn; the
+// bodies are (big-endian)
 //
-//	DATA  'd' | conn(4) | seq(4) | len(2) | payload | crc32(4)
-//	FIN   'f' | conn(4) | seq(4) | len(2)=0        | crc32(4)
-//	ACK   'a' | conn(4) | cum(4) | bitmap(8)       | crc32(4)
+//	DATA  'd' | seq(4) | len(2) | payload
+//	FIN   'f' | seq(4) | len(2)=0
+//	ACK   'a' | cum(4) | bitmap(8)
 //
 // conn is the flow incarnation ID drawn fresh per dial: packets from a
 // previous incarnation of the same 5-tuple fail the ID check and drop
@@ -37,9 +39,9 @@ const (
 const (
 	// dgDataHeader is kind+conn+seq+len; dgAckSize the full fixed-size
 	// ACK packet; dgTrailer the CRC.
-	dgDataHeader = 1 + 4 + 4 + 2
-	dgAckSize    = 1 + 4 + 4 + 8 + 4
-	dgTrailer    = 4
+	dgDataHeader = frame.HeaderLen + 4 + 2
+	dgAckSize    = frame.Overhead + 4 + 8
+	dgTrailer    = frame.Overhead - frame.HeaderLen
 
 	// DatagramMTU is the default per-packet payload budget, sized so a
 	// full DATA packet stays under common 1280-byte path MTUs with the
@@ -87,22 +89,18 @@ type dgPacket struct {
 // kind, a FIN) packet onto dst.
 func appendDataPacket(dst []byte, kind byte, conn, seq uint32, payload []byte) []byte {
 	start := len(dst)
-	dst = append(dst, kind)
-	dst = binary.BigEndian.AppendUint32(dst, conn)
+	dst = frame.Begin(dst, kind, conn)
 	dst = binary.BigEndian.AppendUint32(dst, seq)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(payload)))
-	dst = append(dst, payload...)
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return frame.End(append(dst, payload...), start)
 }
 
 // appendAckPacket encodes an ACK packet onto dst.
 func appendAckPacket(dst []byte, conn, cum uint32, bitmap uint64) []byte {
 	start := len(dst)
-	dst = append(dst, dgKindAck)
-	dst = binary.BigEndian.AppendUint32(dst, conn)
+	dst = frame.Begin(dst, dgKindAck, conn)
 	dst = binary.BigEndian.AppendUint32(dst, cum)
-	dst = binary.BigEndian.AppendUint64(dst, bitmap)
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return frame.End(binary.BigEndian.AppendUint64(dst, bitmap), start)
 }
 
 // decodeDatagram parses and verifies one received datagram. Every
@@ -111,17 +109,17 @@ func appendAckPacket(dst []byte, conn, cum uint32, bitmap uint64) []byte {
 // corruption, not coalescing). The returned packet's Payload aliases
 // buf.
 func decodeDatagram(buf []byte) (dgPacket, error) {
-	var p dgPacket
-	if len(buf) == 0 {
-		return p, fmt.Errorf("empty datagram: %w", ErrCorrupt)
+	kind, conn, body, err := frame.Check(buf)
+	if err != nil {
+		return dgPacket{}, fmt.Errorf("datagram of %d bytes: %w: %w", len(buf), ErrCorrupt, err)
 	}
-	p.Kind = buf[0]
-	switch p.Kind {
+	p := dgPacket{Kind: kind, Conn: conn}
+	switch kind {
 	case dgKindData, dgKindFin:
 		if len(buf) < dgDataHeader+dgTrailer {
 			return p, fmt.Errorf("datagram truncated (%d bytes): %w", len(buf), ErrCorrupt)
 		}
-		n := int(binary.BigEndian.Uint16(buf[9:11]))
+		n := int(binary.BigEndian.Uint16(body[4:6]))
 		if n > dgMaxPayload {
 			return p, fmt.Errorf("datagram payload length %d exceeds cap: %w", n, ErrCorrupt)
 		}
@@ -129,29 +127,19 @@ func decodeDatagram(buf []byte) (dgPacket, error) {
 			return p, fmt.Errorf("datagram length %d does not match header (%d payload): %w",
 				len(buf), n, ErrCorrupt)
 		}
-		if p.Kind == dgKindFin && n != 0 {
+		if kind == dgKindFin && n != 0 {
 			return p, fmt.Errorf("fin with %d payload bytes: %w", n, ErrCorrupt)
 		}
-		body := buf[:dgDataHeader+n]
-		if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(buf[len(buf)-4:]); got != want {
-			return p, fmt.Errorf("datagram crc mismatch: %w", ErrCorrupt)
-		}
-		p.Conn = binary.BigEndian.Uint32(buf[1:5])
-		p.Seq = binary.BigEndian.Uint32(buf[5:9])
-		p.Payload = buf[dgDataHeader : dgDataHeader+n]
+		p.Seq = binary.BigEndian.Uint32(body[0:4])
+		p.Payload = body[6:]
 		return p, nil
 	case dgKindAck:
 		if len(buf) != dgAckSize {
 			return p, fmt.Errorf("ack datagram length %d: %w", len(buf), ErrCorrupt)
 		}
-		body := buf[:dgAckSize-dgTrailer]
-		if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(buf[len(buf)-4:]); got != want {
-			return p, fmt.Errorf("ack crc mismatch: %w", ErrCorrupt)
-		}
-		p.Conn = binary.BigEndian.Uint32(buf[1:5])
-		p.Cum = binary.BigEndian.Uint32(buf[5:9])
-		p.Bitmap = binary.BigEndian.Uint64(buf[9:17])
+		p.Cum = binary.BigEndian.Uint32(body[0:4])
+		p.Bitmap = binary.BigEndian.Uint64(body[4:12])
 		return p, nil
 	}
-	return p, fmt.Errorf("unknown datagram kind %#x: %w", p.Kind, ErrCorrupt)
+	return p, fmt.Errorf("unknown datagram kind %#x: %w", kind, ErrCorrupt)
 }

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"hash/fnv"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +41,36 @@ func TestDatagramCodecRoundTrip(t *testing.T) {
 	}
 	if p.Kind != dgKindAck || p.Conn != 7 || p.Cum != 1000 || p.Bitmap != 0xA5A5 {
 		t.Fatalf("ack round trip: %+v", p)
+	}
+}
+
+// TestDatagramCodecVectors pins the packet bytes: one packet of each
+// kind, as the encoders wrote them before the packets moved onto
+// package frame. The encoders must still produce them, and the decoder
+// must accept them.
+func TestDatagramCodecVectors(t *testing.T) {
+	for _, c := range []struct {
+		pkt  dgPacket
+		got  []byte
+		want string
+	}{
+		{dgPacket{Kind: dgKindData, Conn: 0xDEADBEEF, Seq: 42, Payload: []byte("picture bytes")},
+			appendDataPacket(nil, dgKindData, 0xDEADBEEF, 42, []byte("picture bytes")),
+			"64deadbeef0000002a000d7069637475726520627974657350252417"},
+		{dgPacket{Kind: dgKindFin, Conn: 7, Seq: 99, Payload: []byte{}},
+			appendDataPacket(nil, dgKindFin, 7, 99, nil),
+			"66000000070000006300005cd0a660"},
+		{dgPacket{Kind: dgKindAck, Conn: 7, Cum: 1000, Bitmap: 0xA5A5},
+			appendAckPacket(nil, 7, 1000, 0xA5A5),
+			"6100000007000003e8000000000000a5a55fcaec93"},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%c packet: %s, want %s", c.pkt.Kind, got, c.want)
+		}
+		want, _ := hex.DecodeString(c.want)
+		if p, err := decodeDatagram(want); err != nil || !reflect.DeepEqual(p, c.pkt) {
+			t.Errorf("%c vector decodes as %+v, %v", c.pkt.Kind, p, err)
+		}
 	}
 }
 

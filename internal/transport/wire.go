@@ -10,18 +10,17 @@
 // rate-notification messages ahead of each rate change so a receiver (or
 // a network resource manager) can track the sender's declared rate.
 //
-// Wire format (v2, chaos-hardened): every message is a CRC-framed
-// record
+// Wire format (v2, chaos-hardened): every message is one frame of
+// package frame,
 //
 //	kind (1) | seq (4) | body (fixed per kind) | crc32 (4)
 //
-// where crc32 is the IEEE checksum of kind|seq|body and seq is a
-// per-connection, per-direction counter starting at zero. A picture
-// frame's body additionally carries the CRC of its payload, which
-// streams (paced) after the frame record. Corruption, truncation, and
-// frame loss are therefore detected — never silently decoded — and
-// classified (see ClassifyFault) so senders can reconnect and resume
-// rather than abort.
+// whose word, seq, is a per-connection, per-direction counter starting
+// at zero. A picture frame's body additionally carries the CRC of its
+// payload, which streams (paced) after the frame. Corruption,
+// truncation, and frame loss are therefore detected — never silently
+// decoded — and classified (see ClassifyFault) so senders can reconnect
+// and resume rather than abort.
 package transport
 
 import (
@@ -35,6 +34,7 @@ import (
 	"net"
 	"time"
 
+	"mpegsmooth/internal/frame"
 	"mpegsmooth/internal/mpeg"
 )
 
@@ -364,24 +364,19 @@ func (fw *FrameWriter) flush() error {
 	return fw.write(fw.scratch)
 }
 
-// stage writes any staged frame, then encodes kind|seq|body|crc into
-// scratch as the new staged frame and advances the sequence counter.
+// stage writes any staged frame, then frames body into scratch as the
+// new staged frame and advances the sequence counter.
 func (fw *FrameWriter) stage(kind byte, body []byte) error {
 	if err := fw.flush(); err != nil {
 		return err
 	}
-	buf := fw.scratch[:0]
-	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint32(buf, fw.seq)
-	buf = append(buf, body...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	fw.scratch = buf
+	fw.scratch = frame.Append(fw.scratch[:0], kind, fw.seq, body)
 	fw.seq++
 	fw.staged = true
 	return nil
 }
 
-// writeFrame writes kind|seq|body|crc behind any staged frame.
+// writeFrame writes the frame of body behind any staged frame.
 func (fw *FrameWriter) writeFrame(kind byte, body []byte) error {
 	if err := fw.stage(kind, body); err != nil {
 		return err
@@ -395,7 +390,7 @@ func (fw *FrameWriter) WriteHello(h StreamHello) error {
 		return err
 	}
 	if h.GOP.N > math.MaxUint16 || h.GOP.M > math.MaxUint16 ||
-		h.K > math.MaxUint16 || h.Pictures > math.MaxUint32 {
+		h.K > math.MaxUint16 || int64(h.Pictures) > math.MaxUint32 {
 		return fmt.Errorf("transport: hello field out of wire range")
 	}
 	var body [43]byte
@@ -429,7 +424,7 @@ func (fw *FrameWriter) WriteVerdict(v Verdict) error {
 	if math.IsNaN(v.Available) || math.IsInf(v.Available, 0) || v.Available < 0 {
 		return fmt.Errorf("transport: invalid verdict capacity %v", v.Available)
 	}
-	if v.NextIndex < 0 || v.NextIndex > math.MaxUint32 {
+	if v.NextIndex < 0 || int64(v.NextIndex) > math.MaxUint32 {
 		return fmt.Errorf("transport: verdict next index %d out of range", v.NextIndex)
 	}
 	var body [37]byte
@@ -457,7 +452,7 @@ func (fw *FrameWriter) WriteRedirect(rd Redirect) error {
 
 // WriteRate writes a rate notification.
 func (fw *FrameWriter) WriteRate(n RateNotification) error {
-	if n.Index < 0 || n.Index > math.MaxUint32 {
+	if n.Index < 0 || int64(n.Index) > math.MaxUint32 {
 		return fmt.Errorf("transport: picture index %d out of range", n.Index)
 	}
 	if n.Rate <= 0 || math.IsNaN(n.Rate) || math.IsInf(n.Rate, 0) {
@@ -475,7 +470,7 @@ func (fw *FrameWriter) WriteRate(n RateNotification) error {
 // the header with it. It does no I/O beyond sending a previous staged
 // header, so a write error on this header surfaces from WriteChunk.
 func (fw *FrameWriter) WritePictureHeader(index int, t mpeg.PictureType, payload []byte) error {
-	if index < 0 || index > math.MaxUint32 {
+	if index < 0 || int64(index) > math.MaxUint32 {
 		return fmt.Errorf("transport: picture index %d out of range", index)
 	}
 	if len(payload) == 0 || len(payload) > fw.maxPayload() {
@@ -531,17 +526,15 @@ type FrameReader struct {
 	// allocate-per-message behaviour, where every returned value and
 	// payload is caller-owned.
 	Pool *BufferPool
-	// scratch holds the frame body+crc between reads; bodies are fixed
-	// and small, and decode never retains body bytes (all fields are
-	// value copies), so one buffer serves the reader's whole session.
-	scratch []byte
-	// head is the frame-header read buffer. A local array would escape
-	// through the io.ReadFull interface call and cost one heap
-	// allocation per frame; as a field it rides the reader's own
-	// allocation.
-	head [5]byte
-	pic  PictureFrame
-	rate RateNotification
+	// scratch holds one whole frame between reads; bodies are fixed and
+	// small (the redirect's is the largest), and decode never retains
+	// body bytes (all fields are value copies), so one buffer serves the
+	// reader's whole session. A local array would escape through the
+	// io.ReadFull interface call and cost one heap allocation per frame;
+	// as a field it rides the reader's own allocation.
+	scratch [frame.Overhead + 10 + maxRedirectAddr]byte
+	pic     PictureFrame
+	rate    RateNotification
 }
 
 // NewFrameReader wraps a connection's read side.
@@ -587,35 +580,27 @@ func (fr *FrameReader) maxPayload() int {
 // and CRC-checked), or ErrClosed on the end marker. Frames that fail verification return
 // errors wrapping ErrCorrupt or ErrBadSeq.
 func (fr *FrameReader) ReadMessage() (any, error) {
-	head := fr.head[:]
-	if _, err := io.ReadFull(fr.r, head[:1]); err != nil {
+	b := fr.scratch[:1]
+	if _, err := io.ReadFull(fr.r, b); err != nil {
 		return nil, err
 	}
-	n, known := bodyLen(head[0])
+	n, known := bodyLen(b[0])
 	if !known {
-		return nil, fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, head[0])
+		return nil, fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, b[0])
 	}
-	if _, err := io.ReadFull(fr.r, head[1:]); err != nil {
-		return nil, fmt.Errorf("transport: short frame header: %w", err)
+	b = fr.scratch[:frame.Overhead+n]
+	if _, err := io.ReadFull(fr.r, b[1:]); err != nil {
+		return nil, fmt.Errorf("transport: short frame: %w", err)
 	}
-	if cap(fr.scratch) < n+4 {
-		fr.scratch = make([]byte, n+4)
+	kind, seq, body, err := frame.Check(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	rest := fr.scratch[:n+4]
-	if _, err := io.ReadFull(fr.r, rest); err != nil {
-		return nil, fmt.Errorf("transport: short frame body: %w", err)
-	}
-	body := rest[:n]
-	sum := crc32.ChecksumIEEE(head[:])
-	sum = crc32.Update(sum, crc32.IEEETable, body)
-	if got := binary.BigEndian.Uint32(rest[n:]); got != sum {
-		return nil, fmt.Errorf("%w: %c frame crc %08x, want %08x", ErrCorrupt, head[0], got, sum)
-	}
-	if seq := binary.BigEndian.Uint32(head[1:5]); seq != fr.seq {
+	if seq != fr.seq {
 		return nil, fmt.Errorf("%w: frame seq %d, want %d", ErrBadSeq, seq, fr.seq)
 	}
 	fr.seq++
-	return fr.decode(head[0], body)
+	return fr.decode(kind, body)
 }
 
 // decode interprets a CRC- and sequence-verified frame body.
@@ -666,6 +651,11 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 		n := int(binary.BigEndian.Uint16(body[8:10]))
 		if n == 0 || n > maxRedirectAddr {
 			return nil, fmt.Errorf("%w: redirect address length %d", ErrCorrupt, n)
+		}
+		for _, c := range body[10+n:] {
+			if c != 0 {
+				return nil, fmt.Errorf("%w: redirect padding not zero", ErrCorrupt)
+			}
 		}
 		return &Redirect{Addr: string(body[10 : 10+n]), Epoch: epoch}, nil
 	case kindRate:

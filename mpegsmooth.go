@@ -111,9 +111,6 @@ type (
 	Observer = core.Observer
 	// Observation is the measurement handed to an Observer.
 	Observation = core.Observation
-	// LiveSmoother is the incremental, transport-embeddable smoother, a
-	// thin wrapper over Session kept for API stability.
-	LiveSmoother = core.LiveSmoother
 	// Decision is one live rate decision.
 	Decision = core.Decision
 	// DecisionStats accumulates Observer output into summary statistics.
@@ -185,13 +182,6 @@ func NewSession(tau float64, gop GOP, cfg Config, opts ...SessionOption) (*Sessi
 
 // WithObserver installs a per-decision observer hook on a Session.
 func WithObserver(o Observer) SessionOption { return core.WithObserver(o) }
-
-// NewLiveSmoother prepares an incremental smoother that consumes picture
-// sizes as the encoder produces them and emits rate decisions as soon as
-// they are determined. It computes exactly the schedule Smooth would.
-func NewLiveSmoother(tau float64, gop GOP, cfg Config) (*LiveSmoother, error) {
-	return core.NewLiveSmoother(tau, gop, cfg)
-}
 
 // The four MPEG video sequences of the paper's Section 5.1, reconstructed
 // as deterministic calibrated generators (see DESIGN.md §2).
