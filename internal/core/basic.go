@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"mpegsmooth/internal/trace"
-)
+import "mpegsmooth/internal/trace"
 
 // Smooth runs the smoothing algorithm of Figure 2 over a complete trace
 // and returns the resulting schedule. The algorithm is online: at each
@@ -62,15 +58,6 @@ func scheduleFrom(tr *trace.Trace, cfg Config, ds []Decision) *Schedule {
 		s.Delays[j] = d.Delay
 		s.LowerBound[j] = d.Lower
 		s.UpperBound[j] = d.Upper
-	}
-	return s
-}
-
-// MustSmooth is Smooth for statically valid inputs; it panics on error.
-func MustSmooth(tr *trace.Trace, cfg Config) *Schedule {
-	s, err := Smooth(tr, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
 	}
 	return s
 }

@@ -114,7 +114,3 @@ func (m *Mux) InFlight() int64 {
 	}
 	return n
 }
-
-// LostBySource returns the per-source loss counters (nil unless
-// Attribute was called).
-func (m *Mux) LostBySource() []int64 { return m.lost }

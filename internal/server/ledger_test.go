@@ -5,25 +5,22 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/transport"
 )
 
-// tombstoneCount sums the tombstone ledger's entries across shards,
-// checking that each shard's insertion order tracks its map.
+// tombstoneCount counts the tombstone ledger's entries, checking that
+// its insertion order tracks its map.
 func tombstoneCount(t *testing.T, l *tombLedger) int {
 	t.Helper()
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		if len(sh.order) != len(sh.m) {
-			t.Fatalf("shard %d: %d tokens in order, %d tombstones", i, len(sh.order), len(sh.m))
-		}
-		n += len(sh.m)
+	if len(l.order) != len(l.m) {
+		t.Fatalf("%d tokens in order, %d tombstones", len(l.order), len(l.m))
 	}
-	return n
+	return len(l.m)
 }
 
 // TestTombstoneLedgerFloodBounded pins the completion-tombstone ledger
@@ -58,8 +55,8 @@ func TestTombstoneLedgerFloodBounded(t *testing.T) {
 	}
 	end := at(flood - 1)
 	window := int(ttl / gap) // completions still inside their TTL at end
-	if n := tombstoneCount(t, &srv.tombstones); n < window || n > window+ledgerShards*4 {
-		t.Errorf("ledger holds %d tombstones at the end of the flood, want rate × TTL = %d (+ per-shard sweep slack)", n, window)
+	if n := tombstoneCount(t, &srv.tombstones); n < window || n > window+1 {
+		t.Errorf("ledger holds %d tombstones at the end of the flood, want rate × TTL = %d (+ 1 at the expiry boundary)", n, window)
 	}
 	if _, ok := srv.tombstones.lookup(uint64(0x100000+flood-window), end); !ok {
 		t.Error("oldest in-window tombstone lost by the end of the flood")
@@ -110,8 +107,8 @@ func TestTombstoneLedgerKeepsTTLThroughLull(t *testing.T) {
 			t.Fatalf("trickle tombstone %d lost 19 s into its TTL", 1+burst+i)
 		}
 	}
-	// The next completion in each shard sweeps that shard's expired
-	// burst: memory follows the live set, not the history.
+	// The next completion sweeps the expired burst: memory follows the
+	// live set, not the history.
 	for i := 0; i < trickle; i++ {
 		entomb(uint64(1+burst+trickle+i), late)
 	}
@@ -131,7 +128,7 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 		const clients = 16
 		// Room for every client: only the nonce can stop a second
 		// reservation. The hellos go straight into admit at once, as if
-		// all 16 had raced past handleHello's lock-free probe together
+		// all 16 had passed handleHello's probe before any was admitted
 		// (over TCP the probe reattaches most of them before admit).
 		srv, _ := startServer(t, Config{LinkRate: clients * peak})
 		start := make(chan struct{})
@@ -174,7 +171,10 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 				clients, snap.Streams.Admitted, snap.ReservedPeak, peak)
 		}
 		srv.finish(admitted, errors.New("test: abandoned after admission"))
-		if srv.nonces.get(kit.hello.Nonce) != nil {
+		srv.mu.Lock()
+		outlived := srv.nonces[kit.hello.Nonce] != nil
+		srv.mu.Unlock()
+		if outlived {
 			t.Error("nonce outlived its stream")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -221,4 +221,120 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 		}
 		waitFor(t, "second reservation release", released)
 	})
+}
+
+// TestRolledBackAdmissionCountedOnce: an admission whose journal record
+// never became durable is rolled back as busy and not counted as
+// admitted, so a sender whose retry is admitted counts once.
+func TestRolledBackAdmissionCountedOnce(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 27))
+	kit.hello.Nonce = 0xB0B5
+	// Sync 1 is Open's snapshot; sync 2 is the first admission's batch.
+	faulty := journal.NewFaultFS(journal.NewMemFS(), journal.FaultConfig{FailSync: 2})
+	j, err := journal.Open(journal.Config{FS: faulty, FlushInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{
+		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
+	})
+	conn, _, v := kit.handshake(t, addr)
+	conn.Close()
+	if v.Code != transport.RejectedBusy {
+		t.Fatalf("hello whose admission record failed to sync: verdict %v, want %v", v.Code, transport.RejectedBusy)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if v, err := kit.stream(ctx, addr); err != nil || !v.IsAdmitted() {
+		t.Fatalf("retried hello: verdict %v, %v", v.Code, err)
+	}
+	waitFor(t, "the retried stream to complete", func() bool {
+		s := srv.Snapshot()
+		return s.Streams.Completed == 1 && s.Streams.Active == 0
+	})
+	if snap := srv.Snapshot(); snap.Streams.Admitted != 1 || snap.Streams.RejectedBusy != 1 {
+		t.Errorf("a rolled-back hello and its admitted retry: admitted %d, rejected_busy %d; want 1 and 1",
+			snap.Streams.Admitted, snap.Streams.RejectedBusy)
+	}
+}
+
+// gatedWriter is an egress sink whose writes block until release is
+// closed: it holds an acked stream short of finish.
+type gatedWriter struct{ release chan struct{} }
+
+func (g gatedWriter) Write(p []byte) (int, error) {
+	<-g.release
+	return len(p), nil
+}
+
+// resumeOnce dials addr, presents token, and returns the answer.
+func resumeOnce(addr string, token uint64) (transport.Verdict, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return transport.Verdict{}, err
+	}
+	defer conn.Close()
+	if err := transport.NewFrameWriter(conn).WriteResume(transport.StreamResume{Token: token}); err != nil {
+		return transport.Verdict{}, err
+	}
+	return transport.NewFrameReader(conn).ReadVerdictTimeout(10 * time.Second)
+}
+
+// TestResumeRacingFinish: resumes that race a completed stream's finish
+// are answered by the live stream (Admitted or RejectedBusy) or by its
+// tombstone (AlreadyComplete, carrying the final hash), never as an
+// unknown token: finish drops the token and entombs the stream in one
+// critical section, and a resume reads both under the same lock.
+func TestResumeRacingFinish(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 9))
+	release := make(chan struct{})
+	srv, addr := startServer(t, Config{
+		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second,
+		Egress: gatedWriter{release},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// The sender's completion ack arrives while egress is held at the
+	// gate: every picture is accepted, and the stream is still live.
+	v, err := kit.stream(ctx, addr)
+	if err != nil || !v.IsAdmitted() {
+		t.Fatalf("stream: verdict %v, %v", v.Code, err)
+	}
+	wantFNV := payloadFNV(kit.payloads)
+	const resumers = 4
+	var busy atomic.Int64
+	var wg sync.WaitGroup
+	for range resumers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				got, err := resumeOnce(addr, v.ResumeToken)
+				if err != nil {
+					t.Errorf("resume: %v", err)
+					return
+				}
+				switch got.Code {
+				case transport.RejectedBusy:
+					busy.Add(1)
+					continue
+				case transport.AlreadyComplete:
+					if got.NextIndex != len(kit.payloads) || got.PrefixFNV != wantFNV {
+						t.Errorf("already complete at %d pictures, hash %016x; want %d, %016x",
+							got.NextIndex, got.PrefixFNV, len(kit.payloads), wantFNV)
+					}
+				case transport.Admitted:
+				default:
+					t.Errorf("resume racing finish: verdict %v", got.Code)
+				}
+				return
+			}
+		}()
+	}
+	waitFor(t, "resumes answered by the live stream", func() bool { return busy.Load() >= resumers })
+	close(release)
+	wg.Wait()
+	if snap := srv.Snapshot(); snap.Streams.Completed != 1 || snap.Streams.RejectedMalformed != 0 {
+		t.Errorf("completed %d, rejected_malformed %d; want 1 and 0", snap.Streams.Completed, snap.Streams.RejectedMalformed)
+	}
 }

@@ -13,6 +13,12 @@ import (
 
 // StreamCounts are the admission and lifecycle counters.
 type StreamCounts struct {
+	// Admitted counts the admissions this server committed: reserved
+	// and, with a journal, durable (quorum-held in a cluster) before the
+	// verdict left. One rolled back at that step counts under
+	// RejectedBusy instead, and a stream recovered from the journal
+	// under Recovered, so summed across server generations each client
+	// stream is admitted once.
 	Admitted          int64 `json:"admitted"`
 	Rejected          int64 `json:"rejected"`
 	RejectedCapacity  int64 `json:"rejected_capacity"`
@@ -140,7 +146,7 @@ func (s *Server) Snapshot() Snapshot {
 		ReservedPeak:  s.admission.Reserved(),
 		AvailablePeak: s.admission.Available(),
 		Streams: StreamCounts{
-			Admitted:            s.admission.Admitted(),
+			Admitted:            s.admitted,
 			RejectedCapacity:    s.admission.Rejected(),
 			RejectedMalformed:   s.rejectedMalformed,
 			RejectedBusy:        s.rejectedBusy,

@@ -112,9 +112,9 @@ type Config struct {
 	// Journal, when set, is the crash-safety write-ahead log: stream
 	// admissions, accept watermarks, completions, and expiries are
 	// recorded (fsynced before any verdict or ack a sender may act on),
-	// and New replays the journal's recovered state into the nonce
-	// ledger, admission reservations, parked-stream table, and
-	// tombstone map — so a sender redialing after a server crash gets a
+	// and New replays the journal's recovered state into the session
+	// table (nonces, parked streams, tombstones) and the admission
+	// reservations — so a sender redialing after a server crash gets a
 	// correct resume or AlreadyComplete verdict instead of a rejection.
 	// The server owns the journal from here: it is closed by Shutdown
 	// and abandoned by Kill.
@@ -193,22 +193,24 @@ type Server struct {
 	egress *link
 	wg     sync.WaitGroup
 
+	// mu guards the fields below but journal, which New sets once. The
+	// session table (streams, resumable, nonces, tombstones) is read and
+	// written only under it, so admission's nonce check is authoritative
+	// and a resume finds either the live stream or its tombstone, never
+	// a gap between them.
 	mu        sync.Mutex
 	admission *netsim.Admission
 	streams   map[uint64]*stream
 	resumable map[uint64]*stream // resume token → parked-capable stream
-	nextID    uint64
-	ln        net.Listener
-	closed    bool
-
-	// nonces and tombstones are lock-sharded (see ledger.go) so
-	// duplicate-hello probes and late-resume lookups in a saturated soak
-	// do not serialize on the admission mutex. The nonce ledger routes a
-	// redialing sender to its live stream; the tombstone ledger answers
-	// a resume after a lost completion ack with a precise
-	// AlreadyComplete verdict instead of an unknown-token rejection.
-	nonces     nonceLedger
+	// nonces routes a redialing sender's hello to its live stream.
+	nonces map[uint64]*stream
+	// tombstones answer a resume after a lost completion ack with a
+	// precise AlreadyComplete verdict instead of an unknown-token
+	// rejection.
 	tombstones tombLedger
+	nextID     uint64
+	ln         net.Listener
+	closed     bool
 
 	// journal is cfg.Journal (nil disables durability); the recovered
 	// counters report what the journal replay rebuilt at startup.
@@ -216,6 +218,7 @@ type Server struct {
 	recoveredStreams    int64
 	recoveredTombstones int64
 
+	admitted          int64 // committed admissions; rollbacks count as busy
 	completed         int64
 	failed            int64
 	rejectedMalformed int64
@@ -282,6 +285,7 @@ func New(cfg Config) (*Server, error) {
 		admission:     adm,
 		streams:       map[uint64]*stream{},
 		resumable:     map[uint64]*stream{},
+		nonces:        map[uint64]*stream{},
 		worstHeadroom: math.Inf(1),
 	}
 	s.egress = newLink(s.cfg.Egress, s.cfg.WriteTimeout)
@@ -400,25 +404,8 @@ func (s *Server) Kill() {
 	s.wg.Wait()
 }
 
-// SeverConns force-closes every live stream connection without
-// stopping the server: streams park (or fail, if resumption is off)
-// exactly as they would on a network fault. The cluster's partition
-// simulation uses it so an isolated primary loses its clients the way
-// a real partition would take them.
-func (s *Server) SeverConns() {
-	s.mu.Lock()
-	streams := make([]*stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.mu.Unlock()
-	for _, st := range streams {
-		st.closeConn()
-	}
-}
-
 // recoverFromJournal replays the journal's recovered state into the
-// server's ledgers: live streams come back parked (session rebuilt at
+// session table: live streams come back parked (session rebuilt at
 // the journaled watermark, prefix hash restored, reservation
 // rehydrated) with a goroutine waiting out the resume window; unexpired
 // tombstones come back answerable. Records that no longer fit this
@@ -471,7 +458,7 @@ func (s *Server) recoverFromJournal() {
 		s.streams[st.id] = st
 		s.resumable[token] = st
 		if rec.Hello.Nonce != 0 {
-			s.nonces.put(rec.Hello.Nonce, st)
+			s.nonces[rec.Hello.Nonce] = st
 		}
 		s.admission.Rehydrate(rec.Hello.PeakRate)
 		s.recoveredStreams++
@@ -487,7 +474,7 @@ func (s *Server) recoverFromJournal() {
 		}(st)
 	}
 	// Entomb in expiry order: the ledger sweeps expired tombstones off
-	// the front of each shard's insertion order.
+	// the front of its insertion order.
 	var tombs []*journal.TombstoneRecord
 	for token, tb := range state.Tombstones {
 		if now.After(tb.Expires) || len(tb.HashState) < 8 {
@@ -497,6 +484,7 @@ func (s *Server) recoverFromJournal() {
 		tombs = append(tombs, tb)
 	}
 	slices.SortFunc(tombs, func(a, b *journal.TombstoneRecord) int { return a.Expires.Compare(b.Expires) })
+	s.mu.Lock()
 	for _, tb := range tombs {
 		s.tombstones.put(tb.Token, tombstone{
 			fnv:      binary.BigEndian.Uint64(tb.HashState),
@@ -504,7 +492,6 @@ func (s *Server) recoverFromJournal() {
 			expires:  tb.Expires,
 		}, now)
 	}
-	s.mu.Lock()
 	s.recoveredTombstones += int64(len(tombs))
 	s.mu.Unlock()
 }
@@ -615,18 +602,22 @@ func (s *Server) handleHello(conn net.Conn, fr *transport.FrameReader, fw *trans
 		return
 	}
 	if hello.Nonce != 0 {
-		prior := s.nonces.get(hello.Nonce)
-		if prior != nil {
-			if prior.hello != *hello {
-				s.rejectConn(conn, fw, transport.RejectedMalformed,
-					fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce))
-				return
-			}
-			s.mu.Lock()
+		s.mu.Lock()
+		prior := s.nonces[hello.Nonce]
+		dup := prior != nil && prior.hello == *hello
+		if dup {
 			s.helloDeduped++
-			s.mu.Unlock()
+		}
+		avail := s.admission.Available()
+		s.mu.Unlock()
+		if dup {
 			s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", prior.id, conn.RemoteAddr())
-			s.reattach(conn, fr, fw, prior, prior.token)
+			s.reattach(conn, fr, fw, prior, prior.token, avail)
+			return
+		}
+		if prior != nil {
+			s.rejectConn(conn, fw, transport.RejectedMalformed,
+				fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce))
 			return
 		}
 	}
@@ -654,18 +645,18 @@ func (s *Server) handleResume(conn net.Conn, fr *transport.FrameReader, fw *tran
 	}
 	s.mu.Lock()
 	st := s.resumable[m.Token]
-	closed := s.closed
-	avail := s.admission.Available()
-	s.mu.Unlock()
 	var tomb tombstone
 	entombed := false
 	if st == nil {
 		tomb, entombed = s.tombstones.lookup(m.Token, time.Now())
 	}
 	if entombed {
-		s.mu.Lock()
 		s.alreadyComplete++
-		s.mu.Unlock()
+	}
+	closed := s.closed
+	avail := s.admission.Available()
+	s.mu.Unlock()
+	if entombed {
 		fw.WriteVerdict(transport.Verdict{
 			Code: transport.AlreadyComplete, Available: avail,
 			ResumeToken: m.Token, NextIndex: tomb.pictures, PrefixFNV: tomb.fnv,
@@ -681,18 +672,16 @@ func (s *Server) handleResume(conn net.Conn, fr *transport.FrameReader, fw *tran
 			fmt.Errorf("server: resume with unknown token"))
 		return
 	}
-	s.reattach(conn, fr, fw, st, m.Token)
+	s.reattach(conn, fr, fw, st, m.Token, avail)
 }
 
 // reattach hands a reconnecting sender's connection (resume by token or
-// hello retransmission matched by nonce) to its parked stream. The
-// accepting flag (under the stream's lock) serializes competing
-// reconnect attempts; the verdict carrying the replay point and the
-// accepted-prefix hash is written before the connection changes hands.
-func (s *Server) reattach(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, st *stream, token uint64) {
-	s.mu.Lock()
-	avail := s.admission.Available()
-	s.mu.Unlock()
+// hello retransmission matched by nonce) to its parked stream; avail is
+// the headroom the caller read with the stream. The accepting flag
+// (under the stream's lock) serializes competing reconnect attempts;
+// the verdict carrying the replay point and the accepted-prefix hash is
+// written before the connection changes hands.
+func (s *Server) reattach(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, st *stream, token uint64, avail float64) {
 	st.mu.Lock()
 	if !st.accepting {
 		// The stream has not parked yet — most likely its ingest loop is
@@ -788,12 +777,12 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		s.mu.Unlock()
 		return reject(transport.RejectedBusy, errors.New("server: at stream limit or shutting down"))
 	}
-	if hello.Nonce != 0 && s.nonces.get(hello.Nonce) != nil {
-		// A duplicate hello that raced past handleHello's lock-free probe.
-		// Under s.mu the nonce map is authoritative (see ledger.go), so
-		// this is the guard against reserving twice. Busy sends the
-		// sender back around; its retry finds the registered nonce and
-		// reattaches.
+	if hello.Nonce != 0 && s.nonces[hello.Nonce] != nil {
+		// A duplicate hello that raced this one past handleHello's probe
+		// and was admitted first. This check, under the same lock as the
+		// reservation below, is the guard against reserving twice. Busy
+		// sends the sender back around; its retry finds the registered
+		// nonce and reattaches.
 		s.mu.Unlock()
 		return reject(transport.RejectedBusy,
 			fmt.Errorf("server: hello nonce %016x already holds a reservation", hello.Nonce))
@@ -808,7 +797,7 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 	st.id = s.nextID
 	s.streams[st.id] = st
 	if hello.Nonce != 0 {
-		s.nonces.put(hello.Nonce, st)
+		s.nonces[hello.Nonce] = st
 	}
 	if s.cfg.ResumeWindow > 0 {
 		st.token = s.newTokenLocked()
@@ -816,49 +805,62 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 	}
 	avail := s.admission.Available()
 	s.mu.Unlock()
-	if s.journal != nil && st.token != 0 {
-		// The admission fact must be durable before the verdict leaves:
-		// a sender acting on an admission the journal forgot would be
-		// rejected as unknown after a crash. The fsync runs outside s.mu
-		// so concurrent admissions serialize only on the journal.
-		rollback := func(cause error) (*stream, transport.Verdict, error) {
-			s.mu.Lock()
-			s.admission.Release(hello.PeakRate)
-			delete(s.streams, st.id)
-			if hello.Nonce != 0 {
-				s.nonces.del(hello.Nonce)
-			}
-			delete(s.resumable, st.token)
-			s.rejectedBusy++
-			avail = s.admission.Available()
-			s.mu.Unlock()
-			return nil, transport.Verdict{Code: transport.RejectedBusy, Available: avail, Epoch: s.cfg.Epoch}, cause
-		}
-		seq, jerr := s.journal.Admitted(journal.StreamRecord{Token: st.token, Hello: *hello})
-		if jerr != nil {
-			return rollback(fmt.Errorf("server: admission not journalable: %w", jerr))
-		}
-		if s.cfg.Quorum != nil {
-			// Hold the verdict until a replication quorum holds the
-			// admission record (or the gate degrades to local-only
-			// durability). A terminal gate error means the record's
-			// replication fate is unknown and the server is dying: undo
-			// the admission — including its journal record, best effort —
-			// and send the sender back around rather than acknowledge a
-			// commit a promoted follower may have never seen.
-			if qerr := s.cfg.Quorum.WaitCommitted(s.ctx, seq); qerr != nil {
-				if _, xerr := s.journal.Expired(st.token, hello.Nonce, journal.ExpireFailed); xerr != nil {
-					s.cfg.Logf("smoothd: quorum rollback expiry for token %016x failed: %v", st.token, xerr)
-				}
-				return rollback(fmt.Errorf("server: admission quorum not reached: %w", qerr))
-			}
-		}
+	if err := s.commitAdmission(st); err != nil {
+		s.mu.Lock()
+		s.dropLocked(st)
+		s.mu.Unlock()
+		return reject(transport.RejectedBusy, err)
 	}
+	s.mu.Lock()
+	s.admitted++
+	s.mu.Unlock()
 	_, prefix := st.resumePoint() // empty hash: nothing accepted yet
 	return st, transport.Verdict{
 		Code: transport.Admitted, Available: avail, ResumeToken: st.token, PrefixFNV: prefix,
 		Epoch: s.cfg.Epoch,
 	}, nil
+}
+
+// commitAdmission makes a resumable stream's admission durable before
+// its verdict leaves: a sender acting on an admission the journal forgot
+// would be rejected as unknown after a crash. The fsync runs outside
+// s.mu so concurrent admissions serialize only on the journal. An error
+// means the caller rolls the admission back.
+func (s *Server) commitAdmission(st *stream) error {
+	if s.journal == nil || st.token == 0 {
+		return nil
+	}
+	seq, err := s.journal.Admitted(journal.StreamRecord{Token: st.token, Hello: st.hello})
+	if err != nil {
+		return fmt.Errorf("server: admission not journalable: %w", err)
+	}
+	if s.cfg.Quorum == nil {
+		return nil
+	}
+	// Hold the verdict until a replication quorum holds the admission
+	// record (or the gate degrades to local-only durability). A terminal
+	// gate error means the record's replication fate is unknown and the
+	// server is dying: undo the admission — including its journal record,
+	// best effort — and send the sender back around rather than
+	// acknowledge a commit a promoted follower may have never seen.
+	if err := s.cfg.Quorum.WaitCommitted(s.ctx, seq); err != nil {
+		if _, xerr := s.journal.Expired(st.token, st.hello.Nonce, journal.ExpireFailed); xerr != nil {
+			s.cfg.Logf("smoothd: quorum rollback expiry for token %016x failed: %v", st.token, xerr)
+		}
+		return fmt.Errorf("server: admission quorum not reached: %w", err)
+	}
+	return nil
+}
+
+// dropLocked releases st's reservation and removes it from the session
+// table. Caller holds s.mu.
+func (s *Server) dropLocked(st *stream) {
+	s.admission.Release(st.hello.PeakRate)
+	delete(s.streams, st.id)
+	if st.hello.Nonce != 0 {
+		delete(s.nonces, st.hello.Nonce)
+	}
+	delete(s.resumable, st.token)
 }
 
 // tombstoneTTL bounds how long a completed stream answers late resumes
@@ -922,24 +924,15 @@ func (s *Server) run(st *stream, admitErr error) error {
 func (s *Server) finish(st *stream, err error) {
 	ss := st.snapshot()
 	s.mu.Lock()
-	s.admission.Release(st.hello.PeakRate)
-	delete(s.streams, st.id)
-	if st.hello.Nonce != 0 {
-		s.nonces.del(st.hello.Nonce)
-	}
-	if st.token != 0 {
-		delete(s.resumable, st.token)
-		if err == nil {
-			// Tombstone the completed stream before s.mu is released: a
-			// resume that finds the token gone from s.resumable
-			// serialized after this critical section, so it always finds
-			// either the live stream or the tombstone, never a gap.
-			now := time.Now()
-			s.tombstones.put(st.token, tombstone{
-				fnv: ss.PayloadFNV, pictures: ss.Pictures,
-				expires: now.Add(s.tombstoneTTL()),
-			}, now)
-		}
+	s.dropLocked(st)
+	if st.token != 0 && err == nil {
+		// Entomb the completed stream in the critical section that drops
+		// its token, so a resume finds one or the other.
+		now := time.Now()
+		s.tombstones.put(st.token, tombstone{
+			fnv: ss.PayloadFNV, pictures: ss.Pictures,
+			expires: now.Add(s.tombstoneTTL()),
+		}, now)
 	}
 	if err != nil {
 		s.failed++

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -328,5 +329,51 @@ func TestResumableSenderTerminalOnRejection(t *testing.T) {
 	}
 	if res.Verdict.Code != RejectedCapacity || res.Verdict.Available != 12345 {
 		t.Fatalf("verdict not preserved: %+v", res.Verdict)
+	}
+}
+
+// TestResumableSenderRefusesWrappedNextIndex: a CRC-valid Admitted
+// verdict whose NextIndex is 2^31, negative once held in a 32-bit int,
+// is refused as corrupt. The sender retries and gives up instead of
+// slicing its payloads at that watermark.
+func TestResumableSenderRefusesWrappedNextIndex(t *testing.T) {
+	sched, payloads := testSchedule(t, 9)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	body := make([]byte, 37)
+	body[0] = byte(Admitted)
+	binary.BigEndian.PutUint64(body[9:17], 42) // resume token
+	binary.BigEndian.PutUint32(body[17:21], 1<<31)
+	verdict := rawFrame(kindVerdict, 0, body)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := NewFrameReader(conn).ReadMessage(); err == nil {
+					conn.Write(verdict)
+				}
+			}()
+		}
+	}()
+	rs := &ResumableSender{
+		Sender: Sender{TimeScale: 1000},
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", ln.Addr().String())
+		},
+		Hello:       validHello(),
+		Seed:        1,
+		MaxAttempts: 2,
+		Backoff:     Backoff{Base: time.Millisecond, Max: time.Millisecond},
+	}
+	if _, err := rs.StreamSchedule(context.Background(), sched, payloads); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("verdict with next index 2^31: %v, want ErrCorrupt", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mpegsmooth/internal/core"
+	"mpegsmooth/internal/frame"
 	"mpegsmooth/internal/mpeg"
 	"mpegsmooth/internal/trace"
 )
@@ -164,6 +165,60 @@ func TestWireValidation(t *testing.T) {
 	}
 	if _, err := NewFrameReader(bytes.NewReader(nil)).ReadMessage(); err != io.EOF {
 		t.Error("empty stream should EOF")
+	}
+}
+
+// TestDecodeRefusesIndexAboveMaxInt32: a picture count, watermark or
+// picture index above math.MaxInt32 would wrap negative in a 32-bit
+// int, so decode refuses it as corrupt on every arch. MaxInt32 itself
+// round-trips, and no writer emits what the reader refuses.
+func TestDecodeRefusesIndexAboveMaxInt32(t *testing.T) {
+	payload := []byte("picture payload")
+	for _, tc := range []struct {
+		name  string
+		at    int // offset of the uint32 field in the frame body
+		write func(fw *FrameWriter, n int) error
+	}{
+		{"hello pictures", 22, func(fw *FrameWriter, n int) error {
+			h := validHello()
+			h.Pictures = n
+			return fw.WriteHello(h)
+		}},
+		{"verdict next index", 17, func(fw *FrameWriter, n int) error {
+			return fw.WriteVerdict(Verdict{Code: Admitted, NextIndex: n})
+		}},
+		{"rate index", 0, func(fw *FrameWriter, n int) error {
+			return fw.WriteRate(RateNotification{Index: n, Rate: 1e6})
+		}},
+		{"picture index", 0, func(fw *FrameWriter, n int) error {
+			if err := fw.WritePictureHeader(n, mpeg.TypeI, payload); err != nil {
+				return err
+			}
+			return fw.WriteChunk(payload)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.write(NewFrameWriter(&buf), math.MaxInt32); err != nil {
+				t.Fatalf("writing %d: %v", math.MaxInt32, err)
+			}
+			wire := buf.Bytes()
+			if _, err := NewFrameReader(bytes.NewReader(wire)).ReadMessage(); err != nil {
+				t.Fatalf("reading %d: %v", math.MaxInt32, err)
+			}
+			n, _ := bodyLen(wire[0])
+			body := append([]byte(nil), wire[frame.HeaderLen:frame.HeaderLen+n]...)
+			binary.BigEndian.PutUint32(body[tc.at:], 1<<31)
+			wrapped := append(rawFrame(wire[0], 0, body), wire[frame.Overhead+n:]...)
+			if msg, err := NewFrameReader(bytes.NewReader(wrapped)).ReadMessage(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s 2^31 decoded as %+v, %v; want ErrCorrupt", tc.name, msg, err)
+			}
+			over := math.MaxInt32
+			over++ // 2^31 on a 64-bit int, negative on a 32-bit one
+			if err := tc.write(NewFrameWriter(io.Discard), over); err == nil {
+				t.Errorf("writer emitted %s %d", tc.name, over)
+			}
+		})
 	}
 }
 

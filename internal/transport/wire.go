@@ -390,7 +390,7 @@ func (fw *FrameWriter) WriteHello(h StreamHello) error {
 		return err
 	}
 	if h.GOP.N > math.MaxUint16 || h.GOP.M > math.MaxUint16 ||
-		h.K > math.MaxUint16 || int64(h.Pictures) > math.MaxUint32 {
+		h.K > math.MaxUint16 || h.Pictures > math.MaxInt32 {
 		return fmt.Errorf("transport: hello field out of wire range")
 	}
 	var body [43]byte
@@ -424,7 +424,7 @@ func (fw *FrameWriter) WriteVerdict(v Verdict) error {
 	if math.IsNaN(v.Available) || math.IsInf(v.Available, 0) || v.Available < 0 {
 		return fmt.Errorf("transport: invalid verdict capacity %v", v.Available)
 	}
-	if v.NextIndex < 0 || int64(v.NextIndex) > math.MaxUint32 {
+	if v.NextIndex < 0 || v.NextIndex > math.MaxInt32 {
 		return fmt.Errorf("transport: verdict next index %d out of range", v.NextIndex)
 	}
 	var body [37]byte
@@ -452,7 +452,7 @@ func (fw *FrameWriter) WriteRedirect(rd Redirect) error {
 
 // WriteRate writes a rate notification.
 func (fw *FrameWriter) WriteRate(n RateNotification) error {
-	if n.Index < 0 || int64(n.Index) > math.MaxUint32 {
+	if n.Index < 0 || n.Index > math.MaxInt32 {
 		return fmt.Errorf("transport: picture index %d out of range", n.Index)
 	}
 	if n.Rate <= 0 || math.IsNaN(n.Rate) || math.IsInf(n.Rate, 0) {
@@ -470,7 +470,7 @@ func (fw *FrameWriter) WriteRate(n RateNotification) error {
 // the header with it. It does no I/O beyond sending a previous staged
 // header, so a write error on this header surfaces from WriteChunk.
 func (fw *FrameWriter) WritePictureHeader(index int, t mpeg.PictureType, payload []byte) error {
-	if index < 0 || int64(index) > math.MaxUint32 {
+	if index < 0 || index > math.MaxInt32 {
 		return fmt.Errorf("transport: picture index %d out of range", index)
 	}
 	if len(payload) == 0 || len(payload) > fw.maxPayload() {
@@ -603,10 +603,26 @@ func (fr *FrameReader) ReadMessage() (any, error) {
 	return fr.decode(kind, body)
 }
 
+// wireIndex decodes a uint32 field the reader hands out as an int: a
+// picture index, a watermark or a picture count. No writer emits one
+// above math.MaxInt32, which would wrap negative in a 32-bit int, so
+// decode refuses those on every arch.
+func wireIndex(b []byte, what string) (int, error) {
+	v := binary.BigEndian.Uint32(b)
+	if v > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: %s %d out of range", ErrCorrupt, what, v)
+	}
+	return int(v), nil
+}
+
 // decode interprets a CRC- and sequence-verified frame body.
 func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 	switch kind {
 	case kindHello:
+		pictures, err := wireIndex(body[22:26], "hello pictures")
+		if err != nil {
+			return nil, err
+		}
 		h := StreamHello{
 			Tau: math.Float64frombits(binary.BigEndian.Uint64(body[0:8])),
 			GOP: mpeg.GOP{
@@ -615,7 +631,7 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 			},
 			K:         int(binary.BigEndian.Uint16(body[12:14])),
 			D:         math.Float64frombits(binary.BigEndian.Uint64(body[14:22])),
-			Pictures:  int(binary.BigEndian.Uint32(body[22:26])),
+			Pictures:  pictures,
 			PeakRate:  math.Float64frombits(binary.BigEndian.Uint64(body[26:34])),
 			Nonce:     binary.BigEndian.Uint64(body[34:42]),
 			Integrity: IntegrityMode(body[42]),
@@ -631,11 +647,15 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 		}
 		return &StreamResume{Token: token}, nil
 	case kindVerdict:
+		next, err := wireIndex(body[17:21], "verdict next index")
+		if err != nil {
+			return nil, err
+		}
 		v := Verdict{
 			Code:        VerdictCode(body[0]),
 			Available:   math.Float64frombits(binary.BigEndian.Uint64(body[1:9])),
 			ResumeToken: binary.BigEndian.Uint64(body[9:17]),
-			NextIndex:   int(binary.BigEndian.Uint32(body[17:21])),
+			NextIndex:   next,
 			PrefixFNV:   binary.BigEndian.Uint64(body[21:29]),
 			Epoch:       binary.BigEndian.Uint64(body[29:37]),
 		}
@@ -659,22 +679,24 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 		}
 		return &Redirect{Addr: string(body[10 : 10+n]), Epoch: epoch}, nil
 	case kindRate:
+		index, err := wireIndex(body[0:4], "rate index")
+		if err != nil {
+			return nil, err
+		}
 		rate := math.Float64frombits(binary.BigEndian.Uint64(body[4:12]))
 		if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 			return nil, fmt.Errorf("%w: peer sent invalid rate %v", ErrCorrupt, rate)
 		}
 		if fr.Pool != nil {
-			fr.rate = RateNotification{
-				Index: int(binary.BigEndian.Uint32(body[0:4])),
-				Rate:  rate,
-			}
+			fr.rate = RateNotification{Index: index, Rate: rate}
 			return &fr.rate, nil
 		}
-		return &RateNotification{
-			Index: int(binary.BigEndian.Uint32(body[0:4])),
-			Rate:  rate,
-		}, nil
+		return &RateNotification{Index: index, Rate: rate}, nil
 	case kindPicture:
+		index, err := wireIndex(body[0:4], "picture index")
+		if err != nil {
+			return nil, err
+		}
 		size := binary.BigEndian.Uint32(body[5:9])
 		if size == 0 || int64(size) > int64(fr.maxPayload()) {
 			return nil, fmt.Errorf("%w: peer announced picture of %d bytes (cap %d)",
@@ -703,18 +725,10 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 			return nil, fmt.Errorf("%w: payload crc %08x, want %08x", ErrCorrupt, got, want)
 		}
 		if fr.Pool != nil {
-			fr.pic = PictureFrame{
-				Index:   int(binary.BigEndian.Uint32(body[0:4])),
-				Type:    ty,
-				Payload: payload,
-			}
+			fr.pic = PictureFrame{Index: index, Type: ty, Payload: payload}
 			return &fr.pic, nil
 		}
-		return &PictureFrame{
-			Index:   int(binary.BigEndian.Uint32(body[0:4])),
-			Type:    ty,
-			Payload: payload,
-		}, nil
+		return &PictureFrame{Index: index, Type: ty, Payload: payload}, nil
 	case kindEnd:
 		return nil, ErrClosed
 	}

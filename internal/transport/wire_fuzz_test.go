@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"mpegsmooth/internal/frame"
@@ -36,6 +37,7 @@ func FuzzFrameReader(f *testing.F) {
 		},
 		func() error { return fw.WriteEnd() },
 	}
+	var picture []byte
 	for _, write := range writes {
 		buf.Reset()
 		if err := write(); err != nil {
@@ -45,7 +47,11 @@ func FuzzFrameReader(f *testing.F) {
 		wire := buf.Bytes()
 		n, _ := bodyLen(wire[0])
 		seed := append([]byte{wire[0]}, wire[frame.HeaderLen:frame.HeaderLen+n]...)
-		f.Add(append(seed, wire[frame.Overhead+n:]...))
+		seed = append(seed, wire[frame.Overhead+n:]...)
+		f.Add(seed)
+		if wire[0] == kindPicture {
+			picture = seed
+		}
 	}
 	// A redirect whose padding after the address is not zero: the
 	// writer always zeroes it, so the reader must refuse it.
@@ -54,6 +60,11 @@ func FuzzFrameReader(f *testing.F) {
 	padded[0], padded[10], padded[11], padded[len(padded)-1] = kindRedirect, 1, 'x', 1
 	f.Add(padded)
 	f.Add([]byte{'Z', 1, 2, 3})
+	// The picture at index 2^31, which wraps negative in a 32-bit int:
+	// no writer emits it, so the reader must refuse it on every arch.
+	wrapped := append([]byte(nil), picture...)
+	binary.BigEndian.PutUint32(wrapped[1:5], 1<<31)
+	f.Add(wrapped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
