@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -865,29 +864,14 @@ func (n *Node) Health() server.Health {
 //	GET /stats       {"cluster": Status, "server": Snapshot-if-primary}
 //	GET /debug/vars  expvar (includes "smoothd" and "smoothd_cluster")
 func (n *Node) OpsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /livez", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		server.WriteHealth(w, n.Health())
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	return server.NewOpsHandler(n.Health, func() any {
 		snap := Snapshot{Cluster: n.Status()}
 		if srv := n.Server(); srv != nil {
 			ss := srv.Snapshot()
 			snap.Server = &ss
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		return snap
 	})
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	return mux
 }
 
 // id names this node in logs: shard/rank.

@@ -13,10 +13,10 @@ import (
 // does surface apply idempotently.
 func FuzzJournalReplay(f *testing.F) {
 	clean := buildSegment(
-		encodeAdmit(testStream(1)),
-		encodeWatermark(1, 3, []byte{1, 2}),
-		encodeComplete(testTomb(2, 60)),
-		encodeExpire(2, 2, ExpireTombstone),
+		appendAdmitFrame(nil, testStream(1)),
+		appendWatermarkFrame(nil, 1, 3, []byte{1, 2}),
+		appendCompleteFrame(nil, testTomb(2, 60)),
+		appendExpireFrame(nil, 2, 2, ExpireTombstone),
 	)
 	f.Add(clean)
 	f.Add(clean[:len(clean)-3]) // torn tail

@@ -22,12 +22,12 @@
 // watermarks is safe: the sender replays from an older watermark and
 // the server re-accepts idempotently.
 //
-// Durable appends go through a group commit (see DESIGN.md §14):
-// concurrent committers enqueue their pre-encoded frames on a commit
-// queue and the caller at the front becomes the batch leader, writing
-// every queued frame with one write and one fsync while the lock is
-// released — so more committers keep joining the next batch during the
-// disk wait. Each caller still blocks until *its* record is durable,
+// Every record enters through one function, commit, and durable
+// records go through a group commit (see DESIGN.md §14): concurrent
+// committers enqueue their pre-encoded frames on a commit queue and the
+// caller at the front becomes the batch leader, writing every queued
+// frame with one write and one fsync while the lock is released — so
+// more committers keep joining the next batch during the disk wait. Each caller still blocks until *its* record is durable,
 // which preserves the ordering invariant byte-for-byte: a verdict or
 // ack never leaves the server before its record has been fsynced.
 //
@@ -274,19 +274,6 @@ func appendEpochFrame(dst []byte, epoch uint64) []byte {
 	return frame.EndLen(dst, start)
 }
 
-// Single-frame wrappers, used by the segment fuzzers and tests.
-func encodeAdmit(rec StreamRecord) []byte { return appendAdmitFrame(nil, rec) }
-
-func encodeWatermark(token uint64, mark int, state []byte) []byte {
-	return appendWatermarkFrame(nil, token, mark, state)
-}
-
-func encodeComplete(rec TombstoneRecord) []byte { return appendCompleteFrame(nil, rec) }
-
-func encodeExpire(token, nonce uint64, reason ExpireReason) []byte {
-	return appendExpireFrame(nil, token, nonce, reason)
-}
-
 // decodeBody interprets a CRC-verified record body.
 func decodeBody(kind byte, body []byte) (Record, error) {
 	bad := func(format string, a ...any) (Record, error) {
@@ -488,42 +475,29 @@ type commitWaiter struct {
 	done bool
 }
 
-func (w *commitWaiter) addAdmit(rec StreamRecord) {
-	w.buf = appendAdmitFrame(w.buf, rec)
-	w.ends = append(w.ends, len(w.buf))
-	w.recs = append(w.recs, Record{Kind: kindAdmit, Stream: rec})
-}
-
-// addWatermark points the record's HashState into the frame bytes just
-// encoded (body layout: token 8 | mark 4 | len 1 | state), so the
-// caller's state buffer can be recycled the moment this returns.
-func (w *commitWaiter) addWatermark(token uint64, mark int, state []byte) {
+// add encodes r as one more frame of the waiter's run. A watermark's
+// HashState is pointed into the frame just encoded (body layout: token 8
+// | mark 4 | len 1 | state), so the caller's state buffer can be
+// recycled the moment add returns.
+func (w *commitWaiter) add(r Record) {
 	start := len(w.buf)
-	w.buf = appendWatermarkFrame(w.buf, token, mark, state)
-	var hs []byte
-	if len(state) > 0 {
-		hs = w.buf[start+18 : start+18+len(state)]
+	switch r.Kind {
+	case kindAdmit:
+		w.buf = appendAdmitFrame(w.buf, r.Stream)
+	case kindWatermark:
+		w.buf = appendWatermarkFrame(w.buf, r.Token, r.Watermark, r.HashState)
+		if n := len(r.HashState); n > 0 {
+			r.HashState = w.buf[start+18 : start+18+n]
+		}
+	case kindComplete:
+		w.buf = appendCompleteFrame(w.buf, r.Tomb)
+	case kindExpire:
+		w.buf = appendExpireFrame(w.buf, r.Token, r.Nonce, r.Reason)
+	case kindEpoch:
+		w.buf = appendEpochFrame(w.buf, r.Epoch)
 	}
 	w.ends = append(w.ends, len(w.buf))
-	w.recs = append(w.recs, Record{Kind: kindWatermark, Token: token, Watermark: mark, HashState: hs})
-}
-
-func (w *commitWaiter) addComplete(rec TombstoneRecord) {
-	w.buf = appendCompleteFrame(w.buf, rec)
-	w.ends = append(w.ends, len(w.buf))
-	w.recs = append(w.recs, Record{Kind: kindComplete, Tomb: rec})
-}
-
-func (w *commitWaiter) addExpire(token, nonce uint64, reason ExpireReason) {
-	w.buf = appendExpireFrame(w.buf, token, nonce, reason)
-	w.ends = append(w.ends, len(w.buf))
-	w.recs = append(w.recs, Record{Kind: kindExpire, Token: token, Nonce: nonce, Reason: reason})
-}
-
-func (w *commitWaiter) addEpoch(epoch uint64) {
-	w.buf = appendEpochFrame(w.buf, epoch)
-	w.ends = append(w.ends, len(w.buf))
-	w.recs = append(w.recs, Record{Kind: kindEpoch, Epoch: epoch})
+	w.recs = append(w.recs, r)
 }
 
 // Journal is an open write-ahead log. All methods are safe for
@@ -878,38 +852,56 @@ func (j *Journal) finishBatchLocked() {
 	j.commitCond.Broadcast()
 }
 
-// Admitted commits a stream admission: fsynced before the caller sends
-// its admission verdict, so a verdict the sender acts on is never
-// forgotten by a crash. The returned sequence is the record's position
-// on the publish feed — the value a replication quorum acknowledges.
-func (j *Journal) Admitted(rec StreamRecord) (uint64, error) {
+// commit is the one way a record enters the journal. A watermark
+// coalesces for the flusher and an epoch at or below the current one is
+// already held; every other record is encoded onto one commit waiter,
+// and the run rides a single group-commit batch, so an error fails all
+// of it. A completion, or the expiry of a live stream, drops the
+// stream's pending watermark once the journal has accepted the record.
+// The returned sequence is the publish-feed position of the last record
+// committed, or the current position when nothing needed a commit.
+func (j *Journal) commit(recs ...Record) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.appendableLocked(); err != nil {
-		return 0, err
+	var w *commitWaiter
+	for _, r := range recs {
+		switch {
+		case r.Kind == kindWatermark:
+			j.coalesceLocked(r.Token, r.Watermark, r.HashState)
+			continue
+		case r.Kind == kindEpoch && r.Epoch <= j.state.Epoch:
+			continue
+		}
+		if err := j.appendableLocked(); err != nil {
+			return 0, err
+		}
+		switch r.Kind {
+		case kindComplete:
+			j.dropDirtyLocked(r.Tomb.Token) // superseded
+		case kindExpire:
+			if r.Reason != ExpireTombstone {
+				j.dropDirtyLocked(r.Token)
+			}
+		case kindAdmit, kindEpoch:
+		default:
+			return 0, fmt.Errorf("journal: append of unknown record kind %#02x", r.Kind)
+		}
+		if w == nil {
+			w = j.getWaiterLocked()
+		}
+		w.add(r)
 	}
-	w := j.getWaiterLocked()
-	w.addAdmit(rec)
+	if w == nil {
+		return j.pubRecs, nil
+	}
 	seq, err := j.commitLocked(w)
 	j.putWaiterLocked(w)
 	return seq, err
 }
 
-// Watermark coalesces a stream's accept watermark and prefix-hash state
-// for the next flush. It never blocks on the disk — the per-picture hot
-// path stays fast — so a crash may lose the last flush interval of
-// progress, which recovery absorbs by parking the stream at the older
-// watermark (the sender replays the difference, idempotently). The
-// journal copies state into a recycled buffer, so callers may pass a
-// reused scratch slice.
-func (j *Journal) Watermark(token uint64, mark int, state []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.coalesceLocked(token, mark, state)
-}
-
-// coalesceLocked replaces a stream's pending watermark: the one path
-// Watermark and AppendRecords share. Caller holds j.mu.
+// coalesceLocked replaces a stream's pending watermark, copying state
+// into a recycled buffer; a journal that refuses commits drops it.
+// Caller holds j.mu.
 func (j *Journal) coalesceLocked(token uint64, mark int, state []byte) {
 	if j.closing || j.closed || j.broken {
 		return
@@ -927,41 +919,38 @@ func (j *Journal) coalesceLocked(token uint64, mark int, state []byte) {
 	j.stats.WatermarksCoalesced++
 }
 
+// Admitted commits a stream admission: fsynced before the caller sends
+// its admission verdict, so a verdict the sender acts on is never
+// forgotten by a crash. The returned sequence is the record's position
+// on the publish feed — the value a replication quorum acknowledges.
+func (j *Journal) Admitted(rec StreamRecord) (uint64, error) {
+	return j.commit(Record{Kind: kindAdmit, Stream: rec})
+}
+
+// Watermark coalesces a stream's accept watermark and prefix-hash state
+// for the next flush. It never blocks on the disk — the per-picture hot
+// path stays fast — so a crash may lose the last flush interval of
+// progress, which recovery absorbs by parking the stream at the older
+// watermark (the sender replays the difference, idempotently). The
+// journal copies state into a recycled buffer, so callers may pass a
+// reused scratch slice.
+func (j *Journal) Watermark(token uint64, mark int, state []byte) {
+	j.commit(Record{Kind: kindWatermark, Token: token, Watermark: mark, HashState: state})
+}
+
 // Completed commits a stream completion: fsynced before the completion
 // ack is sent, so an acked stream is always answerable as
 // AlreadyComplete after a crash. The returned sequence is the record's
 // position on the publish feed.
 func (j *Journal) Completed(rec TombstoneRecord) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.appendableLocked(); err != nil {
-		return 0, err
-	}
-	j.dropDirtyLocked(rec.Token) // superseded
-	w := j.getWaiterLocked()
-	w.addComplete(rec)
-	seq, err := j.commitLocked(w)
-	j.putWaiterLocked(w)
-	return seq, err
+	return j.commit(Record{Kind: kindComplete, Tomb: rec})
 }
 
 // Expired commits the release of journaled state: a failed stream, a
 // lapsed resume window, or an aged-out tombstone. The returned sequence
 // is the record's position on the publish feed.
 func (j *Journal) Expired(token, nonce uint64, reason ExpireReason) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.appendableLocked(); err != nil {
-		return 0, err
-	}
-	if reason != ExpireTombstone {
-		j.dropDirtyLocked(token)
-	}
-	w := j.getWaiterLocked()
-	w.addExpire(token, nonce, reason)
-	seq, err := j.commitLocked(w)
-	j.putWaiterLocked(w)
-	return seq, err
+	return j.commit(Record{Kind: kindExpire, Token: token, Nonce: nonce, Reason: reason})
 }
 
 // dropDirtyLocked discards a pending coalesced watermark and recycles
@@ -988,19 +977,7 @@ func (j *Journal) Epoch() uint64 {
 // can never forget it and accept a lower one after a restart. Appending
 // an epoch at or below the current one is a no-op (epochs are monotone).
 func (j *Journal) AppendEpoch(epoch uint64) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if epoch <= j.state.Epoch {
-		return j.pubRecs, nil
-	}
-	if err := j.appendableLocked(); err != nil {
-		return 0, err
-	}
-	w := j.getWaiterLocked()
-	w.addEpoch(epoch)
-	seq, err := j.commitLocked(w)
-	j.putWaiterLocked(w)
-	return seq, err
+	return j.commit(Record{Kind: kindEpoch, Epoch: epoch})
 }
 
 // Flush appends and fsyncs all coalesced watermarks now.
@@ -1032,7 +1009,7 @@ func (j *Journal) flushDirtyLocked() error {
 func (j *Journal) commitDirtyLocked() error {
 	w := j.getWaiterLocked()
 	for token, e := range j.dirty {
-		w.addWatermark(token, e.mark, e.state)
+		w.add(Record{Kind: kindWatermark, Token: token, Watermark: e.mark, HashState: e.state})
 		if len(j.wmFree) < 256 {
 			j.wmFree = append(j.wmFree, e.state)
 		}

@@ -257,8 +257,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 // stride: empty files, header-only segments, a journal ending exactly
 // on a record boundary, torn tails, bad magic, garbage mid-file.
 func TestOpenEdgeCases(t *testing.T) {
-	admit1 := encodeAdmit(testStream(1))
-	admit2 := encodeAdmit(testStream(2))
+	admit1 := appendAdmitFrame(nil, testStream(1))
+	admit2 := appendAdmitFrame(nil, testStream(2))
 
 	t.Run("empty file", func(t *testing.T) {
 		mem := NewMemFS()
@@ -354,10 +354,10 @@ func TestOpenEdgeCases(t *testing.T) {
 // This is what makes torn-tail repair deterministic.
 func TestScanSegmentTruncationFixedPoint(t *testing.T) {
 	data := buildSegment(
-		encodeAdmit(testStream(1)),
-		encodeWatermark(1, 3, []byte{1, 2}),
-		encodeComplete(testTomb(1, 60)),
-		encodeExpire(1, 1, ExpireTombstone),
+		appendAdmitFrame(nil, testStream(1)),
+		appendWatermarkFrame(nil, 1, 3, []byte{1, 2}),
+		appendCompleteFrame(nil, testTomb(1, 60)),
+		appendExpireFrame(nil, 1, 1, ExpireTombstone),
 	)
 	full, _, err := ScanSegment(data)
 	if err != nil || len(full) != 4 {
@@ -389,9 +389,9 @@ func TestScanSegmentTruncationFixedPoint(t *testing.T) {
 // a strict prefix of the original records.
 func TestScanSegmentCorruption(t *testing.T) {
 	data := buildSegment(
-		encodeAdmit(testStream(1)),
-		encodeWatermark(1, 3, []byte{1, 2}),
-		encodeComplete(testTomb(2, 60)),
+		appendAdmitFrame(nil, testStream(1)),
+		appendWatermarkFrame(nil, 1, 3, []byte{1, 2}),
+		appendCompleteFrame(nil, testTomb(2, 60)),
 	)
 	orig, _, err := ScanSegment(data)
 	if err != nil {

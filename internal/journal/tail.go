@@ -10,10 +10,7 @@
 // byte tail of the segment files.
 package journal
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Exported record-kind bytes, matching Record.Kind, for feed consumers
 // that account records by kind.
@@ -120,50 +117,7 @@ func (j *Journal) closeSubsLocked() {
 // price of one sync — its cumulative ack then acknowledges the whole
 // run. An error fails the entire durable run (the batch never splits).
 func (j *Journal) AppendRecords(recs []Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var w *commitWaiter
-	for _, r := range recs {
-		switch r.Kind {
-		case kindWatermark:
-			j.coalesceLocked(r.Token, r.Watermark, r.HashState)
-			continue
-		case kindEpoch:
-			if r.Epoch <= j.state.Epoch {
-				continue
-			}
-		case kindComplete:
-			j.dropDirtyLocked(r.Tomb.Token)
-		case kindExpire:
-			if r.Reason != ExpireTombstone {
-				j.dropDirtyLocked(r.Token)
-			}
-		case kindAdmit:
-		default:
-			return fmt.Errorf("journal: append of unknown record kind %#02x", r.Kind)
-		}
-		if err := j.appendableLocked(); err != nil {
-			return err
-		}
-		if w == nil {
-			w = j.getWaiterLocked()
-		}
-		switch r.Kind {
-		case kindAdmit:
-			w.addAdmit(r.Stream)
-		case kindComplete:
-			w.addComplete(r.Tomb)
-		case kindExpire:
-			w.addExpire(r.Token, r.Nonce, r.Reason)
-		case kindEpoch:
-			w.addEpoch(r.Epoch)
-		}
-	}
-	if w == nil {
-		return nil
-	}
-	_, err := j.commitLocked(w)
-	j.putWaiterLocked(w)
+	_, err := j.commit(recs...)
 	return err
 }
 

@@ -21,11 +21,7 @@ import (
 type Admission struct {
 	capacity float64
 	reserved float64
-
-	admitted int64
-	rejected int64
 	active   int64
-	parked   int64
 }
 
 // NewAdmission creates a controller for a link of the given capacity in
@@ -38,31 +34,25 @@ func NewAdmission(capacity float64) (*Admission, error) {
 }
 
 // Admit decides on a stream declaring the given peak rate: it reserves
-// the peak and reports true when it fits in the remaining capacity, and
-// counts a rejection otherwise. Non-positive or non-finite peaks are
-// always rejected.
+// the peak and reports true when it fits in the remaining capacity.
+// Non-positive or non-finite peaks are always rejected.
 func (a *Admission) Admit(peak float64) bool {
 	if peak <= 0 || math.IsNaN(peak) || math.IsInf(peak, 0) {
-		a.rejected++
 		return false
 	}
 	// Tolerate float accumulation error at exact capacity: a link sized
 	// for n identical peaks admits all n.
 	if a.reserved+peak > a.capacity*(1+1e-12) {
-		a.rejected++
 		return false
 	}
 	a.reserved += peak
-	a.admitted++
 	a.active++
 	return true
 }
 
 // Rehydrate force-installs a reservation recovered from the crash
-// journal: the peak is reserved without counting a new admission, so
-// "streams admitted" stays one per client stream across server
-// generations. Capacity is not re-checked — the journal is
-// authoritative for state the previous generation already committed to.
+// journal. Capacity is not re-checked — the journal is authoritative for
+// state the previous generation already committed to.
 func (a *Admission) Rehydrate(peak float64) {
 	a.reserved += peak
 	a.active++
@@ -96,28 +86,6 @@ func (a *Admission) Available() float64 {
 	return 0
 }
 
-// Admitted returns the count of streams ever admitted.
-func (a *Admission) Admitted() int64 { return a.admitted }
-
-// Rejected returns the count of streams rejected.
-func (a *Admission) Rejected() int64 { return a.rejected }
-
-// Active returns the count of admitted streams not yet released.
+// Active returns the count of reservations held: admitted or
+// rehydrated streams not yet released.
 func (a *Admission) Active() int64 { return a.active }
-
-// Park marks one active stream as disconnected-but-reserved: its sender
-// dropped, the server is holding its reservation through a resume
-// window. The stream stays Active — the whole point of parking is that
-// the capacity remains spoken for, so a reconnecting sender is never
-// re-admitted against different arithmetic.
-func (a *Admission) Park() { a.parked++ }
-
-// Unpark clears one parked mark (on resume or on window expiry).
-func (a *Admission) Unpark() {
-	if a.parked > 0 {
-		a.parked--
-	}
-}
-
-// Parked returns the count of active streams currently awaiting resume.
-func (a *Admission) Parked() int64 { return a.parked }

@@ -238,9 +238,19 @@ func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []by
 	if len(fin) != 1 {
 		t.Fatalf("%d finished streams in gen2", len(fin))
 	}
-	if fin[0].PayloadFNV != wantSum {
-		t.Errorf("payload hash %016x, want %016x — bytes lost across the crash",
-			fin[0].PayloadFNV, wantSum)
+	if fin[0].PayloadFNV != wantSum || fin[0].Pictures != kit.tr.Len() {
+		t.Errorf("finished stream: %d pictures, hash %016x; want %d, %016x — bytes lost across the crash",
+			fin[0].Pictures, fin[0].PayloadFNV, kit.tr.Len(), wantSum)
+	}
+	// A second resume finds the tombstone, which must count the whole
+	// stream, not only the pictures this generation accepted.
+	v3, err := resumeOnce(addr, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3.Code != transport.AlreadyComplete || v3.NextIndex != kit.tr.Len() || v3.PrefixFNV != wantSum {
+		t.Errorf("second resume: %v at %d, hash %016x; want %v at %d, %016x",
+			v3.Code, v3.NextIndex, v3.PrefixFNV, transport.AlreadyComplete, kit.tr.Len(), wantSum)
 	}
 	gen2.shutdown(t)
 

@@ -11,7 +11,9 @@ import (
 	"mpegsmooth/internal/transport"
 )
 
-// StreamCounts are the admission and lifecycle counters.
+// StreamCounts are the admission and lifecycle counters. The server
+// keeps all of them itself; netsim.Admission holds only the reservation
+// arithmetic behind Active.
 type StreamCounts struct {
 	// Admitted counts the admissions this server committed: reserved
 	// and, with a journal, durable (quorum-held in a cluster) before the
@@ -19,13 +21,16 @@ type StreamCounts struct {
 	// RejectedBusy instead, and a stream recovered from the journal
 	// under Recovered, so summed across server generations each client
 	// stream is admitted once.
-	Admitted          int64 `json:"admitted"`
+	Admitted int64 `json:"admitted"`
+	// Rejected sums the three reasons; each rejection is counted once,
+	// as its verdict is built.
 	Rejected          int64 `json:"rejected"`
 	RejectedCapacity  int64 `json:"rejected_capacity"`
 	RejectedMalformed int64 `json:"rejected_malformed"`
 	RejectedBusy      int64 `json:"rejected_busy"`
 	Active            int64 `json:"active"`
-	// Parked streams are active streams currently disconnected and
+	// Parked counts the active streams whose snapshot says parked:
+	// disconnected, or recovered from the journal and not yet resumed,
 	// holding their reservation through the resume window.
 	Parked    int64 `json:"parked"`
 	Completed int64 `json:"completed"`
@@ -147,11 +152,10 @@ func (s *Server) Snapshot() Snapshot {
 		AvailablePeak: s.admission.Available(),
 		Streams: StreamCounts{
 			Admitted:            s.admitted,
-			RejectedCapacity:    s.admission.Rejected(),
+			RejectedCapacity:    s.rejectedCapacity,
 			RejectedMalformed:   s.rejectedMalformed,
 			RejectedBusy:        s.rejectedBusy,
 			Active:              s.admission.Active(),
-			Parked:              s.admission.Parked(),
 			Completed:           s.completed,
 			Failed:              s.failed,
 			HelloDeduped:        s.helloDeduped,
@@ -175,6 +179,9 @@ func (s *Server) Snapshot() Snapshot {
 		ss := st.snapshot()
 		snap.AggregateRate += ss.CurrentRate
 		snap.Faults.add(ss.Faults)
+		if ss.Parked {
+			snap.Streams.Parked++
+		}
 		snap.PerStream = append(snap.PerStream, ss)
 	}
 	sort.Slice(snap.PerStream, func(i, j int) bool { return snap.PerStream[i].ID < snap.PerStream[j].ID })
@@ -215,16 +222,6 @@ func (s *Server) Health() Health {
 	return Health{Status: "ok"}
 }
 
-// WriteHealth serves a Health as the /healthz response: 200 when ready,
-// 503 when not, JSON body either way.
-func WriteHealth(w http.ResponseWriter, h Health) {
-	w.Header().Set("Content-Type", "application/json")
-	if !h.Ready() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	json.NewEncoder(w).Encode(h)
-}
-
 // OpsHandler serves the operations endpoint:
 //
 //	GET /livez       liveness probe (always ok while the process runs)
@@ -232,19 +229,32 @@ func WriteHealth(w http.ResponseWriter, h Health) {
 //	GET /stats       full JSON Snapshot
 //	GET /debug/vars  expvar (includes the "smoothd" snapshot)
 func (s *Server) OpsHandler() http.Handler {
+	return NewOpsHandler(s.Health, func() any { return s.Snapshot() })
+}
+
+// NewOpsHandler builds the operations mux every smoothd role serves:
+// /livez answers ok while the process runs; /healthz encodes health()
+// as JSON, with 503 when it is not ready; /stats encodes stats() as
+// indented JSON; /debug/vars is expvar.
+func NewOpsHandler(health func() Health, stats func() any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /livez", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteHealth(w, s.Health())
+		h := health()
+		w.Header().Set("Content-Type", "application/json")
+		if !h.Ready() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		json.NewEncoder(w).Encode(h)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s.Snapshot()); err != nil {
+		if err := enc.Encode(stats()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

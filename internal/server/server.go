@@ -53,6 +53,12 @@ import (
 // the shared link at this grain.
 const egressChunk = 4096
 
+// queueLen bounds each stream's decision queue between ingest and
+// egress. A full queue blocks ingest, which stops reading the
+// connection, so backpressure reaches the sender through TCP flow
+// control rather than growing memory.
+const queueLen = 32
+
 // CommitGate delays durable commits until a replication quorum holds
 // them. WaitCommitted blocks until journal publish sequence seq is
 // acknowledged by enough replicas or the gate degrades to local-only
@@ -77,11 +83,6 @@ type Config struct {
 	// H is the lookahead interval in pictures; 0 resolves to each
 	// stream's own pattern length N (the paper's usual choice).
 	H int
-	// QueueLen bounds each stream's decision queue between ingest and
-	// egress (default 32). A full queue blocks ingest, which stops
-	// reading the connection — backpressure propagates to the sender
-	// through TCP flow control rather than growing memory.
-	QueueLen int
 	// MaxStreams caps concurrently active streams (0 = no cap beyond
 	// link capacity).
 	MaxStreams int
@@ -157,9 +158,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.Policy == nil {
 		cfg.Policy = core.BasicPolicy{}
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 32
-	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 30 * time.Second
 	}
@@ -221,6 +219,7 @@ type Server struct {
 	admitted          int64 // committed admissions; rollbacks count as busy
 	completed         int64
 	failed            int64
+	rejectedCapacity  int64
 	rejectedMalformed int64
 	rejectedBusy      int64
 	helloDeduped      int64
@@ -328,7 +327,17 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Count the connection under s.mu, where Shutdown and Kill mark the
+		// server closed before they wait on s.wg: a connection accepted
+		// after that is closed unserved, so no Add races their Wait.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)
@@ -438,7 +447,7 @@ func (s *Server) recoverFromJournal() {
 			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (prefix hash unrecoverable)")
 			continue
 		}
-		st := newParkedStream(rec.Hello, s.cfg.QueueLen, ph, rec.Watermark)
+		st := newParkedStream(rec.Hello, ph, rec.Watermark)
 		h := s.cfg.H
 		if h <= 0 {
 			h = rec.Hello.GOP.N
@@ -578,18 +587,25 @@ func (s *Server) redirectIfRemote(conn net.Conn, fw *transport.FrameWriter, key 
 // rejectConn answers a doomed connection with a verdict (best effort)
 // and closes it.
 func (s *Server) rejectConn(conn net.Conn, fw *transport.FrameWriter, code transport.VerdictCode, cause error) {
+	fw.WriteVerdict(s.reject(code))
+	conn.Close()
+	s.cfg.Logf("smoothd: %s %s: %v", conn.RemoteAddr(), code, cause)
+}
+
+// reject counts one rejection under its code and returns the verdict
+// that reports it, carrying the headroom admission has left.
+func (s *Server) reject(code transport.VerdictCode) transport.Verdict {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch code {
+	case transport.RejectedCapacity:
+		s.rejectedCapacity++
 	case transport.RejectedMalformed:
 		s.rejectedMalformed++
 	case transport.RejectedBusy:
 		s.rejectedBusy++
 	}
-	avail := s.admission.Available()
-	s.mu.Unlock()
-	fw.WriteVerdict(transport.Verdict{Code: code, Available: avail, Epoch: s.cfg.Epoch})
-	conn.Close()
-	s.cfg.Logf("smoothd: %s %s: %v", conn.RemoteAddr(), code, cause)
+	return transport.Verdict{Code: code, Available: s.admission.Available(), Epoch: s.cfg.Epoch}
 }
 
 // handleHello runs a new session from admission to completion. A hello
@@ -732,34 +748,21 @@ func (s *Server) reattach(conn net.Conn, fr *transport.FrameReader, fw *transpor
 // admit validates the hello and takes the admission decision. A nil
 // stream means the connection ends after the verdict.
 func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello *transport.StreamHello) (*stream, transport.Verdict, error) {
-	reject := func(code transport.VerdictCode, err error) (*stream, transport.Verdict, error) {
-		s.mu.Lock()
-		switch code {
-		case transport.RejectedMalformed:
-			s.rejectedMalformed++
-		case transport.RejectedBusy:
-			s.rejectedBusy++
-		}
-		avail := s.admission.Available()
-		s.mu.Unlock()
-		return nil, transport.Verdict{Code: code, Available: avail, Epoch: s.cfg.Epoch}, err
-	}
-
 	if hello.Integrity != s.cfg.Integrity {
-		return reject(transport.RejectedMalformed,
+		return nil, s.reject(transport.RejectedMalformed),
 			fmt.Errorf("server: hello integrity mode %s, this server requires %s",
-				hello.Integrity, s.cfg.Integrity))
+				hello.Integrity, s.cfg.Integrity)
 	}
 	ph, err := transport.NewPrefixHash(hello.Integrity, s.cfg.IntegrityKey)
 	if err != nil {
-		return reject(transport.RejectedMalformed, err)
+		return nil, s.reject(transport.RejectedMalformed), err
 	}
 
 	h := s.cfg.H
 	if h <= 0 {
 		h = hello.GOP.N
 	}
-	st := newStream(conn, fr, fw, *hello, s.cfg.QueueLen, ph)
+	st := newStream(conn, fr, fw, *hello, ph)
 	// Hand the reader the stream's payload pool: ingest reads each
 	// picture into a recycled buffer, and egress (or the duplicate-drop
 	// path) returns it once the bytes are finished with.
@@ -768,14 +771,14 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		K: hello.K, D: hello.D, H: h, Policy: s.cfg.Policy,
 	}, core.WithObserver(st.observe))
 	if err != nil {
-		return reject(transport.RejectedMalformed, err)
+		return nil, s.reject(transport.RejectedMalformed), err
 	}
 	st.sess = sess
 
 	s.mu.Lock()
 	if s.closed || (s.cfg.MaxStreams > 0 && int64(s.cfg.MaxStreams) <= s.admission.Active()) {
 		s.mu.Unlock()
-		return reject(transport.RejectedBusy, errors.New("server: at stream limit or shutting down"))
+		return nil, s.reject(transport.RejectedBusy), errors.New("server: at stream limit or shutting down")
 	}
 	if hello.Nonce != 0 && s.nonces[hello.Nonce] != nil {
 		// A duplicate hello that raced this one past handleHello's probe
@@ -784,13 +787,13 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		// sends the sender back around; its retry finds the registered
 		// nonce and reattaches.
 		s.mu.Unlock()
-		return reject(transport.RejectedBusy,
-			fmt.Errorf("server: hello nonce %016x already holds a reservation", hello.Nonce))
+		return nil, s.reject(transport.RejectedBusy),
+			fmt.Errorf("server: hello nonce %016x already holds a reservation", hello.Nonce)
 	}
 	if !s.admission.Admit(hello.PeakRate) {
 		avail := s.admission.Available()
 		s.mu.Unlock()
-		return nil, transport.Verdict{Code: transport.RejectedCapacity, Available: avail, Epoch: s.cfg.Epoch},
+		return nil, s.reject(transport.RejectedCapacity),
 			fmt.Errorf("server: peak %.0f bps exceeds available %.0f bps", hello.PeakRate, avail)
 	}
 	s.nextID++
@@ -809,7 +812,7 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		s.mu.Lock()
 		s.dropLocked(st)
 		s.mu.Unlock()
-		return reject(transport.RejectedBusy, err)
+		return nil, s.reject(transport.RejectedBusy), err
 	}
 	s.mu.Lock()
 	s.admitted++
@@ -971,18 +974,6 @@ func (s *Server) finish(st *stream, err error) {
 		s.cfg.Logf("smoothd: stream %d from %s completed: %d pictures, peak %.0f bps",
 			st.id, ss.Remote, ss.Pictures, ss.SessionPeak)
 	}
-}
-
-// parkGauge moves the admission parked gauge as streams enter and leave
-// the resume window.
-func (s *Server) parkGauge(delta int) {
-	s.mu.Lock()
-	if delta > 0 {
-		s.admission.Park()
-	} else {
-		s.admission.Unpark()
-	}
-	s.mu.Unlock()
 }
 
 // Draining reports whether the server has stopped admitting new

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -232,6 +233,75 @@ func TestAdmissionRejectsOverloadAtAdmission(t *testing.T) {
 	}
 	for _, c := range held {
 		c.Close()
+	}
+}
+
+// TestAdmissionParkGauge: a dropped connection parks its stream, which
+// stays active with its reservation held — the link arithmetic must not
+// change just because the sender dropped — and a resume clears the park.
+func TestAdmissionParkGauge(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 9))
+	srv, addr := startServer(t, Config{LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 20 * time.Second})
+	conn, _, v := kit.handshake(t, addr)
+	conn.Close()
+	if !v.IsAdmitted() || v.ResumeToken == 0 {
+		t.Fatalf("verdict %+v", v)
+	}
+	waitFor(t, "dropped stream parked", func() bool { return srv.Snapshot().Streams.Parked == 1 })
+	if snap := srv.Snapshot(); snap.Streams.Active != 1 || snap.ReservedPeak != kit.hello.PeakRate {
+		t.Fatalf("parked: active %d, reserved %.0f bps; want 1 and %.0f",
+			snap.Streams.Active, snap.ReservedPeak, kit.hello.PeakRate)
+	}
+
+	conn2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	fw := transport.NewFrameWriter(conn2)
+	fr := transport.NewFrameReader(conn2)
+	if err := fw.WriteResume(transport.StreamResume{Token: v.ResumeToken}); err != nil {
+		t.Fatal(err)
+	}
+	if v2, err := fr.ReadVerdictTimeout(10 * time.Second); err != nil || !v2.IsAdmitted() {
+		t.Fatalf("resume verdict %+v, %v", v2, err)
+	}
+	waitFor(t, "resume clears the park", func() bool { return srv.Snapshot().Streams.Parked == 0 })
+	sendPictures(t, fw, kit, 0, kit.tr.Len())
+	if err := fw.WriteEnd(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.ReadMessageTimeout(10 * time.Second); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("completion ack: %v", err)
+	}
+	waitFor(t, "completion", func() bool {
+		s := srv.Snapshot()
+		return s.Streams.Completed == 1 && s.Streams.Active == 0 && s.ReservedPeak == 0
+	})
+}
+
+// TestMaxStreamsRejectsBusy: a hello over the stream cap is turned away
+// busy even with capacity to spare, counted once, and reserves nothing.
+func TestMaxStreamsRejectsBusy(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 9))
+	srv, addr := startServer(t, Config{LinkRate: 4 * kit.hello.PeakRate, MaxStreams: 1})
+	conn, _, v := kit.handshake(t, addr)
+	defer conn.Close()
+	if !v.IsAdmitted() {
+		t.Fatalf("first hello: %+v", v)
+	}
+	over, _, v := kit.handshake(t, addr)
+	over.Close()
+	if v.Code != transport.RejectedBusy {
+		t.Fatalf("hello over the cap: verdict %v, want %v", v.Code, transport.RejectedBusy)
+	}
+	snap := srv.Snapshot()
+	if snap.Streams.RejectedBusy != 1 || snap.Streams.Rejected != 1 {
+		t.Errorf("rejected_busy %d, rejected %d; want 1 and 1", snap.Streams.RejectedBusy, snap.Streams.Rejected)
+	}
+	if snap.Streams.Active != 1 || snap.ReservedPeak != kit.hello.PeakRate {
+		t.Errorf("after the busy rejection: active %d, reserved %.0f bps; want 1 and %.0f",
+			snap.Streams.Active, snap.ReservedPeak, kit.hello.PeakRate)
 	}
 }
 

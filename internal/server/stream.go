@@ -83,10 +83,7 @@ type stream struct {
 
 	sess           *core.Session
 	stats          *metrics.DecisionStats
-	pictures       int
-	decisions      int
 	maxDelay       float64
-	sessionPeak    float64
 	peakViolations int
 	currentRate    float64
 	egressedBits   int64
@@ -96,7 +93,7 @@ type stream struct {
 // with st.observe installed and assigns it to st.sess before the stream
 // is published. prefix is the negotiated integrity hash, fresh for a
 // new stream.
-func newStream(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello transport.StreamHello, queueLen int, prefix transport.PrefixHash) *stream {
+func newStream(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello transport.StreamHello, prefix transport.PrefixHash) *stream {
 	return &stream{
 		remote:   conn.RemoteAddr().String(),
 		conn:     conn,
@@ -116,7 +113,7 @@ func newStream(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWrit
 // the sender to redial; pictures below base were accepted by the
 // previous server generation (their payloads are gone with it) and the
 // fresh Session smooths only the remainder.
-func newParkedStream(hello transport.StreamHello, queueLen int, prefix transport.PrefixHash, watermark int) *stream {
+func newParkedStream(hello transport.StreamHello, prefix transport.PrefixHash, watermark int) *stream {
 	return &stream{
 		remote:   "(recovered)",
 		hello:    hello,
@@ -189,7 +186,6 @@ func (st *stream) push(payload []byte) ([]core.Decision, error) {
 	}
 	st.expected++
 	st.prefix.Absorb(payload)
-	st.pictures++
 	st.note(decs)
 	return decs, nil
 }
@@ -205,13 +201,11 @@ func (st *stream) closeSession() []core.Decision {
 
 // note must run under st.mu.
 func (st *stream) note(decs []core.Decision) {
-	st.decisions += len(decs)
 	for _, d := range decs {
 		if d.Delay > st.maxDelay {
 			st.maxDelay = d.Delay
 		}
 	}
-	st.sessionPeak = st.sess.PeakRate()
 }
 
 // recordFault classifies and counts one ingest fault.
@@ -381,8 +375,6 @@ func (st *stream) awaitResume(ctx context.Context, s *Server, cause error) error
 	st.resumeGone = false
 	st.parked = true
 	st.mu.Unlock()
-	s.parkGauge(+1)
-	defer s.parkGauge(-1)
 
 	timer := time.NewTimer(s.cfg.ResumeWindow)
 	defer timer.Stop()
@@ -501,9 +493,13 @@ type StreamSnapshot struct {
 	DeclaredPeak float64 `json:"declared_peak_bps"`
 	SessionPeak  float64 `json:"session_peak_bps"`
 	CurrentRate  float64 `json:"current_rate_bps"`
-	Pictures     int     `json:"pictures"`
-	Decisions    int     `json:"decisions"`
-	EgressedBits int64   `json:"egressed_bits"`
+	// Pictures is the accept watermark: every picture accepted in index
+	// order, including those a crashed server generation accepted before
+	// this one recovered the stream. Decisions counts only this
+	// generation's session.
+	Pictures     int   `json:"pictures"`
+	Decisions    int   `json:"decisions"`
+	EgressedBits int64 `json:"egressed_bits"`
 	// PeakViolations counts sender rate declarations above the admitted
 	// peak — traffic-contract breaches a Policer would tag.
 	PeakViolations int `json:"peak_violations"`
@@ -540,10 +536,10 @@ func (st *stream) snapshot() StreamSnapshot {
 		ID:           st.id,
 		Remote:       st.remote,
 		DeclaredPeak: st.hello.PeakRate,
-		SessionPeak:  st.sessionPeak,
+		SessionPeak:  st.sess.PeakRate(),
 		CurrentRate:  st.currentRate,
-		Pictures:     st.pictures,
-		Decisions:    st.decisions,
+		Pictures:     st.expected,
+		Decisions:    st.stats.Decisions,
 		EgressedBits: st.egressedBits,
 
 		PeakViolations: st.peakViolations,
