@@ -2,7 +2,10 @@
 //
 // A live encoder produces picture sizes one at a time; an incremental
 // Session emits each rate decision the moment its inputs are
-// determined (with K=1, essentially one picture behind the encoder). The
+// determined. The encoder declares how many pictures it will produce,
+// so no decision waits for its whole lookahead window to arrive: with
+// K=1 a decision trails the encoder by at most the pictures encoded
+// while its predecessor was still departing. The
 // decisions stream through a token-bucket policer — the network checking
 // that we honour our own notify(i, rate) declarations — and the final
 // schedule's decoder-side requirements are analyzed against the MPEG
@@ -26,7 +29,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	live, err := mpegsmooth.NewSession(tau, gop, mpegsmooth.Config{K: 1, H: gop.N, D: 0.2})
+	live, err := mpegsmooth.NewSession(tau, gop, mpegsmooth.Config{K: 1, H: gop.N, D: 0.2},
+		mpegsmooth.WithLength(tr.Len()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,13 +29,17 @@ func newEngine(cfg Config, tau float64, gop mpeg.GOP, types []mpeg.PictureType) 
 // decide schedules picture j.
 //
 //	sizes    the prefix of picture sizes the system has learned so far;
-//	         must include picture j and every picture visible at t_j,
-//	         plus the whole lookahead window the caller admits
+//	         must include picture j and every picture visible at t_j
 //	depart   d_{j-1} (0 for the first picture)
 //	held     the rate selected for picture j−1 (the basic policy holds it)
 //	end      total sequence length if known, else -1 (live operation):
 //	         bounds the lookahead at the end of a finite sequence
-func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) Decision {
+//
+// decide reads sizes only for picture j and the pictures that have
+// arrived at t_j; the rest of the window is estimated, and the returned
+// estimate records which pictures those were, so the caller can score
+// the estimator once their actual sizes are known.
+func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) (Decision, estimate) {
 	cfg := e.cfg
 	tau := e.tau
 	// Eq. (2): the server may begin sending picture j once the previous
@@ -45,17 +49,16 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) Dec
 	view := View{tau: tau, gop: e.gop, types: e.types, sizes: sizes, now: now}
 
 	// Inner lookahead loop: accumulate the running max of lower bounds
-	// (12) and min of upper bounds (13) for h = 0 .. H−1. Estimated and
-	// actual contributions are tracked separately so the estimator's
-	// window error can be observed per decision.
+	// (12) and min of upper bounds (13) for h = 0 .. H−1. Arrivals are
+	// a prefix of the window, so the estimated pictures are its tail.
 	var (
 		sum      float64
 		lower    = 0.0
 		upper    = math.Inf(1)
 		lowerOld = 0.0
 		upperOld = math.Inf(1)
-		estSum   float64 // estimated bits for not-yet-arrived pictures
-		actSum   float64 // their actual bits (always known to the driver)
+		arrived  int     // window pictures whose actual size is known
+		estBits  float64 // estimated bits for the rest of the window
 	)
 	h := 0
 	for {
@@ -64,11 +67,11 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) Dec
 		}
 		if actual, ok := view.Size(j + h); ok {
 			sum += float64(actual)
+			arrived++
 		} else {
-			est := float64(cfg.Estimator.Estimate(j+h, view))
-			sum += est
-			estSum += est
-			actSum += float64(sizes[j+h])
+			bits := float64(cfg.Estimator.Estimate(j+h, view))
+			sum += bits
+			estBits += bits
 		}
 		lowerOld, upperOld = lower, upper
 		l := math.Inf(1)
@@ -121,9 +124,6 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) Dec
 		Depth:     h,
 	}
 	d.Delay = d.Depart - float64(j)*tau
-	if actSum > 0 {
-		d.EstimatorError = (estSum - actSum) / actSum
-	}
 
 	// Theorem 1 (h = 0, actual size) bounds for verification.
 	d.Lower = math.Inf(1)
@@ -137,5 +137,27 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) Dec
 	// A policy (or the K = 0 fallback) may force a rate outside the
 	// Theorem 1 band; record the transgression rather than correct it.
 	d.OutOfBand = rate < d.Lower*(1-1e-12)-1e-9 || rate > d.Upper*(1+1e-12)+1e-9
-	return d
+	return d, estimate{from: j + arrived, to: j + h, bits: estBits}
+}
+
+// estimate is the part of a decision's lookahead window the kernel had
+// to estimate: pictures [from, to) and the bits it estimated for them.
+type estimate struct {
+	from, to int
+	bits     float64
+}
+
+// relError is the estimator's relative error over the window,
+// (estimated − actual)/actual, given sizes that reach picture to−1;
+// 0 when the window held no estimates. It sums the actual sizes in
+// window order, as the kernel summed its estimates.
+func (e estimate) relError(sizes []int64) float64 {
+	var actual float64
+	for i := e.from; i < e.to; i++ {
+		actual += float64(sizes[i])
+	}
+	if actual > 0 {
+		return (e.bits - actual) / actual
+	}
+	return 0
 }

@@ -210,7 +210,10 @@ func (e EWMAEstimator) Estimate(j int, v View) int64 {
 
 // OracleEstimator returns the true future size — physically unrealizable,
 // used only to bound how much better a perfect predictor could do
-// (experiment Ext C).
+// (experiment Ext C). It is offline-only: it reads the sizes the View
+// holds beyond its arrivals, so a Session given WithLength, which
+// decides before the window's sizes are pushed, sees 0 for them and
+// departs from the offline schedule.
 type OracleEstimator struct{}
 
 // Name implements Estimator.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"mpegsmooth/internal/mpeg"
@@ -21,8 +20,23 @@ import (
 //   - pictures j .. j+K−1 have been pushed (Eq. 2's arrival condition),
 //   - every picture visible at t_j — i.e. with (i+1)τ ≤ t_j — has been
 //     pushed, so the estimator's view is complete, and
-//   - the existence of the H-picture lookahead window is settled, which
-//     before Close means pictures j .. j+H−1 have been pushed.
+//   - the existence of the H-picture lookahead window is settled. A
+//     Session built WithLength knows where the sequence ends, so this
+//     holds at once; without a length it means pictures j .. j+H−1 have
+//     been pushed, or Close was called.
+//
+// Once every picture of a declared length is pushed, or Close is called,
+// the sequence is complete and every remaining decision is computable.
+// Either way the decisions equal the offline schedule's, provided the
+// pushed sizes are the offline trace (and, with a length, the estimator
+// is not OracleEstimator, which needs sizes not yet pushed).
+//
+// Observations trail decisions: the Observer sees each decision, in
+// picture order, once the actual sizes of its whole lookahead window
+// have been pushed (at Close at the latest), because its estimator
+// error compares the window's estimates with those sizes. Without a
+// length that is when the decision is made. A stream abandoned before
+// Close never reports the last few.
 //
 // A Session is single-goroutine by design (it is not safe for
 // concurrent use); SmoothAll scales across streams by sharding whole
@@ -31,13 +45,25 @@ type Session struct {
 	cfg    Config
 	engine *engine
 	sizes  []int64
+	// end is the sequence length once it is known — declared by
+	// WithLength, or fixed by Close at what was pushed — and −1 before.
+	end int
 
 	next     int // next picture awaiting a decision
 	depart   float64
 	rate     float64
 	peak     float64
-	closed   bool
 	observer Observer
+	// unobserved holds decided pictures whose Observation waits for the
+	// actual sizes of its estimated window, oldest first.
+	unobserved []pendingObservation
+}
+
+// pendingObservation is a decision's Observation before its estimator
+// error is known.
+type pendingObservation struct {
+	obs Observation
+	est estimate
 }
 
 // Decision reports one scheduled picture. The first seven fields mirror
@@ -56,10 +82,6 @@ type Decision struct {
 	// accumulation examined before crossing, exhausting H, or hitting
 	// the sequence end.
 	Depth int
-	// EstimatorError is the relative error of the estimated bits over
-	// the not-yet-arrived part of the window, (est − actual)/actual;
-	// 0 when the window held no estimates.
-	EstimatorError float64
 	// OutOfBand reports that the selected rate violates the Theorem 1
 	// band — possible only under a policy that trades bound violations
 	// for its own constraint (CappedRate) or in K = 0 runs.
@@ -78,14 +100,21 @@ type Observation struct {
 	LowerSlack, UpperSlack float64
 	// Depth is the lookahead depth at exit.
 	Depth int
-	// EstimatorError is the relative window estimation error.
+	// EstimatorError is the relative error of the estimated bits over
+	// the part of the window that had not arrived at t_j,
+	// (est − actual)/actual; 0 when the window held no estimates, or
+	// when it reached past the end of a stream closed short of its
+	// declared length.
 	EstimatorError float64
 }
 
-// Observer receives one callback per emitted decision, in picture
-// order, before the decision is returned to the caller. Observations
-// feed metrics collectors (see metrics.DecisionStats); the hook must
-// not retain the Session.
+// Observer receives one callback per decision, in picture order, from
+// inside the Push or Close call that completes the decision's
+// lookahead window. Without a declared length that is the call that
+// returns the decision, before it returns; with one, observations may
+// trail their decisions by up to H pictures. Observations feed metrics
+// collectors (see metrics.DecisionStats); the hook must not retain the
+// Session.
 type Observer func(Observation)
 
 // SessionOption configures a Session at construction.
@@ -94,6 +123,18 @@ type SessionOption func(*Session)
 // WithObserver installs a per-decision observer hook.
 func WithObserver(o Observer) SessionOption {
 	return func(s *Session) { s.observer = o }
+}
+
+// WithLength declares the sequence length n, binding: Push refuses a
+// picture beyond it, and decisions no longer wait for the H-picture
+// lookahead window to arrive, only for Eq. 2's arrival condition and
+// the estimator's view. n <= 0 means the length is unknown.
+func WithLength(n int) SessionOption {
+	return func(s *Session) {
+		if n > 0 {
+			s.end = n
+		}
+	}
 }
 
 // withTypes supplies explicit per-picture types for adaptive-pattern
@@ -120,6 +161,7 @@ func NewSession(tau float64, gop mpeg.GOP, cfg Config, opts ...SessionOption) (*
 	s := &Session{
 		cfg:    cfg,
 		engine: newEngine(cfg, tau, gop, nil),
+		end:    -1,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -129,11 +171,12 @@ func NewSession(tau float64, gop mpeg.GOP, cfg Config, opts ...SessionOption) (*
 
 // Push appends the size of the next encoded picture (display order) and
 // returns any decisions that became determined. Invalid input — a push
-// after Close, or a non-positive size — is rejected before any state is
-// touched, so a failed Push never perturbs the schedule.
+// beyond the declared length or after Close, or a non-positive size —
+// is rejected before any state is touched, so a failed Push never
+// perturbs the schedule.
 func (s *Session) Push(size int64) ([]Decision, error) {
-	if s.closed {
-		return nil, errors.New("core: Push after Close")
+	if len(s.sizes) == s.end {
+		return nil, fmt.Errorf("core: Push past the end of a %d-picture sequence", s.end)
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("core: non-positive picture size %d", size)
@@ -142,10 +185,10 @@ func (s *Session) Push(size int64) ([]Decision, error) {
 	return s.drain(), nil
 }
 
-// Close marks the end of the picture sequence and returns all remaining
-// decisions. Close is idempotent.
+// Close marks the end of the picture sequence — its length is what was
+// pushed — and returns all remaining decisions. Close is idempotent.
 func (s *Session) Close() []Decision {
-	s.closed = true
+	s.end = len(s.sizes)
 	return s.drain()
 }
 
@@ -172,26 +215,26 @@ func (s *Session) PeakRate() float64 { return s.peak }
 // lookahead directly, exactly as the paper's Figure 2 loop does.
 func (s *Session) runAll(sizes []int64) []Decision {
 	s.sizes = sizes
-	s.closed = true
-	return s.drain()
+	return s.Close()
 }
 
-// drain emits every decision whose inputs are determined.
+// drain emits every decision whose inputs are determined, then every
+// observation whose window's sizes are known.
 func (s *Session) drain() []Decision {
 	var out []Decision
 	tau := s.engine.tau
 	for s.next < len(s.sizes) {
 		j := s.next
 		a := len(s.sizes)
-		if !s.closed {
+		if a != s.end {
 			// Arrival condition: pictures j..j+K−1 pushed.
 			if a < j+s.cfg.K {
 				break
 			}
 			// Lookahead existence: the offline algorithm would examine
-			// pictures j..j+H−1 unless the sequence ends first; before
-			// Close we cannot know it ends, so wait for them.
-			if a < j+s.cfg.H {
+			// pictures j..j+H−1 unless the sequence ends first; without
+			// a length we cannot know it ends, so wait for them.
+			if s.end < 0 && a < j+s.cfg.H {
 				break
 			}
 			// View completeness: every picture visible at t_j must be
@@ -214,27 +257,46 @@ func (s *Session) drain() []Decision {
 				break
 			}
 		}
-		end := -1
-		if s.closed {
-			end = len(s.sizes)
-		}
-		d := s.engine.decide(j, s.sizes, s.depart, s.rate, end)
+		d, est := s.engine.decide(j, s.sizes, s.depart, s.rate, s.end)
 		s.depart, s.rate = d.Depart, d.Rate
 		if d.Rate > s.peak {
 			s.peak = d.Rate
 		}
 		s.next++
 		if s.observer != nil {
-			s.observer(Observation{
-				Picture:        d.Picture,
-				Rate:           d.Rate,
-				LowerSlack:     d.Rate - d.Lower,
-				UpperSlack:     d.Upper - d.Rate,
-				Depth:          d.Depth,
-				EstimatorError: d.EstimatorError,
+			s.unobserved = append(s.unobserved, pendingObservation{
+				obs: Observation{
+					Picture:    d.Picture,
+					Rate:       d.Rate,
+					LowerSlack: d.Rate - d.Lower,
+					UpperSlack: d.Upper - d.Rate,
+					Depth:      d.Depth,
+				},
+				est: est,
 			})
 		}
 		out = append(out, d)
 	}
+	s.observe()
 	return out
+}
+
+// observe hands the observer every waiting observation, in picture
+// order, whose estimated window has been pushed; once the sequence is
+// complete, all of them. A window that reaches past a sequence closed
+// short of its declared length reports no estimator error.
+func (s *Session) observe() {
+	done := 0
+	for _, p := range s.unobserved {
+		if p.est.to > len(s.sizes) {
+			if len(s.sizes) != s.end {
+				break
+			}
+			p.est.to = p.est.from // the window's tail was never pushed
+		}
+		p.obs.EstimatorError = p.est.relError(s.sizes)
+		s.observer(p.obs)
+		done++
+	}
+	s.unobserved = s.unobserved[:copy(s.unobserved, s.unobserved[done:])]
 }

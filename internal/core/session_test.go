@@ -8,149 +8,163 @@ import (
 	"mpegsmooth/internal/mpeg"
 )
 
-// TestSessionRejectsInputBeforeMutating: a Push after Close, or with an
-// invalid size, must fail before touching any session state — the
-// regression guarded here is a rejected push perturbing drain state
-// through a premature append.
+// TestSessionRejectsInputBeforeMutating: a Push past the sequence end —
+// after Close, or beyond a declared length — or with an invalid size,
+// must fail before touching any session state — the regression guarded
+// here is a rejected push perturbing drain state through a premature
+// append.
 func TestSessionRejectsInputBeforeMutating(t *testing.T) {
 	gop := mpeg.GOP{M: 3, N: 9}
-	s, err := NewSession(1.0/30, gop, Config{K: 1, H: 9, D: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := s.Push(40_000 + int64(i)); err != nil {
+	for _, mode := range lengthModes {
+		var opts []SessionOption
+		if mode.declared {
+			opts = append(opts, WithLength(20))
+		}
+		s, err := NewSession(1.0/30, gop, Config{K: 1, H: 9, D: 0.5}, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 20; i++ {
+			if _, err := s.Push(40_000 + int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Push(-5); err == nil {
+			t.Fatalf("%s: negative size accepted", mode.name)
+		}
+		if got := s.Pushed(); got != 20 {
+			t.Fatalf("%s: rejected size mutated state: Pushed = %d, want 20", mode.name, got)
+		}
+		if !mode.declared {
+			s.Close()
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("%s: Pending at the sequence end = %d", mode.name, s.Pending())
+		}
+		if ds, err := s.Push(100); err == nil {
+			t.Fatalf("%s: Push past the end accepted", mode.name)
+		} else if ds != nil {
+			t.Fatalf("%s: Push past the end returned decisions", mode.name)
+		}
+		if got := s.Pushed(); got != 20 {
+			t.Fatalf("%s: Push past the end mutated state: Pushed = %d, want 20", mode.name, got)
+		}
+		// A Close after the rejected Push emits nothing new: the
+		// rejected input left no trace in drain state.
+		if extra := s.Close(); len(extra) != 0 {
+			t.Fatalf("%s: Close after rejected Push emitted %d extra decisions", mode.name, len(extra))
+		}
 	}
-	if _, err := s.Push(-5); err == nil {
-		t.Fatal("negative size accepted")
-	}
-	if got := s.Pushed(); got != 20 {
-		t.Fatalf("rejected size mutated state: Pushed = %d, want 20", got)
-	}
-	tail := s.Close()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after Close = %d", s.Pending())
-	}
-	if ds, err := s.Push(100); err == nil {
-		t.Fatal("Push after Close accepted")
-	} else if ds != nil {
-		t.Fatal("Push after Close returned decisions")
-	}
-	if got := s.Pushed(); got != 20 {
-		t.Fatalf("post-Close Push mutated state: Pushed = %d, want 20", got)
-	}
-	// A second Close after the rejected Push emits nothing new: the
-	// rejected input left no trace in drain state.
-	if extra := s.Close(); len(extra) != 0 {
-		t.Fatalf("Close after rejected Push emitted %d extra decisions", len(extra))
-	}
-	_ = tail
 }
 
 // TestSessionChunkedPushMatchesSmooth drives a Session with randomized
 // push chunk sizes in 1..H+K and asserts bit-for-bit agreement with the
-// offline Smooth — the live/offline equivalence property extended to
-// arbitrary arrival batching. (Chunking cannot change the result: drain
-// emits a decision exactly when its inputs are determined, regardless of
-// how many sizes arrived in one batch.)
+// offline Smooth, in both length modes — the live/offline equivalence
+// property extended to arbitrary arrival batching. (Chunking cannot
+// change the result: drain emits a decision exactly when its inputs are
+// determined, regardless of how many sizes arrived in one batch.)
 func TestSessionChunkedPushMatchesSmooth(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomTrace(rng)
-		cfg := randomConfig(rng, tr)
-		offline, err := Smooth(tr, cfg)
-		if err != nil {
-			return false
-		}
-		s, err := NewSession(tr.Tau, tr.GOP, cfg)
-		if err != nil {
-			return false
-		}
-		var live []Decision
-		for i := 0; i < tr.Len(); {
-			chunk := rng.Intn(cfg.H+cfg.K) + 1 // 1..H+K
-			for c := 0; c < chunk && i < tr.Len(); c++ {
-				ds, err := s.Push(tr.Sizes[i])
-				if err != nil {
-					return false
-				}
-				live = append(live, ds...)
-				i++
+	for _, mode := range lengthModes {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tr := randomTrace(rng)
+			cfg := randomConfig(rng, tr)
+			if _, oracle := cfg.Estimator.(OracleEstimator); oracle && mode.declared {
+				return true // offline-only: it needs sizes not yet pushed
 			}
-		}
-		live = append(live, s.Close()...)
-		if len(live) != tr.Len() {
-			t.Logf("seed %d: %d decisions for %d pictures", seed, len(live), tr.Len())
-			return false
-		}
-		for i, d := range live {
-			if d.Picture != i || d.Rate != offline.Rates[i] ||
-				d.Start != offline.Start[i] || d.Depart != offline.Depart[i] ||
-				d.Delay != offline.Delays[i] {
-				t.Logf("seed %d cfg %+v picture %d: session (r=%v t=%v) != offline (r=%v t=%v)",
-					seed, cfg, i, d.Rate, d.Start, offline.Rates[i], offline.Start[i])
+			var obs []Observation
+			s, err := liveSession(tr, cfg, mode.declared, &obs)
+			if err != nil {
 				return false
 			}
+			var live []Decision
+			for i := 0; i < tr.Len(); {
+				chunk := rng.Intn(cfg.H+cfg.K) + 1 // 1..H+K
+				for c := 0; c < chunk && i < tr.Len(); c++ {
+					ds, err := s.Push(tr.Sizes[i])
+					if err != nil {
+						return false
+					}
+					live = append(live, ds...)
+					i++
+				}
+			}
+			live = append(live, s.Close()...)
+			if err := matchesOffline(tr, cfg, live, obs); err != nil {
+				t.Logf("%s seed %d cfg %+v: %v", mode.name, seed, cfg, err)
+				return false
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
 	}
 }
 
 // TestSessionObserver: the hook fires once per decision, in order, with
-// slack and depth consistent with the emitted decisions.
+// slack and depth consistent with the emitted decisions. With a
+// declared length it trails the decisions, but by Close it has
+// reported exactly what the offline run reports.
 func TestSessionObserver(t *testing.T) {
 	tr := paperTrace(t, 108)
-	var obs []Observation
-	s, err := NewSession(tr.Tau, tr.GOP, Config{K: 1, H: 9, D: 0.2},
-		WithObserver(func(o Observation) { obs = append(obs, o) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ds []Decision
-	for _, sz := range tr.Sizes {
-		out, err := s.Push(sz)
+	cfg := Config{K: 1, H: 9, D: 0.2}
+	for _, mode := range lengthModes {
+		var obs []Observation
+		s, err := liveSession(tr, cfg, mode.declared, &obs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds = append(ds, out...)
-	}
-	ds = append(ds, s.Close()...)
-	if len(obs) != len(ds) || len(obs) != tr.Len() {
-		t.Fatalf("%d observations for %d decisions (%d pictures)", len(obs), len(ds), tr.Len())
-	}
-	for i, o := range obs {
-		d := ds[i]
-		if o.Picture != i || o.Rate != d.Rate {
-			t.Fatalf("observation %d: picture %d rate %v, decision picture %d rate %v",
-				i, o.Picture, o.Rate, d.Picture, d.Rate)
+		var ds []Decision
+		for _, sz := range tr.Sizes {
+			out, err := s.Push(sz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds = append(ds, out...)
+			if len(obs) > len(ds) {
+				t.Fatalf("%s: %d observations ahead of %d decisions", mode.name, len(obs), len(ds))
+			}
+			if !mode.declared && len(obs) != len(ds) {
+				t.Fatalf("%s: %d observations behind %d decisions", mode.name, len(obs), len(ds))
+			}
 		}
-		if o.Depth < 1 || o.Depth > 9 {
-			t.Fatalf("picture %d: lookahead depth %d outside 1..H", i, o.Depth)
+		ds = append(ds, s.Close()...)
+		if len(obs) != len(ds) || len(obs) != tr.Len() {
+			t.Fatalf("%s: %d observations for %d decisions (%d pictures)", mode.name, len(obs), len(ds), tr.Len())
 		}
-		// K=1 keeps every decision within the band: non-negative slack.
-		if o.LowerSlack < 0 || o.UpperSlack < 0 {
-			t.Fatalf("picture %d: negative slack (%v, %v)", i, o.LowerSlack, o.UpperSlack)
+		if err := matchesOffline(tr, cfg, ds, obs); err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
 		}
-		if got := d.Rate - d.Lower; got != o.LowerSlack {
-			t.Fatalf("picture %d: slack mismatch %v != %v", i, got, o.LowerSlack)
+		for i, o := range obs {
+			d := ds[i]
+			if o.Picture != i || o.Rate != d.Rate {
+				t.Fatalf("%s observation %d: picture %d rate %v, decision picture %d rate %v",
+					mode.name, i, o.Picture, o.Rate, d.Picture, d.Rate)
+			}
+			if o.Depth < 1 || o.Depth > 9 {
+				t.Fatalf("%s picture %d: lookahead depth %d outside 1..H", mode.name, i, o.Depth)
+			}
+			// K=1 keeps every decision within the band: non-negative slack.
+			if o.LowerSlack < 0 || o.UpperSlack < 0 {
+				t.Fatalf("%s picture %d: negative slack (%v, %v)", mode.name, i, o.LowerSlack, o.UpperSlack)
+			}
+			if got := d.Rate - d.Lower; got != o.LowerSlack {
+				t.Fatalf("%s picture %d: slack mismatch %v != %v", mode.name, i, got, o.LowerSlack)
+			}
 		}
-	}
-	// The estimator is imperfect on a real trace: some window must show
-	// a nonzero estimation error.
-	anyErr := false
-	for _, o := range obs {
-		if o.EstimatorError != 0 {
-			anyErr = true
-			break
+		// The estimator is imperfect on a real trace: some window must show
+		// a nonzero estimation error.
+		anyErr := false
+		for _, o := range obs {
+			if o.EstimatorError != 0 {
+				anyErr = true
+				break
+			}
 		}
-	}
-	if !anyErr {
-		t.Error("no decision observed a nonzero estimator error")
+		if !anyErr {
+			t.Errorf("%s: no decision observed a nonzero estimator error", mode.name)
+		}
 	}
 }
 

@@ -448,13 +448,7 @@ func (s *Server) recoverFromJournal() {
 			continue
 		}
 		st := newParkedStream(rec.Hello, ph, rec.Watermark)
-		h := s.cfg.H
-		if h <= 0 {
-			h = rec.Hello.GOP.N
-		}
-		sess, err := core.NewSession(rec.Hello.Tau, rec.Hello.GOP, core.Config{
-			K: rec.Hello.K, D: rec.Hello.D, H: h, Policy: s.cfg.Policy,
-		}, core.WithObserver(st.observe))
+		sess, err := s.newSession(st)
 		if err != nil {
 			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (session rebuild failed)")
 			continue
@@ -758,18 +752,12 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		return nil, s.reject(transport.RejectedMalformed), err
 	}
 
-	h := s.cfg.H
-	if h <= 0 {
-		h = hello.GOP.N
-	}
 	st := newStream(conn, fr, fw, *hello, ph)
 	// Hand the reader the stream's payload pool: ingest reads each
 	// picture into a recycled buffer, and egress (or the duplicate-drop
 	// path) returns it once the bytes are finished with.
 	fr.Pool = &st.pool
-	sess, err := core.NewSession(hello.Tau, hello.GOP, core.Config{
-		K: hello.K, D: hello.D, H: h, Policy: s.cfg.Policy,
-	}, core.WithObserver(st.observe))
+	sess, err := s.newSession(st)
 	if err != nil {
 		return nil, s.reject(transport.RejectedMalformed), err
 	}
@@ -822,6 +810,30 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		Code: transport.Admitted, Available: avail, ResumeToken: st.token, PrefixFNV: prefix,
 		Epoch: s.cfg.Epoch,
 	}, nil
+}
+
+// newSession builds the smoothing Session for st's remaining pictures,
+// from its base on, with the server's policy and lookahead. A declared
+// picture count is binding: the Session refuses a picture beyond it, and
+// it decides each picture as soon as Theorem 1's inputs have arrived.
+// A count of 0 leaves the length unknown, and each decision waits for
+// its H-picture window, because an open-ended schedule can peak above
+// the one the sender computed its declared peak from.
+func (s *Server) newSession(st *stream) (*core.Session, error) {
+	h := s.cfg.H
+	if h <= 0 {
+		h = st.hello.GOP.N
+	}
+	remaining := st.hello.Pictures - st.base
+	sess, err := core.NewSession(st.hello.Tau, st.hello.GOP, core.Config{
+		K: st.hello.K, D: st.hello.D, H: h, Policy: s.cfg.Policy,
+	}, core.WithObserver(st.observe), core.WithLength(remaining))
+	if err == nil && st.hello.Pictures > 0 && remaining <= 0 {
+		// A recovered stream whose every declared picture was accepted
+		// owes only its end marker.
+		sess.Close()
+	}
+	return sess, err
 }
 
 // commitAdmission makes a resumable stream's admission durable before

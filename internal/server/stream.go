@@ -83,6 +83,7 @@ type stream struct {
 
 	sess           *core.Session
 	stats          *metrics.DecisionStats
+	maxUndecided   int // largest sess.Pending() after a push
 	maxDelay       float64
 	peakViolations int
 	currentRate    float64
@@ -129,7 +130,9 @@ func newParkedStream(hello transport.StreamHello, prefix transport.PrefixHash, w
 
 // observe feeds the per-stream DecisionStats; installed as the Session
 // observer by the caller that owns the Session. It runs inside Push or
-// Close, which ingest always calls under st.mu.
+// Close, which ingest always calls under st.mu. On a declared-length
+// stream observations trail decisions by up to H pictures, so a stream
+// that fails before Close never observes its last few.
 func (st *stream) observe(o core.Observation) {
 	st.stats.Add(o.LowerSlack, o.UpperSlack, o.Depth, o.EstimatorError)
 }
@@ -186,6 +189,7 @@ func (st *stream) push(payload []byte) ([]core.Decision, error) {
 	}
 	st.expected++
 	st.prefix.Absorb(payload)
+	st.maxUndecided = max(st.maxUndecided, st.sess.Pending())
 	st.note(decs)
 	return decs, nil
 }
@@ -496,10 +500,18 @@ type StreamSnapshot struct {
 	// Pictures is the accept watermark: every picture accepted in index
 	// order, including those a crashed server generation accepted before
 	// this one recovered the stream. Decisions counts only this
-	// generation's session.
+	// generation's session, and only observed decisions: on a stream
+	// with a declared count they trail the decisions made by up to H
+	// pictures until the end marker.
 	Pictures     int   `json:"pictures"`
 	Decisions    int   `json:"decisions"`
 	EgressedBits int64 `json:"egressed_bits"`
+	// MaxUndecided is the most accepted pictures that were ever waiting
+	// for their rate decision: how far the stream's egress may trail its
+	// sender. A declared picture count keeps it near the pictures that
+	// arrive while one departs; without one every decision waits for
+	// its lookahead window, and it is H−1.
+	MaxUndecided int `json:"max_undecided_pictures"`
 	// PeakViolations counts sender rate declarations above the admitted
 	// peak — traffic-contract breaches a Policer would tag.
 	PeakViolations int `json:"peak_violations"`
@@ -541,6 +553,7 @@ func (st *stream) snapshot() StreamSnapshot {
 		Pictures:     st.expected,
 		Decisions:    st.stats.Decisions,
 		EgressedBits: st.egressedBits,
+		MaxUndecided: st.maxUndecided,
 
 		PeakViolations: st.peakViolations,
 		Resumes:        st.resumes,

@@ -127,7 +127,11 @@ type StreamHello struct {
 	// K and D are the smoothing parameters the sender encoded with.
 	K int
 	D float64
-	// Pictures is the expected stream length (0 = unknown/live).
+	// Pictures is the stream length, and a declared count is binding: a
+	// smoothd server fails a stream that sends a picture beyond it, and
+	// decides each picture as soon as Theorem 1's inputs have arrived
+	// instead of waiting for its H-picture lookahead window. A stream may
+	// still end early with the end marker. 0 means the length is unknown.
 	Pictures int
 	// PeakRate is the declared maximum smoothed transmission rate in
 	// bits/second; admission reserves this much link capacity.

@@ -183,6 +183,12 @@ func NewSession(tau float64, gop GOP, cfg Config, opts ...SessionOption) (*Sessi
 // WithObserver installs a per-decision observer hook on a Session.
 func WithObserver(o Observer) SessionOption { return core.WithObserver(o) }
 
+// WithLength declares a Session's sequence length (n <= 0: unknown). A
+// declared length is binding, and it lets each decision be made as soon
+// as Theorem 1's inputs have arrived instead of waiting for the whole
+// H-picture lookahead window.
+func WithLength(n int) SessionOption { return core.WithLength(n) }
+
 // The four MPEG video sequences of the paper's Section 5.1, reconstructed
 // as deterministic calibrated generators (see DESIGN.md §2).
 
