@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mpegsmooth"
+	"mpegsmooth/internal/transport"
 )
 
 // reserveAddrs grabs n distinct loopback addresses by binding and
@@ -141,13 +142,13 @@ func TestClusterFailoverSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := mpegsmooth.Smooth(tr, mpegsmooth.Config{K: 1, H: tr.GOP.N, D: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	payloads := make([][]byte, tr.Len())
 	for i, bits := range tr.Sizes {
 		payloads[i] = make([]byte, (bits+7)/8)
+	}
+	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
+	if hello.PeakRate, err = transport.WirePeak(hello, nil, payloads); err != nil {
+		t.Fatal(err)
 	}
 	rs := &mpegsmooth.ResumableSender{
 		Sender: mpegsmooth.Sender{TimeScale: 25, Chunk: 512, WriteTimeout: 5 * time.Second},
@@ -155,10 +156,7 @@ func TestClusterFailoverSmoke(t *testing.T) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addrs[0])
 		},
-		Hello: mpegsmooth.StreamHello{
-			Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2,
-			Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-		},
+		Hello:       hello,
 		Backoff:     mpegsmooth.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond},
 		MaxAttempts: 60,
 		Seed:        1,
@@ -169,7 +167,7 @@ func TestClusterFailoverSmoke(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := rs.StreamSchedule(context.Background(), sched, payloads)
+		res, err := rs.Stream(context.Background(), payloads)
 		done <- result{res, err}
 	}()
 
@@ -290,13 +288,13 @@ func TestClusterQuorumSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := mpegsmooth.Smooth(tr, mpegsmooth.Config{K: 1, H: tr.GOP.N, D: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	payloads := make([][]byte, tr.Len())
 	for i, bits := range tr.Sizes {
 		payloads[i] = make([]byte, (bits+7)/8)
+	}
+	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
+	if hello.PeakRate, err = transport.WirePeak(hello, nil, payloads); err != nil {
+		t.Fatal(err)
 	}
 	rs := &mpegsmooth.ResumableSender{
 		Sender: mpegsmooth.Sender{TimeScale: 25, Chunk: 512, WriteTimeout: 5 * time.Second},
@@ -304,10 +302,7 @@ func TestClusterQuorumSmoke(t *testing.T) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addrs[0])
 		},
-		Hello: mpegsmooth.StreamHello{
-			Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2,
-			Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-		},
+		Hello:       hello,
 		Backoff:     mpegsmooth.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond},
 		MaxAttempts: 60,
 		Seed:        2,
@@ -318,7 +313,7 @@ func TestClusterQuorumSmoke(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		res, err := rs.StreamSchedule(context.Background(), sched, payloads)
+		res, err := rs.Stream(context.Background(), payloads)
 		done <- result{res, err}
 	}()
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mpegsmooth"
+	"mpegsmooth/internal/transport"
 )
 
 // syncBuffer makes run's output safe to read while server goroutines
@@ -74,8 +75,9 @@ func TestRunServesAndDrains(t *testing.T) {
 	addr := waitAddr(t, out, streamAddrRe)
 	opsAddr := waitAddr(t, out, opsAddrRe)
 
-	// One full client session, exactly what `streamer send -handshake`
-	// does: declare, await the verdict, pace the schedule.
+	// One full client session on the direct sender: declare the peak of
+	// the bytes sent under the daemon's policy, await the verdict, pace
+	// the schedule.
 	tr, err := mpegsmooth.Driving1(36, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -89,17 +91,17 @@ func TestRunServesAndDrains(t *testing.T) {
 	for i, s := range tr.Sizes {
 		payloads[i] = make([]byte, int((s+7)/8))
 	}
+	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D, Pictures: tr.Len()}
+	if hello.PeakRate, err = transport.WirePeak(hello, mpegsmooth.MovingAveragePolicy{}, payloads); err != nil {
+		t.Fatal(err)
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	fw := mpegsmooth.NewFrameWriter(conn)
-	err = fw.WriteHello(mpegsmooth.StreamHello{
-		Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D,
-		Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-	})
-	if err != nil {
+	if err := fw.WriteHello(hello); err != nil {
 		t.Fatal(err)
 	}
 	v, err := mpegsmooth.NewFrameReader(conn).ReadVerdict()
@@ -205,14 +207,13 @@ func TestRunJournalAndHMACFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mpegsmooth.Config{K: 1, H: tr.GOP.N, D: 0.2}
-	sched, err := mpegsmooth.Smooth(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	payloads := make([][]byte, tr.Len())
 	for i, s := range tr.Sizes {
 		payloads[i] = make([]byte, int((s+7)/8))
+	}
+	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
+	if hello.PeakRate, err = transport.WirePeak(hello, nil, payloads); err != nil {
+		t.Fatal(err)
 	}
 	rs := &mpegsmooth.ResumableSender{
 		Sender: mpegsmooth.Sender{TimeScale: 200},
@@ -220,14 +221,11 @@ func TestRunJournalAndHMACFlags(t *testing.T) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addr)
 		},
-		Hello: mpegsmooth.StreamHello{
-			Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D,
-			Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-		},
+		Hello:     hello,
 		Integrity: mpegsmooth.IntegrityHMAC,
 		Key:       []byte("cli-shared-secret"),
 	}
-	res, err := rs.StreamSchedule(context.Background(), sched, payloads)
+	res, err := rs.Stream(context.Background(), payloads)
 	if err != nil {
 		t.Fatal(err)
 	}

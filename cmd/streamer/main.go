@@ -3,12 +3,15 @@
 // (standing in for live encoder output — an incremental Session
 // computes the identical schedule), paces each picture at its scheduled
 // rate, and declares every rate change with a notify(i, rate) message;
-// the receiver verifies integrity and reports observed timing.
+// the receiver verifies integrity and reports observed timing. With
+// -handshake it is a smoothd client instead and uploads each picture at
+// its encoder arrival, leaving the smoothing to the server.
 //
 // Usage:
 //
 //	streamer recv -listen 127.0.0.1:8402
 //	streamer send -connect 127.0.0.1:8402 -seq driving1 -D 0.2 -timescale 10
+//	streamer send -connect 127.0.0.1:8442 -handshake -seq driving1
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 
 	"mpegsmooth"
 	"mpegsmooth/internal/faultnet"
+	"mpegsmooth/internal/transport"
 )
 
 func main() {
@@ -58,7 +62,7 @@ func send(args []string) error {
 		seed      = fs.Int64("seed", 1, "trace seed")
 		k         = fs.Int("K", 1, "known pictures before sending")
 		d         = fs.Float64("D", 0.2, "delay bound (seconds)")
-		policy    = fs.String("policy", "basic", "rate policy: basic, moving-average, capped:<bps>, min-var")
+		policy    = fs.String("policy", "basic", "rate policy: basic, moving-average, capped:<bps>, min-var (with -handshake it sets only the declared peak and must match smoothd's -policy)")
 		timescale = fs.Float64("timescale", 1, "replay speed multiplier (1 = real time)")
 		handshake = fs.Bool("handshake", false, "declare the stream to a smoothd server and await admission before sending")
 		retries   = fs.Int("retries", 8, "max consecutive reconnect attempts before abandoning the stream (handshake mode)")
@@ -116,13 +120,6 @@ func send(args []string) error {
 	if err != nil {
 		return err
 	}
-	sched, err := mpegsmooth.Smooth(tr, mpegsmooth.Config{K: *k, H: tr.GOP.N, D: *d, Policy: pol})
-	if err != nil {
-		return err
-	}
-	if err := mpegsmooth.Verify(sched); err != nil {
-		return err
-	}
 	rng := rand.New(rand.NewSource(*seed))
 	payloads := make([][]byte, tr.Len())
 	for i, bits := range tr.Sizes {
@@ -130,13 +127,17 @@ func send(args []string) error {
 		rng.Read(payloads[i])
 	}
 
-	fmt.Printf("sending %s: %d pictures over %.1f s of schedule at %gx speed to %s\n",
-		tr.Name, tr.Len(), sched.Depart[tr.Len()-1], *timescale, *connect)
+	fmt.Printf("sending %s: %d pictures (%.1f s of video) at %gx speed to %s\n",
+		tr.Name, tr.Len(), float64(tr.Len())*tr.Tau, *timescale, *connect)
 	start := time.Now()
 	if *handshake {
-		// Admission handshake plus reconnect-and-resume: a transient
-		// fault (corruption, reset, timeout) redials with backoff and
-		// replays from the server's NextIndex instead of failing.
+		// smoothd smooths with its own -policy; ours sets only the declared
+		// peak. A transient fault (corruption, reset, timeout) redials with
+		// backoff and replays from the server's NextIndex instead of failing.
+		hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: *k, D: *d, Pictures: tr.Len()}
+		if hello.PeakRate, err = transport.WirePeak(hello, pol, payloads); err != nil {
+			return err
+		}
 		rs := &mpegsmooth.ResumableSender{
 			Sender: mpegsmooth.Sender{TimeScale: *timescale, WriteTimeout: *writeTO},
 			Dial: func(ctx context.Context) (net.Conn, error) {
@@ -144,11 +145,8 @@ func send(args []string) error {
 			},
 			// A sharded fleet answers a misdirected handshake with a
 			// redirect verdict; follow it to the owning shard.
-			DialAddr: dialStream,
-			Hello: mpegsmooth.StreamHello{
-				Tau: tr.Tau, GOP: tr.GOP, K: *k, D: *d,
-				Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-			},
+			DialAddr:    dialStream,
+			Hello:       hello,
 			MaxAttempts: *retries,
 			Integrity:   mode,
 			Key:         key,
@@ -165,12 +163,12 @@ func send(args []string) error {
 				}
 			},
 		}
-		res, err := rs.StreamSchedule(context.Background(), sched, payloads)
+		res, err := rs.Stream(context.Background(), payloads)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("admitted at peak %.0f bps (%.0f bps still available)\n",
-			sched.PeakRate(), res.Verdict.Available)
+			hello.PeakRate, res.Verdict.Available)
 		if res.Resumes > 0 {
 			fmt.Printf("survived %d disconnect(s)\n", res.Resumes)
 		}
@@ -178,6 +176,13 @@ func send(args []string) error {
 			fmt.Println("delivery confirmed via already-complete verdict (lost-ack recovery)")
 		}
 	} else {
+		sched, err := mpegsmooth.Smooth(tr, mpegsmooth.Config{K: *k, H: tr.GOP.N, D: *d, Policy: pol})
+		if err != nil {
+			return err
+		}
+		if err := mpegsmooth.Verify(sched); err != nil {
+			return err
+		}
 		conn, err := dialStream(context.Background(), *connect)
 		if err != nil {
 			return err

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"mpegsmooth/internal/core"
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/server"
 	"mpegsmooth/internal/trace"
@@ -36,31 +35,25 @@ func testTrace(t testing.TB, pictures int) *trace.Trace {
 // clientKit is everything a test client needs to stream one trace.
 type clientKit struct {
 	tr       *trace.Trace
-	sched    *core.Schedule
 	payloads [][]byte
 	hello    transport.StreamHello
 }
 
 func makeClient(t testing.TB, tr *trace.Trace) *clientKit {
 	t.Helper()
-	cfg := core.Config{K: 1, H: tr.GOP.N, D: 0.2}
-	sched, err := core.Smooth(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	payloads := make([][]byte, tr.Len())
 	for i, s := range tr.Sizes {
 		payloads[i] = make([]byte, int((s+7)/8))
 		rng.Read(payloads[i])
 	}
-	return &clientKit{
-		tr: tr, sched: sched, payloads: payloads,
-		hello: transport.StreamHello{
-			Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D,
-			Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-		},
+	hello := transport.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
+	peak, err := transport.WirePeak(hello, nil, payloads)
+	if err != nil {
+		t.Fatal(err)
 	}
+	hello.PeakRate = peak
+	return &clientKit{tr: tr, payloads: payloads, hello: hello}
 }
 
 // resumableClient builds the reconnect-and-resume sender every cluster
@@ -167,7 +160,7 @@ func TestFollowerWarmStandby(t *testing.T) {
 	})
 
 	rs := resumableClient(kit, primary.StreamAddr(), 1)
-	if _, err := rs.StreamSchedule(context.Background(), kit.sched, kit.payloads); err != nil {
+	if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
 		t.Fatalf("stream through primary: %v", err)
 	}
 
@@ -305,7 +298,7 @@ func TestShardedRedirect(t *testing.T) {
 			defer wg.Done()
 			rs := resumableClient(kit, nodes[0].StreamAddr(), int64(i)+1)
 			rs.Hello.Nonce = nonces[i]
-			res, err := rs.StreamSchedule(context.Background(), kit.sched, kit.payloads)
+			res, err := rs.Stream(context.Background(), kit.payloads)
 			mu.Lock()
 			defer mu.Unlock()
 			redirects += res.Redirects

@@ -96,7 +96,7 @@ func runFailover(t *testing.T, seed int64, clients int, mode transport.Integrity
 			rs.MaxAttempts = 60
 			rs.Integrity = mode
 			rs.Key = key
-			res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+			res, err := rs.Stream(ctx, kit.payloads)
 			mu.Lock()
 			defer mu.Unlock()
 			resumes += res.Resumes

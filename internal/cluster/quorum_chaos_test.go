@@ -99,7 +99,7 @@ func runQuorumChaos(t *testing.T, seed int64, clients int, schedule string) {
 			rs := resumableClient(kit, trio.addr, seed*100+int64(i)+1)
 			rs.Sender.TimeScale = crashTimeScale
 			rs.MaxAttempts = 60
-			res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+			res, err := rs.Stream(ctx, kit.payloads)
 			mu.Lock()
 			defer mu.Unlock()
 			resumes += res.Resumes
@@ -334,7 +334,7 @@ func TestQuorumStatsSurface(t *testing.T) {
 	primary := trio.nodes[0]
 
 	rs := resumableClient(kit, trio.addr, 1)
-	if _, err := rs.StreamSchedule(context.Background(), kit.sched, kit.payloads); err != nil {
+	if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
 		t.Fatalf("stream through quorum primary: %v", err)
 	}
 
@@ -392,7 +392,7 @@ func TestQuorumStatsSurface(t *testing.T) {
 	// No wedge: a client admitted under the degraded gate still streams
 	// to completion on local commits.
 	rs = resumableClient(kit, trio.addr, 2)
-	if _, err := rs.StreamSchedule(context.Background(), kit.sched, kit.payloads); err != nil {
+	if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
 		t.Fatalf("stream through degraded primary: %v", err)
 	}
 	st = primary.Status().Replication
@@ -443,7 +443,7 @@ func benchClusterIngest(b *testing.B, quorum int) {
 				defer wg.Done()
 				rs := resumableClient(kit, primary.StreamAddr(), int64(i*streams+j)+1)
 				rs.Sender.TimeScale = 1e6
-				if _, err := rs.StreamSchedule(context.Background(), kit.sched, kit.payloads); err != nil {
+				if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
 					b.Error(err)
 				}
 			}(j)

@@ -136,7 +136,7 @@ func TestChaosSoakResumableStreams(t *testing.T) {
 			defer wg.Done()
 			rs := resumableClient(kit, addr, int64(i+1))
 			rs.Dial = clientNet.Dialer(rs.Dial)
-			res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+			res, err := rs.Stream(ctx, kit.payloads)
 			mu.Lock()
 			defer mu.Unlock()
 			resumes += res.Resumes
@@ -241,7 +241,7 @@ func TestPartitionSpanningResume(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		res, err = rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+		res, err = rs.Stream(ctx, kit.payloads)
 	}()
 
 	// Let the stream get going, then cut the world for longer than the
@@ -336,7 +336,7 @@ func TestStalledSenderParksAndResumes(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+	res, err := rs.Stream(ctx, kit.payloads)
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}

@@ -586,7 +586,7 @@ func runCrashSoak(t *testing.T, seed int64) {
 			rs := resumableClient(kit, addr, seed*100+int64(i)+1)
 			rs.Sender.TimeScale = crashTimeScale
 			rs.MaxAttempts = 60
-			res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+			res, err := rs.Stream(ctx, kit.payloads)
 			mu.Lock()
 			defer mu.Unlock()
 			doneClients++

@@ -148,7 +148,7 @@ func runDatagramSoak(t *testing.T, seed int64) {
 		go func(i int) {
 			defer wg.Done()
 			rs := datagramClient(kit, addr, seed*100+int64(i+1), clientNet, clientDG)
-			res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+			res, err := rs.Stream(ctx, kit.payloads)
 			mu.Lock()
 			defer mu.Unlock()
 			resumes += res.Resumes

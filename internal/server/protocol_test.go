@@ -209,7 +209,7 @@ func runProtocolScenario(t *testing.T, sc protoScenario, seed int64) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := rs.StreamSchedule(ctx, kit.sched, kit.payloads)
+	res, err := rs.Stream(ctx, kit.payloads)
 	if err != nil {
 		t.Fatalf("client failed (spurious rejection or unrecovered fault): %v", err)
 	}

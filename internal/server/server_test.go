@@ -53,13 +53,11 @@ func makeClient(t testing.TB, tr *trace.Trace) *clientKit {
 		payloads[i] = make([]byte, int((s+7)/8))
 		rng.Read(payloads[i])
 	}
-	return &clientKit{
-		tr: tr, cfg: cfg, sched: sched, payloads: payloads,
-		hello: transport.StreamHello{
-			Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D,
-			Pictures: tr.Len(), PeakRate: sched.PeakRate(),
-		},
+	hello := transport.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D, Pictures: tr.Len()}
+	if hello.PeakRate, err = transport.WirePeak(hello, nil, payloads); err != nil {
+		t.Fatal(err)
 	}
+	return &clientKit{tr: tr, cfg: cfg, sched: sched, payloads: payloads, hello: hello}
 }
 
 // stream dials, declares, and — when admitted — paces the whole trace.
@@ -199,10 +197,10 @@ func TestSingleStreamEndToEnd(t *testing.T) {
 	if ss.SessionPeak <= 0 || ss.PeakViolations != 0 || ss.OutOfBand != 0 {
 		t.Fatalf("stream snapshot %+v", ss)
 	}
-	// The server re-smooths from byte-rounded sizes, so its peak may sit
-	// a whisker above the client's bit-exact declaration — but no more.
-	if ss.SessionPeak > ss.DeclaredPeak*1.01 {
-		t.Fatalf("session peak %.0f far above declared %.0f", ss.SessionPeak, ss.DeclaredPeak)
+	// The kit declares the peak over the bytes it sends, which is what
+	// the server smooths.
+	if ss.SessionPeak > ss.DeclaredPeak {
+		t.Fatalf("session peak %.0f above declared %.0f", ss.SessionPeak, ss.DeclaredPeak)
 	}
 }
 

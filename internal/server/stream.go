@@ -434,41 +434,22 @@ func (st *stream) adopt(rc resumedConn) {
 }
 
 // runEgress paces decided pictures onto the shared link at their decided
-// rates, on the stream's own schedule clock (origin = first dequeue).
-// Decision Start/Depart times are schedule seconds; TimeScale compresses
-// them to wall time exactly as transport.Sender does.
+// rates through one transport.Pacer, on the stream's own schedule clock:
+// the first decision's start is the instant it is dequeued.
 func (st *stream) runEgress(ctx context.Context, lk *link, clock transport.Clock, scale float64) error {
 	defer st.setCurrentRate(0)
-	var origin time.Time
-	started := false
-	deadline := func(schedTime float64) time.Time {
-		return origin.Add(time.Duration(schedTime / scale * float64(time.Second)))
-	}
+	var p *transport.Pacer
 	for it := range st.queue {
-		if !started {
-			// Anchor the pacing clock so the first decision's start time
-			// is "now": the stream's schedule origin.
-			origin = clock.Now().Add(-time.Duration(it.dec.Start / scale * float64(time.Second)))
-			started = true
-		}
 		d := it.dec
-		if err := clock.Sleep(ctx, deadline(d.Start).Sub(clock.Now())); err != nil {
+		if p == nil {
+			p = transport.NewPacer(clock, scale, egressChunk, d.Start)
+		}
+		if err := p.Wait(ctx, d.Start); err != nil {
 			return err
 		}
 		st.setCurrentRate(d.Rate)
-		sent := 0
-		for sent < len(it.payload) {
-			end := sent + egressChunk
-			if end > len(it.payload) {
-				end = len(it.payload)
-			}
-			if err := lk.write(it.payload[sent:end]); err != nil {
-				return err
-			}
-			sent = end
-			if err := clock.Sleep(ctx, deadline(d.Start+float64(sent)*8/d.Rate).Sub(clock.Now())); err != nil {
-				return err
-			}
+		if err := p.Pace(ctx, d.Start, d.Rate, it.payload, lk.write); err != nil {
+			return err
 		}
 		st.mu.Lock()
 		st.egressedBits += int64(len(it.payload)) * 8

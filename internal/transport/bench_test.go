@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"mpegsmooth/internal/mpeg"
 )
@@ -137,6 +139,43 @@ func TestFrameWriterTCPZeroAlloc(t *testing.T) {
 	<-drained
 	if allocs != 0 {
 		t.Errorf("steady-state frame write over TCP allocates %.1f objects/frame, want 0", allocs)
+	}
+}
+
+// stillClock never moves and never sleeps: the pacing arithmetic runs,
+// the waits cost nothing.
+type stillClock struct{}
+
+func (stillClock) Now() time.Time                             { return time.Unix(0, 0) }
+func (stillClock) Sleep(context.Context, time.Duration) error { return nil }
+
+// nopLink stands in for smoothd's shared egress link.
+type nopLink struct{ writes int }
+
+func (l *nopLink) write([]byte) error {
+	l.writes++
+	return nil
+}
+
+// TestPaceZeroAlloc pins the egress pacing path at zero allocations per
+// picture: pacing a payload in 4 KiB chunks through a method value, as
+// smoothd's egress paces onto its link, must not put the garbage
+// collector back in the per-picture path.
+func TestPaceZeroAlloc(t *testing.T) {
+	ctx := context.Background()
+	p := NewPacer(stillClock{}, 20, 4096, 0)
+	payload := make([]byte, 5*4096+100)
+	var lk nopLink
+	paceOne := func() {
+		if err := p.Pace(ctx, 1, 3e6, payload, lk.write); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, paceOne); allocs != 0 {
+		t.Errorf("pacing a picture allocates %.1f objects, want 0", allocs)
+	}
+	if lk.writes != 201*6 {
+		t.Fatalf("%d link writes, want %d", lk.writes, 201*6)
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"time"
 
 	"mpegsmooth/internal/core"
-	"mpegsmooth/internal/mpeg"
+	"mpegsmooth/internal/trace"
 )
 
 // Backoff parameterizes the jittered exponential reconnect delay: the
@@ -120,14 +121,14 @@ func newNonce(rng *rand.Rand) uint64 {
 	}
 }
 
-// ResumableSender is the sender-side reconnect loop: it dials, performs
-// the admission handshake, paces the stream, and — on a classified
-// transient fault — redials with jittered exponential backoff and
-// resumes from the server-chosen replay point, so a flaky link yields a
-// complete stream rather than a dead one.
+// ResumableSender is smoothd's client and its reconnect loop: it dials,
+// performs the admission handshake, uploads the stream, and — on a
+// classified transient fault — redials with jittered exponential backoff
+// and resumes from the server-chosen replay point, so a flaky link
+// yields a complete stream rather than a dead one.
 type ResumableSender struct {
-	// Sender paces the pictures; its WriteTimeout also bounds handshake
-	// writes.
+	// Sender's Clock, TimeScale, Chunk and WriteTimeout shape the
+	// upload; its WriteTimeout also bounds handshake writes.
 	Sender Sender
 	// Dial opens a connection to the server. Required.
 	Dial func(ctx context.Context) (net.Conn, error)
@@ -160,27 +161,33 @@ type ResumableSender struct {
 	OnEvent func(ResumeEvent)
 }
 
-// StreamSchedule runs Stream over a schedule's stored decision arrays,
-// mirroring Sender.Send.
-func (rs *ResumableSender) StreamSchedule(ctx context.Context, sched *core.Schedule, payloads [][]byte) (StreamResult, error) {
-	decisions := make([]core.Decision, len(sched.Rates))
-	for i := range decisions {
-		decisions[i] = core.Decision{Picture: i, Rate: sched.Rates[i], Start: sched.Start[i]}
+// WirePeak is the PeakRate to declare in h for payloads: the peak of
+// the offline schedule over the 8·len(p) bits per picture smoothd
+// smooths, with h's τ, GOP, K and D, H = N and the given policy (nil is
+// the basic one), which must be the server's.
+func WirePeak(h StreamHello, policy core.Policy, payloads [][]byte) (float64, error) {
+	sizes := make([]int64, len(payloads))
+	for i, p := range payloads {
+		sizes[i] = int64(len(p)) * 8
 	}
-	return rs.Stream(ctx, decisions, sched.Trace.TypeOf, payloads)
+	sched, err := core.Smooth(&trace.Trace{Tau: h.Tau, GOP: h.GOP, Sizes: sizes},
+		core.Config{K: h.K, H: h.GOP.N, D: h.D, Policy: policy})
+	if err != nil {
+		return 0, err
+	}
+	return sched.PeakRate(), nil
 }
 
-// Stream sends the full decision stream, reconnecting and resuming
-// through transient faults. It returns once the end marker is written
-// (success), the server rejects the stream, a fault is terminal, or
-// MaxAttempts consecutive reconnects fail.
-func (rs *ResumableSender) Stream(ctx context.Context, decisions []core.Decision, typeOf func(int) mpeg.PictureType, payloads [][]byte) (StreamResult, error) {
+// Stream uploads payloads for smoothd to smooth: picture i goes whole,
+// with no rate frame, at its encoder arrival i·τ (τ from Hello), and a
+// resume shifts those arrivals so the replay point goes at once. It
+// returns once the server acknowledges the end marker (success), the
+// server rejects the stream, a fault is terminal, or MaxAttempts
+// consecutive reconnects fail.
+func (rs *ResumableSender) Stream(ctx context.Context, payloads [][]byte) (StreamResult, error) {
 	result := StreamResult{Faults: map[FaultClass]int{}}
 	if rs.Dial == nil {
 		return result, fmt.Errorf("transport: ResumableSender needs a Dial function")
-	}
-	if len(payloads) != len(decisions) {
-		return result, fmt.Errorf("transport: %d payloads for %d pictures", len(payloads), len(decisions))
 	}
 	maxAttempts := rs.MaxAttempts
 	if maxAttempts <= 0 {
@@ -190,10 +197,9 @@ func (rs *ResumableSender) Stream(ctx context.Context, decisions []core.Decision
 	if hsTimeout <= 0 {
 		hsTimeout = 10 * time.Second
 	}
-	clock := rs.Sender.Clock
-	if clock == nil {
-		clock = RealClock{}
-	}
+	// The pacer's clock also times the backoff; each connection anchors
+	// a fresh pacer below.
+	pacer := NewPacer(rs.Sender.Clock, rs.Sender.TimeScale, rs.Sender.Chunk, 0)
 	var rng *rand.Rand
 	if rs.Seed != 0 {
 		rng = rand.New(rand.NewSource(rs.Seed))
@@ -245,7 +251,7 @@ func (rs *ResumableSender) Stream(ctx context.Context, decisions []core.Decision
 		if attempt >= maxAttempts {
 			return class, fmt.Errorf("transport: stream abandoned after %d attempts (last %s): %w", attempt, class, err)
 		}
-		if serr := clock.Sleep(ctx, rs.Backoff.Delay(attempt, rng)); serr != nil {
+		if serr := pacer.Clock.Sleep(ctx, rs.Backoff.Delay(attempt, rng)); serr != nil {
 			return class, serr
 		}
 		return class, nil
@@ -428,7 +434,20 @@ func (rs *ResumableSender) Stream(ctx context.Context, decisions []core.Decision
 		}
 		attempt = 0
 
-		err = rs.Sender.sendFrom(ctx, w, decisions, typeOf, payloads, next)
+		// Upload picture i at its encoder arrival i·τ, on a clock that
+		// puts the replay point at the current instant.
+		pacer = NewPacer(pacer.Clock, pacer.Scale, pacer.Chunk, float64(next)*hello.Tau)
+		for i := next; i < len(payloads) && err == nil; i++ {
+			if err = pacer.Wait(ctx, float64(i)*hello.Tau); err == nil {
+				err = w.WritePictureHeader(i, hello.GOP.TypeOf(i), payloads[i])
+			}
+			if err == nil {
+				err = pacer.Pace(ctx, float64(i)*hello.Tau, math.Inf(1), payloads[i], w.WriteChunk)
+			}
+		}
+		if err == nil {
+			err = w.WriteEnd()
+		}
 		if err == nil {
 			// Wait for the completion ack (the server's end marker echo):
 			// success means every picture was accepted, not merely that our

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpegsmooth/internal/frame"
 )
 
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
@@ -36,37 +38,35 @@ func TestBackoffJitterBounded(t *testing.T) {
 	}
 }
 
-// TestResumableSenderSurvivesMidStreamReset: a toy server admits the
-// stream, abruptly resets the connection after a few pictures, then
-// accepts the resume handshake and the replayed remainder. The sender
-// must deliver every picture exactly once across the two connections.
-func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
-	sched, payloads := testSchedule(t, 18)
-	const token = 777
-	const killAfter = 5
+// toyServer is a minimal smoothd stand-in. It admits the stream with
+// its token, resets the first connection once killAfter pictures are
+// in, answers the resume with its accept watermark and prefix tag, and
+// echoes the end marker as the completion ack. Fields are under mu.
+type toyServer struct {
+	mu       sync.Mutex
+	got      map[int][]byte // index → payload
+	resumes  int
+	sessions int
+	rates    int           // rate notifications that reached the server
+	ended    chan struct{} // closed when the server reads the end marker
+}
 
+func startToyServer(t *testing.T, token uint64, killAfter int) (*toyServer, string) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	var (
-		mu       sync.Mutex
-		got      = map[int][]byte{} // index → payload
-		resumes  int
-		sessions int
-	)
+	t.Cleanup(func() { ln.Close() })
+	srv := &toyServer{got: map[int][]byte{}, ended: make(chan struct{})}
 	// prefix mirrors the real server's running accepted-prefix tag;
 	// call under mu.
 	prefix := func(n int) uint64 {
 		ordered := make([][]byte, n)
 		for i := 0; i < n; i++ {
-			ordered[i] = got[i]
+			ordered[i] = srv.got[i]
 		}
 		return referenceTag(ordered)
 	}
-	ended := make(chan struct{}) // closed when the server reads the end marker
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -80,11 +80,11 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 				conn.Close()
 				continue
 			}
-			mu.Lock()
-			sessions++
-			next := len(got)
+			srv.mu.Lock()
+			srv.sessions++
+			next := len(srv.got)
 			pfx := prefix(next)
-			mu.Unlock()
+			srv.mu.Unlock()
 			switch m := msg.(type) {
 			case *StreamHello:
 				fw.WriteVerdict(Verdict{Code: Admitted, Available: 1e6, ResumeToken: token, PrefixFNV: pfx})
@@ -94,9 +94,9 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 					conn.Close()
 					continue
 				}
-				mu.Lock()
-				resumes++
-				mu.Unlock()
+				srv.mu.Lock()
+				srv.resumes++
+				srv.mu.Unlock()
 				fw.WriteVerdict(Verdict{Code: Admitted, Available: 1e6, ResumeToken: token, NextIndex: next, PrefixFNV: pfx})
 			}
 			func() {
@@ -105,18 +105,23 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 					msg, err := fr.ReadMessage()
 					if err == ErrClosed {
 						fw.WriteEnd() // completion ack
-						close(ended)
+						close(srv.ended)
 						return
 					}
 					if err != nil {
 						return
 					}
-					if pf, ok := msg.(*PictureFrame); ok {
-						mu.Lock()
-						got[pf.Index] = append([]byte(nil), pf.Payload...)
-						n := len(got)
-						firstSession := sessions == 1
-						mu.Unlock()
+					switch m := msg.(type) {
+					case *RateNotification:
+						srv.mu.Lock()
+						srv.rates++
+						srv.mu.Unlock()
+					case *PictureFrame:
+						srv.mu.Lock()
+						srv.got[m.Index] = append([]byte(nil), m.Payload...)
+						n := len(srv.got)
+						firstSession := srv.sessions == 1
+						srv.mu.Unlock()
 						if firstSession && n >= killAfter {
 							return // abrupt reset mid-stream
 						}
@@ -125,12 +130,24 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 			}()
 		}
 	}()
+	return srv, ln.Addr().String()
+}
+
+// TestResumableSenderSurvivesMidStreamReset: a toy server admits the
+// stream, abruptly resets the connection after a few pictures, then
+// accepts the resume handshake and the replayed remainder. The sender
+// must deliver every picture exactly once across the two connections.
+func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
+	_, payloads := testSchedule(t, 18)
+	const token = 777
+	const killAfter = 5
+	srv, addr := startToyServer(t, token, killAfter)
 
 	rs := &ResumableSender{
 		Sender: Sender{TimeScale: 200, Chunk: 512},
 		Dial: func(ctx context.Context) (net.Conn, error) {
 			var d net.Dialer
-			return d.DialContext(ctx, "tcp", ln.Addr().String())
+			return d.DialContext(ctx, "tcp", addr)
 		},
 		Hello:       validHello(),
 		Backoff:     Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
@@ -139,7 +156,7 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := rs.StreamSchedule(ctx, sched, payloads)
+	res, err := rs.Stream(ctx, payloads)
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
@@ -152,23 +169,124 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 	// The sender returns when its last write lands in the socket buffer;
 	// wait for the server to actually drain through the end marker.
 	select {
-	case <-ended:
+	case <-srv.ended:
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never saw the end marker")
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if resumes < 1 {
-		t.Fatalf("server saw %d resumes", resumes)
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.resumes < 1 {
+		t.Fatalf("server saw %d resumes", srv.resumes)
 	}
-	if len(got) != len(payloads) {
-		t.Fatalf("server received %d distinct pictures, want %d", len(got), len(payloads))
+	if len(srv.got) != len(payloads) {
+		t.Fatalf("server received %d distinct pictures, want %d", len(srv.got), len(payloads))
 	}
 	for i, p := range payloads {
-		if PayloadSum64(got[i]) != PayloadSum64(p) {
+		if PayloadSum64(srv.got[i]) != PayloadSum64(p) {
 			t.Fatalf("picture %d corrupted or missing", i)
 		}
+	}
+}
+
+// headerLog is a connection that notes the clock's time whenever a
+// picture header frame goes out whole, as it does on a writer that
+// cannot gather.
+type headerLog struct {
+	net.Conn
+	clock Clock
+	at    map[int]time.Time // picture index → when its header was written
+}
+
+func (c *headerLog) Write(p []byte) (int, error) {
+	if kind, _, body, err := frame.Check(p); err == nil && kind == kindPicture {
+		c.at[int(binary.BigEndian.Uint32(body))] = c.clock.Now()
+	}
+	return c.Conn.Write(p)
+}
+
+// TestResumableSenderUploadsAtArrival: on a virtual clock, the sender
+// writes picture i's header at origin + i·τ/TimeScale and sends no rate
+// frame. After the toy server's mid-stream reset, picture NextIndex
+// goes the instant the resumed connection is up and the rest keep
+// their τ spacing from it.
+func TestResumableSenderUploadsAtArrival(t *testing.T) {
+	_, payloads := testSchedule(t, 18)
+	const token, scale = 779, 200
+	srv, addr := startToyServer(t, token, 5)
+
+	clk := &virtualClock{now: time.Unix(1_000_000, 0)}
+	hello := validHello()
+	var (
+		dialed  []time.Time
+		headers []map[int]time.Time // per connection
+		next    = -1
+	)
+	rs := &ResumableSender{
+		Sender: Sender{Clock: clk, TimeScale: scale, Chunk: 512},
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			dialed = append(dialed, clk.Now())
+			headers = append(headers, map[int]time.Time{})
+			return &headerLog{Conn: conn, clock: clk, at: headers[len(headers)-1]}, nil
+		},
+		Hello:       hello,
+		Backoff:     Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
+		MaxAttempts: 10,
+		Seed:        1,
+		OnEvent: func(ev ResumeEvent) {
+			if ev.Resumed {
+				next = ev.NextIndex
+			}
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := rs.Stream(ctx, payloads)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	select {
+	case <-srv.ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never saw the end marker")
+	}
+	if res.Resumes != 1 || len(dialed) != 2 || next < 1 || next >= len(payloads) {
+		t.Fatalf("%d resumes over %d connections, resumed at %d", res.Resumes, len(dialed), next)
+	}
+	arrival := func(origin time.Time, i int) time.Time {
+		return origin.Add(time.Duration(float64(i) * hello.Tau / scale * float64(time.Second)))
+	}
+	first, resumed := headers[0], headers[1]
+	origin := first[0]
+	for i, at := range first {
+		if want := arrival(origin, i); !within(at, want) {
+			t.Fatalf("picture %d header at %v, want its arrival %v", i, at.Sub(origin), want.Sub(origin))
+		}
+	}
+	if !resumed[next].Equal(dialed[1]) {
+		t.Fatalf("picture %d went %v after the resumed connection opened, want at once", next, resumed[next].Sub(dialed[1]))
+	}
+	for i := next; i < len(payloads); i++ {
+		at, ok := resumed[i]
+		if !ok {
+			t.Fatalf("picture %d never went on the resumed connection", i)
+		}
+		if want := arrival(dialed[1], i-next); !within(at, want) {
+			t.Fatalf("resumed picture %d at %v, want %v", i, at.Sub(dialed[1]), want.Sub(dialed[1]))
+		}
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.rates != 0 {
+		t.Fatalf("%d rate notifications reached the server", srv.rates)
+	}
+	if len(srv.got) != len(payloads) {
+		t.Fatalf("server received %d distinct pictures, want %d", len(srv.got), len(payloads))
 	}
 }
 
@@ -177,7 +295,7 @@ func TestResumableSenderSurvivesMidStreamReset(t *testing.T) {
 // cannot match. The sender must stop with ErrDiverged before it
 // replays a byte.
 func TestResumableSenderRejectsByteWiseTag(t *testing.T) {
-	sched, payloads := testSchedule(t, 18)
+	_, payloads := testSchedule(t, 18)
 	const token = 778
 	const accept = 5
 
@@ -245,7 +363,7 @@ func TestResumableSenderRejectsByteWiseTag(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := rs.StreamSchedule(ctx, sched, payloads)
+	res, err := rs.Stream(ctx, payloads)
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("stream error %v, want ErrDiverged", err)
 	}
@@ -265,7 +383,7 @@ func TestResumableSenderRejectsByteWiseTag(t *testing.T) {
 // TestResumableSenderGivesUpAfterMaxAttempts: with nothing listening,
 // the loop must stop at MaxAttempts, not spin forever.
 func TestResumableSenderGivesUpAfterMaxAttempts(t *testing.T) {
-	sched, payloads := testSchedule(t, 9)
+	_, payloads := testSchedule(t, 9)
 	attempts := 0
 	rs := &ResumableSender{
 		Sender: Sender{TimeScale: 1000},
@@ -278,7 +396,7 @@ func TestResumableSenderGivesUpAfterMaxAttempts(t *testing.T) {
 		MaxAttempts: 3,
 		Seed:        1,
 	}
-	_, err := rs.StreamSchedule(context.Background(), sched, payloads)
+	_, err := rs.Stream(context.Background(), payloads)
 	if err == nil {
 		t.Fatal("stream with no server should fail")
 	}
@@ -290,7 +408,7 @@ func TestResumableSenderGivesUpAfterMaxAttempts(t *testing.T) {
 // TestResumableSenderTerminalOnRejection: an admission rejection is not
 // a fault — no retries, immediate error with the verdict preserved.
 func TestResumableSenderTerminalOnRejection(t *testing.T) {
-	sched, payloads := testSchedule(t, 9)
+	_, payloads := testSchedule(t, 9)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +438,7 @@ func TestResumableSenderTerminalOnRejection(t *testing.T) {
 		Hello: validHello(),
 		Seed:  1,
 	}
-	res, err := rs.StreamSchedule(context.Background(), sched, payloads)
+	res, err := rs.Stream(context.Background(), payloads)
 	if err == nil {
 		t.Fatal("rejected stream should error")
 	}
@@ -337,7 +455,7 @@ func TestResumableSenderTerminalOnRejection(t *testing.T) {
 // is refused as corrupt. The sender retries and gives up instead of
 // slicing its payloads at that watermark.
 func TestResumableSenderRefusesWrappedNextIndex(t *testing.T) {
-	sched, payloads := testSchedule(t, 9)
+	_, payloads := testSchedule(t, 9)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +491,7 @@ func TestResumableSenderRefusesWrappedNextIndex(t *testing.T) {
 		MaxAttempts: 2,
 		Backoff:     Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	}
-	if _, err := rs.StreamSchedule(context.Background(), sched, payloads); !errors.Is(err, ErrCorrupt) {
+	if _, err := rs.Stream(context.Background(), payloads); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("verdict with next index 2^31: %v, want ErrCorrupt", err)
 	}
 }

@@ -9,8 +9,9 @@ import (
 	"mpegsmooth/internal/mpeg"
 )
 
-// Clock abstracts time for the paced sender so tests can run with
-// compressed timescales.
+// Clock abstracts time for the Pacer so tests can run with compressed
+// timescales. Sleep returns ctx's error once ctx is done, even for
+// d ≤ 0: that is how paced loops notice cancellation.
 type Clock interface {
 	Now() time.Time
 	Sleep(ctx context.Context, d time.Duration) error
@@ -35,6 +36,62 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
+}
+
+// Pacer is the one pacing loop: both senders and smoothd's egress pace
+// through it. Schedule time t is the wall-clock instant Origin +
+// t/Scale seconds, and Pace writes at most Chunk bytes at a time.
+type Pacer struct {
+	Clock  Clock
+	Scale  float64
+	Chunk  int
+	Origin time.Time
+}
+
+// NewPacer returns a pacer on which schedule time now is the current
+// instant. A nil clock is RealClock, a scale ≤ 0 is 1 and a chunk ≤ 0
+// is 1024 bytes.
+func NewPacer(clock Clock, scale float64, chunk int, now float64) *Pacer {
+	if clock == nil {
+		clock = RealClock{}
+	}
+	if scale <= 0 {
+		scale = 1
+	}
+	if chunk <= 0 {
+		chunk = 1024
+	}
+	p := &Pacer{Clock: clock, Scale: scale, Chunk: chunk}
+	p.Origin = clock.Now().Add(-p.wall(now))
+	return p
+}
+
+// wall converts a schedule duration to a wall-clock one.
+func (p *Pacer) wall(t float64) time.Duration {
+	return time.Duration(t / p.Scale * float64(time.Second))
+}
+
+// Wait sleeps until schedule time t.
+func (p *Pacer) Wait(ctx context.Context, t float64) error {
+	return p.Clock.Sleep(ctx, p.Origin.Add(p.wall(t)).Sub(p.Clock.Now()))
+}
+
+// Pace hands payload to write in pieces of at most Chunk bytes, sleeping
+// after each so that byte b goes no earlier than schedule time start +
+// 8b/rate; at rate +Inf the pieces go back to back. The caller waits for
+// start itself.
+func (p *Pacer) Pace(ctx context.Context, start, rate float64, payload []byte, write func([]byte) error) error {
+	for sent := 0; sent < len(payload); {
+		end := min(sent+p.Chunk, len(payload))
+		if err := write(payload[sent:end]); err != nil {
+			return err
+		}
+		sent = end
+		if err := p.Wait(ctx, start+float64(sent)*8/rate); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sender transmits a smoothing schedule over a connection, pacing each
@@ -84,48 +141,16 @@ func (s *Sender) SendDecisions(ctx context.Context, w *FrameWriter, decisions []
 	if len(payloads) != len(decisions) {
 		return fmt.Errorf("transport: %d payloads for %d pictures", len(payloads), len(decisions))
 	}
-	return s.sendFrom(ctx, w, decisions, typeOf, payloads, 0)
-}
-
-// sendFrom paces decisions[start:] over w. For start > 0 (a resumed
-// stream) the pacing origin is shifted so the replay point transmits
-// immediately; the remaining schedule then keeps its original
-// inter-picture spacing, which bounds the delay overshoot by the outage
-// duration.
-func (s *Sender) sendFrom(ctx context.Context, w *FrameWriter, decisions []core.Decision, typeOf func(int) mpeg.PictureType, payloads [][]byte, start int) error {
-	chunk := s.Chunk
-	if chunk <= 0 {
-		chunk = 1024
-	}
-	clock := s.Clock
-	if clock == nil {
-		clock = RealClock{}
-	}
-	scale := s.TimeScale
-	if scale <= 0 {
-		scale = 1
-	}
 	if s.WriteTimeout > 0 && w.WriteTimeout == 0 {
 		w.WriteTimeout = s.WriteTimeout
 	}
-	origin := clock.Now()
-	if start > 0 && start < len(decisions) {
-		origin = origin.Add(-time.Duration(decisions[start].Start / scale * float64(time.Second)))
-	}
-	deadline := func(schedTime float64) time.Time {
-		return origin.Add(time.Duration(schedTime / scale * float64(time.Second)))
-	}
-
+	p := NewPacer(s.Clock, s.TimeScale, s.Chunk, 0)
 	lastRate := 0.0
-	for i := start; i < len(decisions); i++ {
-		d := decisions[i]
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	for i, d := range decisions {
 		// Wait for the scheduled start of the picture (continuous
 		// service makes this a no-op after the first picture, modulo
 		// pacing error).
-		if err := clock.Sleep(ctx, deadline(d.Start).Sub(clock.Now())); err != nil {
+		if err := p.Wait(ctx, d.Start); err != nil {
 			return err
 		}
 		if d.Rate != lastRate {
@@ -138,21 +163,8 @@ func (s *Sender) sendFrom(ctx context.Context, w *FrameWriter, decisions []core.
 		if err := w.WritePictureHeader(d.Picture, typeOf(d.Picture), payload); err != nil {
 			return fmt.Errorf("transport: picture header %d: %w", d.Picture, err)
 		}
-		// Pace the payload: after sending b bytes, the elapsed schedule
-		// time must be at least 8b/r_i.
-		sent := 0
-		for sent < len(payload) {
-			end := sent + chunk
-			if end > len(payload) {
-				end = len(payload)
-			}
-			if err := w.WriteChunk(payload[sent:end]); err != nil {
-				return fmt.Errorf("transport: picture %d payload: %w", d.Picture, err)
-			}
-			sent = end
-			if err := clock.Sleep(ctx, deadline(d.Start+float64(sent)*8/d.Rate).Sub(clock.Now())); err != nil {
-				return err
-			}
+		if err := p.Pace(ctx, d.Start, d.Rate, payload, w.WriteChunk); err != nil {
+			return fmt.Errorf("transport: picture %d payload: %w", d.Picture, err)
 		}
 	}
 	if err := w.WriteEnd(); err != nil {

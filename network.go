@@ -79,9 +79,9 @@ type (
 	// VerdictCode classifies an admission decision.
 	VerdictCode = transport.VerdictCode
 
-	// ResumableSender is the reconnect-and-resume streaming loop: dial,
-	// handshake, pace, and on a transient fault redial with jittered
-	// exponential backoff and replay from the server's NextIndex.
+	// ResumableSender is smoothd's client: dial, handshake, upload each
+	// picture at its encoder arrival, and on a transient fault redial
+	// with jittered exponential backoff and replay from NextIndex.
 	ResumableSender = transport.ResumableSender
 	// Backoff shapes the reconnect delays.
 	Backoff = transport.Backoff
