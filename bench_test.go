@@ -152,6 +152,39 @@ func BenchmarkSmoothPerPicture(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/picture")
 }
 
+// BenchmarkEvaluatePerPicture times Evaluate, the four measures against
+// ideal smoothing, over the benchmark's offline_mux trace set: the four
+// paper sequences at eight seeds, 270 pictures each, smoothed with K=1,
+// H=N, D=0.2. It reports ns per evaluated picture.
+func BenchmarkEvaluatePerPicture(b *testing.B) {
+	var scheds []*Schedule
+	pictures := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		seqs, err := PaperSequences(benchPictures, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tr := range seqs {
+			s, err := Smooth(tr, Config{K: 1, H: tr.GOP.N, D: 0.2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			scheds = append(scheds, s)
+			pictures += tr.Len()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range scheds {
+			if _, err := Evaluate(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pictures), "ns/picture")
+}
+
 // BenchmarkSmoothAll times the concurrent batch runner over many
 // streams, serial vs parallel, to show the worker pool's speedup.
 func BenchmarkSmoothAll(b *testing.B) {

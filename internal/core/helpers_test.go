@@ -15,20 +15,7 @@ func measuresFor(t testing.TB, tr *trace.Trace, cfg Config) metrics.Measures {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := Ideal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := s.RateFunc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idf, err := ideal.RateFunc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shift := float64(tr.GOP.N-cfg.K) * tr.Tau
-	m, err := metrics.Compute(rf, idf, shift, tr.Duration()+cfg.D)
+	m, err := s.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}

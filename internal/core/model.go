@@ -114,6 +114,27 @@ func (s *Schedule) RateFunc() (*metrics.StepFunc, error) {
 	return metrics.NewStepFunc(times, values, s.Depart[n-1])
 }
 
+// Evaluate computes the paper's four smoothness measures (Section 5.2)
+// for the schedule: r(t) against ideal smoothing of the same trace,
+// aligned by the (N−K)τ advance of Eq. 16, over the trace's duration
+// plus D.
+func (s *Schedule) Evaluate() (metrics.Measures, error) {
+	ideal, err := Ideal(s.Trace)
+	if err != nil {
+		return metrics.Measures{}, err
+	}
+	rf, err := s.RateFunc()
+	if err != nil {
+		return metrics.Measures{}, err
+	}
+	idf, err := ideal.RateFunc()
+	if err != nil {
+		return metrics.Measures{}, err
+	}
+	advance := float64(s.Trace.GOP.N-s.Config.K) * s.Trace.Tau
+	return metrics.Compute(rf, idf, advance, s.Trace.Duration()+s.Config.D)
+}
+
 // PeakRate returns the largest per-picture transmission rate: the
 // schedule's traffic descriptor. A sender declares it in a transport
 // StreamHello, and an admission controller reserves it against a shared

@@ -63,31 +63,11 @@ func MeasuresFor(tr *trace.Trace, cfg core.Config) (metrics.Measures, *core.Sche
 	if err != nil {
 		return metrics.Measures{}, nil, err
 	}
-	m, err := evaluateSchedule(tr, cfg, s)
+	m, err := s.Evaluate()
 	if err != nil {
 		return metrics.Measures{}, nil, err
 	}
 	return m, s, nil
-}
-
-// evaluateSchedule computes the four measures for an already-smoothed
-// schedule — the per-schedule tail of MeasuresFor, shared with the
-// batched sweeps.
-func evaluateSchedule(tr *trace.Trace, cfg core.Config, s *core.Schedule) (metrics.Measures, error) {
-	ideal, err := core.Ideal(tr)
-	if err != nil {
-		return metrics.Measures{}, err
-	}
-	rf, err := s.RateFunc()
-	if err != nil {
-		return metrics.Measures{}, err
-	}
-	idf, err := ideal.RateFunc()
-	if err != nil {
-		return metrics.Measures{}, err
-	}
-	advance := float64(tr.GOP.N-cfg.K) * tr.Tau
-	return metrics.Compute(rf, idf, advance, tr.Duration()+cfg.D)
 }
 
 // batchMeasures smooths every trace under one configuration on the
@@ -97,9 +77,9 @@ func batchMeasures(traces []*trace.Trace, cfg core.Config, parallelism int) ([]m
 	if err != nil {
 		return nil, err
 	}
-	out := make([]metrics.Measures, len(traces))
-	for i, tr := range traces {
-		m, err := evaluateSchedule(tr, cfg, scheds[i])
+	out := make([]metrics.Measures, len(scheds))
+	for i, s := range scheds {
+		m, err := s.Evaluate()
 		if err != nil {
 			return nil, err
 		}

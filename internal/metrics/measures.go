@@ -36,15 +36,10 @@ func Compute(r, ideal *StepFunc, advance, duration float64) (Measures, error) {
 	if duration <= 0 {
 		return Measures{}, fmt.Errorf("metrics: non-positive duration %v", duration)
 	}
-	shifted := ideal.Shift(-advance)
-	num, err := PositiveAreaDiff(r, shifted, 0, duration)
-	if err != nil {
-		return Measures{}, err
-	}
-	den, err := IntegralOver(shifted, 0, duration)
-	if err != nil {
-		return Measures{}, err
-	}
+	// Both integrals read the ideal as ideal.Shift(-advance) would hold
+	// it, without the copy.
+	num := positiveAreaDiff(&cursor{f: r}, &cursor{f: ideal, dt: -advance}, 0, duration)
+	den := integralOver(&cursor{f: ideal, dt: -advance}, 0, duration)
 	m := Measures{
 		RateChanges: r.Changes(RateChangeTolerance),
 		MaxRate:     r.Max(),

@@ -256,15 +256,50 @@ func TestStdShiftInvarianceProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkPositiveAreaDiff(b *testing.B) {
-	n := 1000
+// sawtooth returns a step function of n unit segments whose values
+// cycle through 0..16.
+func sawtooth(n int) *StepFunc {
 	times := make([]float64, n)
 	values := make([]float64, n)
 	for i := 0; i < n; i++ {
 		times[i] = float64(i)
 		values[i] = float64(i % 17)
 	}
-	f, _ := NewStepFunc(times, values, float64(n))
+	f, err := NewStepFunc(times, values, float64(n))
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// TestIntegralsZeroAlloc pins PositiveAreaDiff, IntegralOver and Compute
+// at zero allocations: the sweep reads both functions, and Compute's
+// translated ideal, where they lie.
+func TestIntegralsZeroAlloc(t *testing.T) {
+	f := sawtooth(270)
+	g := f.Shift(0.25)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"PositiveAreaDiff", func() error { _, err := PositiveAreaDiff(f, g, 0, 270); return err }},
+		{"IntegralOver", func() error { _, err := IntegralOver(g, 0, 270); return err }},
+		{"Compute", func() error { _, err := Compute(f, g, 0.3, 270); return err }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f objects, want 0", c.name, allocs)
+		}
+	}
+}
+
+func BenchmarkPositiveAreaDiff(b *testing.B) {
+	n := 1000
+	f := sawtooth(n)
 	g := f.Shift(0.25)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -146,54 +146,101 @@ func (f *StepFunc) Compact() *StepFunc {
 // functions are evaluated as 0 outside their support.
 func PositiveAreaDiff(f, g *StepFunc, from, to float64) (float64, error) {
 	if to <= from {
-		return 0, errors.New("metrics: empty interval")
+		return 0, errEmptyInterval
 	}
-	cuts := mergeCuts(f, g, from, to)
-	var sum float64
-	for i := 0; i+1 < len(cuts); i++ {
-		mid := (cuts[i] + cuts[i+1]) / 2
-		if d := f.At(mid) - g.At(mid); d > 0 {
-			sum += d * (cuts[i+1] - cuts[i])
-		}
-	}
-	return sum, nil
+	return positiveAreaDiff(&cursor{f: f}, &cursor{f: g}, from, to), nil
 }
 
 // IntegralOver computes ∫ f dt over [from, to), evaluating f as 0 outside
 // its support.
 func IntegralOver(f *StepFunc, from, to float64) (float64, error) {
 	if to <= from {
-		return 0, errors.New("metrics: empty interval")
+		return 0, errEmptyInterval
 	}
-	cuts := mergeCuts(f, f, from, to)
-	var sum float64
-	for i := 0; i+1 < len(cuts); i++ {
-		mid := (cuts[i] + cuts[i+1]) / 2
-		sum += f.At(mid) * (cuts[i+1] - cuts[i])
-	}
-	return sum, nil
+	return integralOver(&cursor{f: f}, from, to), nil
 }
 
-// mergeCuts returns the sorted, deduplicated breakpoints of f and g
-// clipped to [from, to], including both endpoints.
-func mergeCuts(f, g *StepFunc, from, to float64) []float64 {
-	cuts := []float64{from, to}
-	for _, fn := range []*StepFunc{f, g} {
-		for _, t := range fn.Times {
-			if t > from && t < to {
-				cuts = append(cuts, t)
-			}
+var errEmptyInterval = errors.New("metrics: empty interval")
+
+// positiveAreaDiff is PositiveAreaDiff over two cursors, for from < to.
+// Like integralOver, it cuts [from, to) at every breakpoint inside it,
+// found by merging the cursors' breakpoints, and sums gap by gap in
+// ascending order the integrand read at each gap's midpoint (a+b)/2.
+// The cuts, the order of the sum, the midpoint and At's tie rule decide
+// the result's float bits; the tests hold both integrals to that
+// definition bit for bit.
+func positiveAreaDiff(f, g *cursor, from, to float64) float64 {
+	var sum float64
+	for a := from; a < to; {
+		b := to
+		if c := f.cutAfter(a); c < b {
+			b = c
 		}
-		if fn.End > from && fn.End < to {
-			cuts = append(cuts, fn.End)
+		if c := g.cutAfter(a); c < b {
+			b = c
+		}
+		mid := (a + b) / 2
+		if d := f.at(mid) - g.at(mid); d > 0 {
+			sum += d * (b - a)
+		}
+		a = b
+	}
+	return sum
+}
+
+// integralOver is IntegralOver over a cursor, for from < to.
+func integralOver(f *cursor, from, to float64) float64 {
+	var sum float64
+	for a := from; a < to; {
+		b := to
+		if c := f.cutAfter(a); c < b {
+			b = c
+		}
+		sum += f.at((a+b)/2) * (b - a)
+		a = b
+	}
+	return sum
+}
+
+// cursor reads f translated right by dt, as f.Shift(dt) would hold it
+// (breakpoints Times[k]+dt and End+dt), without copying f. Both of its
+// methods only move forward: successive calls must pass non-decreasing
+// times.
+type cursor struct {
+	f    *StepFunc
+	dt   float64
+	next int // Times before next are at or before the last cutAfter's t
+	lo   int // Times before lo lie strictly before the last at's t
+}
+
+// cutAfter returns the first breakpoint after t, or +Inf.
+func (c *cursor) cutAfter(t float64) float64 {
+	n := len(c.f.Times)
+	for ; c.next < n; c.next++ {
+		if x := c.f.Times[c.next] + c.dt; x > t {
+			return x
 		}
 	}
-	sort.Float64s(cuts)
-	out := cuts[:1]
-	for _, c := range cuts[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
+	if end := c.f.End + c.dt; end > t {
+		return end
 	}
-	return out
+	return math.Inf(1)
+}
+
+// at returns the value At(t) gives on the translated function. Where
+// rounding in the translation made breakpoints equal, the first of them
+// owns t, as sort.SearchFloat64s finds it.
+func (c *cursor) at(t float64) float64 {
+	times := c.f.Times
+	if t < times[0]+c.dt || t >= c.f.End+c.dt {
+		return 0
+	}
+	for c.lo < len(times) && times[c.lo]+c.dt < t {
+		c.lo++
+	}
+	k := c.lo
+	if k == len(times) || times[k]+c.dt > t {
+		k--
+	}
+	return c.f.Values[k]
 }

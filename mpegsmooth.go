@@ -247,22 +247,7 @@ func RawRateFunc(tr *Trace) (*StepFunc, error) {
 // Evaluate computes the paper's four smoothness measures for a schedule,
 // comparing its rate function against ideal smoothing with the (N−K)τ
 // alignment of Eq. 16.
-func Evaluate(s *Schedule) (Measures, error) {
-	ideal, err := core.Ideal(s.Trace)
-	if err != nil {
-		return Measures{}, err
-	}
-	rf, err := s.RateFunc()
-	if err != nil {
-		return Measures{}, err
-	}
-	idf, err := ideal.RateFunc()
-	if err != nil {
-		return Measures{}, err
-	}
-	advance := float64(s.Trace.GOP.N-s.Config.K) * s.Trace.Tau
-	return metrics.Compute(rf, idf, advance, s.Trace.Duration()+s.Config.D)
-}
+func Evaluate(s *Schedule) (Measures, error) { return s.Evaluate() }
 
 // SummarizeDelays computes delay statistics for a schedule against its
 // configured bound.
