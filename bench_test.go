@@ -152,6 +152,32 @@ func BenchmarkSmoothPerPicture(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/picture")
 }
 
+// BenchmarkSessionPush times the live path smoothd runs: a Session that
+// knows Driving1's length, fed one picture per Push and then closed,
+// reported per picture.
+func BenchmarkSessionPush(b *testing.B) {
+	tr, err := Driving1(benchPictures, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{K: 1, H: tr.GOP.N, D: 0.2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := NewSession(tr.Tau, tr.GOP, cfg, WithLength(tr.Len()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range tr.Sizes {
+			if _, err := sess.Push(size); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sess.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/picture")
+}
+
 // BenchmarkEvaluatePerPicture times Evaluate, the four measures against
 // ideal smoothing, over the benchmark's offline_mux trace set: the four
 // paper sequences at eight seeds, 270 pictures each, smoothed with K=1,

@@ -93,7 +93,7 @@ func TestTheorem1HoldsAcrossPatternChange(t *testing.T) {
 func TestNearestTypeEstimator(t *testing.T) {
 	tr := adaptiveTrace(90, 5)
 	now := 40 * tr.Tau // pictures 0..39 arrived
-	v := View{tau: tr.Tau, gop: tr.GOP, types: tr.Types, sizes: tr.Sizes, now: now}
+	v := viewAt(tr, now)
 	est := NearestTypeEstimator{}
 	// The estimate for a future picture equals the most recent arrived
 	// picture of the same type.
@@ -109,7 +109,7 @@ func TestNearestTypeEstimator(t *testing.T) {
 		t.Fatalf("estimate %d, want %d", got, want)
 	}
 	// Cold start: defaults.
-	v0 := View{tau: tr.Tau, gop: tr.GOP, types: tr.Types, sizes: tr.Sizes, now: 0}
+	v0 := viewAt(tr, 0)
 	if got := est.Estimate(0, v0); got != DefaultInitialSizes[tr.TypeOf(0)] {
 		t.Fatalf("cold-start estimate %d", got)
 	}

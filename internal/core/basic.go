@@ -50,7 +50,8 @@ func scheduleFrom(tr *trace.Trace, cfg Config, ds []Decision) *Schedule {
 		LowerBound: make([]float64, n),
 		UpperBound: make([]float64, n),
 	}
-	for _, d := range ds {
+	for i := range ds {
+		d := &ds[i]
 		j := d.Picture
 		s.Rates[j] = d.Rate
 		s.Start[j] = d.Start

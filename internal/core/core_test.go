@@ -40,6 +40,10 @@ func TestConfigValidate(t *testing.T) {
 		"zero H":           {K: 1, D: 0.2, H: 0},
 		"zero D":           {K: 1, D: 0, H: 9},
 		"D below (K+1)tau": {K: 5, D: 0.1, H: 9},
+		"NaN D":            {K: 1, D: math.NaN(), H: 9},
+		"infinite D":       {K: 1, D: math.Inf(1), H: 9},
+		"NaN D, K=0":       {K: 0, D: math.NaN(), H: 9},
+		"infinite D, K=0":  {K: 0, D: math.Inf(1), H: 9},
 	} {
 		if err := bad.Validate(tau); err == nil {
 			t.Errorf("%s should fail", name)
@@ -335,7 +339,7 @@ func TestIdealPartialLastBlock(t *testing.T) {
 func TestEstimators(t *testing.T) {
 	tr := paperTrace(t, 90)
 	now := 30 * tr.Tau // pictures 0..29 arrived
-	v := View{tau: tr.Tau, gop: tr.GOP, sizes: tr.Sizes, now: now}
+	v := viewAt(tr, now)
 
 	if !v.Arrived(29) || v.Arrived(30) {
 		t.Fatal("arrival horizon wrong")
@@ -351,7 +355,7 @@ func TestEstimators(t *testing.T) {
 		t.Errorf("deep pattern estimate %d, want %d", got, tr.Sizes[26])
 	}
 	// Start of sequence with nothing arrived: defaults.
-	v0 := View{tau: tr.Tau, gop: tr.GOP, sizes: tr.Sizes, now: 0}
+	v0 := viewAt(tr, 0)
 	if got := pat.Estimate(0, v0); got != DefaultInitialSizes[mpeg.TypeI] {
 		t.Errorf("initial I estimate %d", got)
 	}

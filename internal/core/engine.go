@@ -16,17 +16,30 @@ type engine struct {
 	cfg    Config
 	policy Policy
 	tau    float64
-	gop    mpeg.GOP
-	types  []mpeg.PictureType // explicit types for adaptive-pattern traces
+	// view, bounds and state are the per-decision values decide refills
+	// for every picture and hands to the estimator and the policy by
+	// pointer. They are fields, not locals of decide, because a local
+	// passed by address through an interface call escapes to the heap.
+	view   View
+	bounds Bounds
+	state  State
 }
 
 // newEngine resolves the configured policy once so decide stays
 // allocation-free on the hot path.
-func newEngine(cfg Config, tau float64, gop mpeg.GOP, types []mpeg.PictureType) *engine {
-	return &engine{cfg: cfg, policy: cfg.policy(), tau: tau, gop: gop, types: types}
+func newEngine(cfg Config, tau float64, gop mpeg.GOP) *engine {
+	return &engine{cfg: cfg, policy: cfg.policy(), tau: tau, view: View{tau: tau, gop: gop}}
 }
 
-// decide schedules picture j.
+// start is t_j, Eq. (2): the server may begin sending picture j once
+// the previous picture has departed (depart = d_{j−1}) and pictures
+// j .. j+K−1 have arrived (the K-th arrives by (j+K)τ in 0-based
+// indexing).
+func (e *engine) start(j int, depart float64) float64 {
+	return max(depart, float64(j+e.cfg.K)*e.tau)
+}
+
+// decide schedules picture j into *d.
 //
 //	sizes    the prefix of picture sizes the system has learned so far;
 //	         must include picture j and every picture visible at t_j
@@ -39,14 +52,12 @@ func newEngine(cfg Config, tau float64, gop mpeg.GOP, types []mpeg.PictureType) 
 // arrived at t_j; the rest of the window is estimated, and the returned
 // estimate records which pictures those were, so the caller can score
 // the estimator once their actual sizes are known.
-func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) (Decision, estimate) {
-	cfg := e.cfg
+func (e *engine) decide(j int, sizes []int64, depart, held float64, end int, d *Decision) estimate {
+	cfg := &e.cfg
 	tau := e.tau
-	// Eq. (2): the server may begin sending picture j once the previous
-	// picture has departed and pictures j .. j+K−1 have arrived (the
-	// K-th arrives by (j+K)τ in 0-based indexing).
-	now := math.Max(depart, float64(j+cfg.K)*tau)
-	view := View{tau: tau, gop: e.gop, types: e.types, sizes: sizes, now: now}
+	now := e.start(j, depart)
+	e.view.at(sizes, now)
+	arrived := e.view.arrived
 
 	// Inner lookahead loop: accumulate the running max of lower bounds
 	// (12) and min of upper bounds (13) for h = 0 .. H−1. Arrivals are
@@ -57,19 +68,17 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) (De
 		upper    = math.Inf(1)
 		lowerOld = 0.0
 		upperOld = math.Inf(1)
-		arrived  int     // window pictures whose actual size is known
-		estBits  float64 // estimated bits for the rest of the window
+		estBits  float64 // estimated bits for the window's tail
 	)
 	h := 0
 	for {
 		if end >= 0 && j+h >= end {
 			break // finite sequence: nothing to look ahead at
 		}
-		if actual, ok := view.Size(j + h); ok {
-			sum += float64(actual)
-			arrived++
+		if i := j + h; i < arrived {
+			sum += float64(sizes[i])
 		} else {
-			bits := float64(cfg.Estimator.Estimate(j+h, view))
+			bits := float64(cfg.Estimator.Estimate(i, &e.view))
 			sum += bits
 			estBits += bits
 		}
@@ -82,39 +91,40 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) (De
 		if ub := float64(cfg.K+j+1+h) * tau; now < ub {
 			u = sum / (ub - now)
 		}
-		lower = math.Max(l, lower)
-		upper = math.Min(u, upper)
+		lower = max(l, lower)
+		upper = min(u, upper)
 		h++
 		if lower > upper || h >= cfg.H {
 			break
 		}
 	}
 
-	bounds := Bounds{
+	e.bounds = Bounds{
 		Lower: lower, Upper: upper,
 		LowerPrev: lowerOld, UpperPrev: upperOld,
 		Crossed: lower > upper,
 		Sum:     sum,
 		Depth:   h,
 	}
-	rate := e.policy.Select(bounds, State{
+	e.state = State{
 		Picture:  j,
 		Held:     held,
 		Now:      now,
 		Tau:      tau,
-		PatternN: e.gop.N,
-	})
+		PatternN: e.view.gop.N,
+	}
+	rate := e.policy.Select(&e.bounds, &e.state)
 	if math.IsInf(rate, 1) || rate <= 0 {
 		// Only reachable in K = 0 runs whose delay bound is already
 		// unsatisfiable (the lower-bound denominator went negative).
 		// Fall back to draining the picture within one period.
-		rate = math.Max(float64(sizes[j])/tau, 1)
+		rate = max(float64(sizes[j])/tau, 1)
 	}
 
 	// Eqs. (3)–(4) with the picture's ACTUAL size: the transmitter
 	// always sends real bits, whatever the estimator believed.
 	actual := float64(sizes[j])
-	d := Decision{
+	*d = Decision{
 		Picture:   j,
 		Rate:      rate,
 		Start:     now,
@@ -136,8 +146,15 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int) (De
 	}
 	// A policy (or the K = 0 fallback) may force a rate outside the
 	// Theorem 1 band; record the transgression rather than correct it.
-	d.OutOfBand = rate < d.Lower*(1-1e-12)-1e-9 || rate > d.Upper*(1+1e-12)+1e-9
-	return d, estimate{from: j + arrived, to: j + h, bits: estBits}
+	d.OutOfBand = outOfBand(rate, d.Lower, d.Upper)
+	// The window's arrived pictures are [j, from), the rest estimated.
+	return estimate{from: min(max(arrived, j), j+h), to: j + h, bits: estBits}
+}
+
+// outOfBand reports that rate lies outside the Theorem 1 band
+// [lower, upper] beyond float tolerance.
+func outOfBand(rate, lower, upper float64) bool {
+	return rate < lower*(1-1e-12)-1e-9 || rate > upper*(1+1e-12)+1e-9
 }
 
 // estimate is the part of a decision's lookahead window the kernel had

@@ -161,3 +161,31 @@ func TestK0FallbackRate(t *testing.T) {
 		t.Fatalf("conservation violated at %d", v)
 	}
 }
+
+// TestArrivals checks the kernel's one arrival count against its
+// definition, picture by picture: picture i has arrived by now exactly
+// when (i+1)τ ≤ now. The times probed sit on and one ulp either side of
+// every arrival instant, where a count that divided now by τ without
+// checking the product would be off by one.
+func TestArrivals(t *testing.T) {
+	for _, tau := range []float64{1.0 / 30, 1.0 / 25, 1001.0 / 30000, 0.1, 3} {
+		for _, n := range []int{0, 1, 7, 300} {
+			nows := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -tau, 0}
+			for k := 1; k <= n+2; k++ {
+				at := float64(k) * tau
+				nows = append(nows, math.Nextafter(at, 0), at, math.Nextafter(at, math.Inf(1)))
+			}
+			for _, now := range nows {
+				want := 0
+				for i := 0; i < n; i++ {
+					if float64(i+1)*tau <= now {
+						want++
+					}
+				}
+				if got := arrivals(now, tau, n); got != want {
+					t.Fatalf("arrivals(%v, %v, %d) = %d, want %d", now, tau, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -12,31 +12,63 @@ import (
 //
 // A View holds the prefix of picture sizes the system has learned so far
 // — the whole trace for offline smoothing, the pushed prefix for a live
-// Session — plus the observation time that decides which of those
-// count as "arrived".
+// Session — plus how many of them count as "arrived" at the observation
+// time. The kernel hands its estimator a pointer to the one View it
+// refills for every decision: the View is read-only, valid only during
+// the Estimate call, and must not be retained.
 type View struct {
-	tau   float64
-	gop   mpeg.GOP
-	types []mpeg.PictureType // explicit per-picture types; nil = follow gop
-	sizes []int64
-	now   float64
+	tau     float64
+	gop     mpeg.GOP
+	types   []mpeg.PictureType // explicit per-picture types; nil = follow gop
+	sizes   []int64
+	arrived int // sizes[:arrived] have arrived at the observation time
+}
+
+// at points the view at the learned sizes as observed at time now.
+func (v *View) at(sizes []int64, now float64) {
+	v.sizes = sizes
+	v.arrived = arrivals(now, v.tau, len(sizes))
+}
+
+// arrivals counts the pictures among the first n that have fully
+// arrived (been encoded) by time now. The S_i bits of picture i arrive
+// during (iτ, (i+1)τ] in 0-based indexing, so picture i has arrived
+// once (i+1)τ ≤ now; (i+1)τ rounds monotonically in i, so the arrived
+// pictures are a prefix. This is the kernel's only arrival test: the
+// estimator's View and a live Session's wait for that View both count
+// through it, so live and offline views agree bit for bit.
+func arrivals(now, tau float64, n int) int {
+	if n <= 0 || !(now >= tau) { // also false for a NaN now
+		return 0
+	}
+	if now >= float64(n)*tau {
+		return n
+	}
+	c := int(now / tau) // off by at most one; now < nτ keeps it in range
+	for c < n && float64(c+1)*tau <= now {
+		c++
+	}
+	for c > 0 && float64(c)*tau > now {
+		c--
+	}
+	return c
 }
 
 // Len returns the number of pictures whose sizes the system has learned
 // (arrived or not). Arrivals are always a prefix of this.
-func (v View) Len() int { return len(v.sizes) }
+func (v *View) Len() int { return len(v.sizes) }
 
 // Tau returns the picture period.
-func (v View) Tau() float64 { return v.tau }
+func (v *View) Tau() float64 { return v.tau }
 
 // N returns the pattern length.
-func (v View) N() int { return v.gop.N }
+func (v *View) N() int { return v.gop.N }
 
 // Type returns the picture type at display index j: the explicit type
 // when the trace carries one (adaptive-pattern encoders), otherwise the
 // repeating pattern's. Types of future pictures come from the pattern —
 // the paper's premise that the type sequence is known a priori.
-func (v View) Type(j int) mpeg.PictureType {
+func (v *View) Type(j int) mpeg.PictureType {
 	if v.types != nil && j >= 0 && j < len(v.types) {
 		return v.types[j]
 	}
@@ -46,12 +78,12 @@ func (v View) Type(j int) mpeg.PictureType {
 // Arrived reports whether picture j has fully arrived (encoded) at the
 // view's time: the S_j bits arrive during ((j)τ, (j+1)τ] in 0-based
 // indexing.
-func (v View) Arrived(j int) bool {
-	return j >= 0 && j < len(v.sizes) && v.now >= float64(j+1)*v.tau
+func (v *View) Arrived(j int) bool {
+	return j >= 0 && j < v.arrived
 }
 
 // Size returns the actual size of picture j if it has arrived.
-func (v View) Size(j int) (int64, bool) {
+func (v *View) Size(j int) (int64, bool) {
 	if !v.Arrived(j) {
 		return 0, false
 	}
@@ -61,8 +93,9 @@ func (v View) Size(j int) (int64, bool) {
 // Estimator predicts the size of a picture that has not yet arrived.
 type Estimator interface {
 	// Estimate returns the predicted size in bits of picture j (which has
-	// not arrived in view v).
-	Estimate(j int, v View) int64
+	// not arrived in view v). v points at the kernel's per-decision
+	// View: read it during the call only, and never retain it.
+	Estimate(j int, v *View) int64
 	// Name identifies the estimator in experiment output.
 	Name() string
 }
@@ -93,7 +126,7 @@ type NearestTypeEstimator struct {
 func (NearestTypeEstimator) Name() string { return "nearest-type" }
 
 // Estimate implements Estimator.
-func (e NearestTypeEstimator) Estimate(j int, v View) int64 {
+func (e NearestTypeEstimator) Estimate(j int, v *View) int64 {
 	ty := v.Type(j)
 	start := j - 1
 	if start >= v.Len() {
@@ -128,7 +161,7 @@ type PatternEstimator struct {
 func (PatternEstimator) Name() string { return "pattern" }
 
 // Estimate implements Estimator.
-func (e PatternEstimator) Estimate(j int, v View) int64 {
+func (e PatternEstimator) Estimate(j int, v *View) int64 {
 	for jj := j - v.N(); jj >= 0; jj -= v.N() {
 		if s, ok := v.Size(jj); ok {
 			return s
@@ -150,7 +183,7 @@ type TypeMeanEstimator struct{}
 func (TypeMeanEstimator) Name() string { return "type-mean" }
 
 // Estimate implements Estimator.
-func (TypeMeanEstimator) Estimate(j int, v View) int64 {
+func (TypeMeanEstimator) Estimate(j int, v *View) int64 {
 	ty := v.Type(j)
 	var sum, n int64
 	for jj := 0; jj < v.Len(); jj++ {
@@ -182,7 +215,7 @@ type EWMAEstimator struct {
 func (EWMAEstimator) Name() string { return "ewma" }
 
 // Estimate implements Estimator.
-func (e EWMAEstimator) Estimate(j int, v View) int64 {
+func (e EWMAEstimator) Estimate(j int, v *View) int64 {
 	alpha := e.Alpha
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
@@ -220,7 +253,7 @@ type OracleEstimator struct{}
 func (OracleEstimator) Name() string { return "oracle" }
 
 // Estimate implements Estimator.
-func (OracleEstimator) Estimate(j int, v View) int64 {
+func (OracleEstimator) Estimate(j int, v *View) int64 {
 	if j >= 0 && j < len(v.sizes) {
 		return v.sizes[j]
 	}

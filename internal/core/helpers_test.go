@@ -21,3 +21,11 @@ func measuresFor(t testing.TB, tr *trace.Trace, cfg Config) metrics.Measures {
 	}
 	return m
 }
+
+// viewAt is the View the kernel hands an estimator at time now when it
+// has learned all of tr's sizes.
+func viewAt(tr *trace.Trace, now float64) *View {
+	v := &View{tau: tr.Tau, gop: tr.GOP, types: tr.Types}
+	v.at(tr.Sizes, now)
+	return v
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -238,6 +239,18 @@ func TestLiveValidation(t *testing.T) {
 	gop := mpeg.GOP{M: 3, N: 9}
 	if _, err := NewSession(0, gop, Config{K: 1, H: 9, D: 0.2}); err == nil {
 		t.Error("zero tau should fail")
+	}
+	for _, tau := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, k := range []int{0, 1} {
+			if _, err := NewSession(tau, gop, Config{K: k, H: 9, D: 0.2}); err == nil {
+				t.Errorf("tau %v with K = %d should fail", tau, k)
+			}
+		}
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewSession(1.0/30, gop, Config{K: 1, H: 9, D: d}); err == nil {
+			t.Errorf("D = %v should fail", d)
+		}
 	}
 	if _, err := NewSession(1.0/30, mpeg.GOP{M: 3, N: 10}, Config{K: 1, H: 9, D: 0.2}); err == nil {
 		t.Error("bad GOP should fail")

@@ -66,8 +66,8 @@ func (c Config) Validate(tau float64) error {
 	if c.H < 1 {
 		return fmt.Errorf("core: H = %d must be >= 1", c.H)
 	}
-	if c.D <= 0 {
-		return fmt.Errorf("core: D = %v must be positive", c.D)
+	if !(c.D > 0) || math.IsInf(c.D, 1) {
+		return fmt.Errorf("core: D = %v must be positive and finite", c.D)
 	}
 	// Eq. (1): D >= (K+1)τ. Required for K >= 1; for the K = 0
 	// experiments any positive D is accepted (violations are the point).
@@ -188,7 +188,7 @@ func (s *Schedule) CheckContinuousService() int {
 // Theorem 1). It returns the first violating picture, or -1.
 func (s *Schedule) CheckRatesWithinBounds() int {
 	for i, r := range s.Rates {
-		if r < s.LowerBound[i]*(1-1e-12)-1e-9 || r > s.UpperBound[i]*(1+1e-12)+1e-9 {
+		if outOfBand(r, s.LowerBound[i], s.UpperBound[i]) {
 			return i
 		}
 	}
@@ -205,7 +205,7 @@ func (s *Schedule) CheckRatesWithinBounds() int {
 func (s *Schedule) PolicyViolations() []int {
 	var out []int
 	for i, r := range s.Rates {
-		if r < s.LowerBound[i]*(1-1e-12)-1e-9 || r > s.UpperBound[i]*(1+1e-12)+1e-9 {
+		if outOfBand(r, s.LowerBound[i], s.UpperBound[i]) {
 			out = append(out, i)
 		}
 	}

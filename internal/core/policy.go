@@ -35,7 +35,7 @@ type Bounds struct {
 // (Section 4.3): the bounds crossed at lookahead h−1, and exactly one of
 // them moved in the crossing iteration; selecting the stale bound defers
 // the next forced rate change as long as possible.
-func (b Bounds) crossingRate() float64 {
+func (b *Bounds) crossingRate() float64 {
 	if b.Lower > b.LowerPrev {
 		return b.Upper // upper did not move: upper == UpperPrev
 	}
@@ -43,7 +43,7 @@ func (b Bounds) crossingRate() float64 {
 }
 
 // clamp restricts rate to the accumulated band.
-func (b Bounds) clamp(rate float64) float64 {
+func (b *Bounds) clamp(rate float64) float64 {
 	if rate > b.Upper {
 		return b.Upper
 	}
@@ -78,13 +78,17 @@ type State struct {
 // the kernel records the transgression in Decision.OutOfBand and
 // Schedule.PolicyViolations rather than silently correcting it.
 //
+// b and s point at the kernel's own per-decision Bounds and State,
+// which it refills for every picture: they are read-only, valid only
+// during the call, and must not be retained.
+//
 // Policies must be stateless (or at least safe for concurrent use by
 // value): SmoothAll shares one Config — and therefore one Policy value —
 // across its worker pool.
 type Policy interface {
 	// Select returns the rate r_j in bits/second for the picture
 	// described by s, given the accumulated bounds b.
-	Select(b Bounds, s State) float64
+	Select(b *Bounds, s *State) float64
 	// Name identifies the policy in experiment output and flags.
 	Name() string
 }
@@ -99,7 +103,7 @@ type BasicPolicy struct{}
 func (BasicPolicy) Name() string { return "basic" }
 
 // Select implements Policy.
-func (BasicPolicy) Select(b Bounds, s State) float64 {
+func (BasicPolicy) Select(b *Bounds, s *State) float64 {
 	if b.Crossed {
 		return b.crossingRate()
 	}
@@ -120,7 +124,7 @@ type MovingAveragePolicy struct{}
 func (MovingAveragePolicy) Name() string { return "moving-average" }
 
 // Select implements Policy.
-func (MovingAveragePolicy) Select(b Bounds, s State) float64 {
+func (MovingAveragePolicy) Select(b *Bounds, s *State) float64 {
 	if b.Crossed {
 		return b.crossingRate()
 	}
@@ -164,7 +168,7 @@ func (c CappedRate) Validate() error {
 }
 
 // Select implements Policy.
-func (c CappedRate) Select(b Bounds, s State) float64 {
+func (c CappedRate) Select(b *Bounds, s *State) float64 {
 	inner := c.Inner
 	if inner == nil {
 		inner = BasicPolicy{}
@@ -188,7 +192,7 @@ type MinimumVariability struct{}
 func (MinimumVariability) Name() string { return "min-var" }
 
 // Select implements Policy.
-func (MinimumVariability) Select(b Bounds, s State) float64 {
+func (MinimumVariability) Select(b *Bounds, s *State) float64 {
 	if b.Crossed {
 		return b.crossingRate()
 	}

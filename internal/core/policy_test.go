@@ -29,37 +29,85 @@ func scheduleFingerprint(s *Schedule) uint64 {
 	return h.Sum64()
 }
 
-// TestPolicyGoldenSchedules pins the basic and moving-average
-// schedules to fingerprints captured from the seed (pre-Policy)
-// decision kernel on all four paper sequences (108 pictures, seed 1,
-// K=1, H=N, D=0.2). Any drift means the kernel arithmetic changed, not
-// just its structure. A nil Policy must be BasicPolicy, bit for bit.
+// TestPolicyGoldenSchedules pins every policy's and every estimator's
+// schedule to fingerprints on all four paper sequences (108 pictures,
+// seed 1, K=1, H=N, D=0.2). The basic and moving-average rows were
+// captured from the seed (pre-Policy) decision kernel; the rest from
+// the kernel before its plug-ins took View, Bounds and State by
+// pointer. Any drift means the kernel arithmetic changed, not just its
+// structure. A nil Policy must be BasicPolicy, bit for bit. Each
+// estimator runs under the basic policy, and each sequence's cap lies
+// below its basic peak, so the capped row pins a cap that binds.
 func TestPolicyGoldenSchedules(t *testing.T) {
 	golden := map[string]map[string]uint64{
-		"Driving1": {"basic": 0xc7a82ecae498361, "moving-average": 0x895365b70d6924ac},
-		"Driving2": {"basic": 0xa00c87213996aa85, "moving-average": 0xc2bedcf6ab4529f4},
-		"Tennis":   {"basic": 0xdc4a7c6db4d03ef0, "moving-average": 0x624cfd70d0f092ba},
-		"Backyard": {"basic": 0xe75eecf6bbe5cab8, "moving-average": 0x2d758bc7c168e727},
+		"Driving1": {
+			"basic": 0xc7a82ecae498361, "moving-average": 0x895365b70d6924ac,
+			"min-var": 0xf6f476ea8de9782e, "capped": 0xeba2ee0df2d1199c,
+			"nearest-type": 0x1614de942a927602, "type-mean": 0x1c9162bb15932bb8,
+			"ewma": 0x6971285c586803ec, "oracle": 0xa436a34caa090522,
+		},
+		"Driving2": {
+			"basic": 0xa00c87213996aa85, "moving-average": 0xc2bedcf6ab4529f4,
+			"min-var": 0x82edf9c7309ff2eb, "capped": 0x48aecc0083371df9,
+			"nearest-type": 0xc292a7e4bfc55218, "type-mean": 0x1a83b8a9aa317ab2,
+			"ewma": 0xa67c77bccb44755e, "oracle": 0x74627b9c0baa35e4,
+		},
+		"Tennis": {
+			"basic": 0xdc4a7c6db4d03ef0, "moving-average": 0x624cfd70d0f092ba,
+			"min-var": 0x23f4229d57fca705, "capped": 0xe85cbb69209af514,
+			"nearest-type": 0x2acf178b2baefeaa, "type-mean": 0x5ccb7fecebc9603c,
+			"ewma": 0x13b9e7d88a774563, "oracle": 0x856e0559085c4555,
+		},
+		"Backyard": {
+			"basic": 0xe75eecf6bbe5cab8, "moving-average": 0x2d758bc7c168e727,
+			"min-var": 0x2848823c853af3da, "capped": 0x2144a06822dc17e3,
+			"nearest-type": 0xc0a810699669c708, "type-mean": 0x8f4c4fd9c4c16322,
+			"ewma": 0x19abcce7b8bfea59, "oracle": 0x6cfc2a4944a26edc,
+		},
 	}
+	caps := map[string]float64{"Driving1": 2.6e6, "Driving2": 2.7e6, "Tennis": 1.9e6, "Backyard": 1.2e6}
 	seqs, err := trace.PaperSequences(108, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range seqs {
-		for _, p := range []Policy{nil, BasicPolicy{}, MovingAveragePolicy{}} {
-			s, err := Smooth(tr, Config{K: 1, H: tr.GOP.N, D: 0.2, Policy: p})
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"basic", Config{}},
+			{"basic", Config{Policy: BasicPolicy{}}},
+			{"moving-average", Config{Policy: MovingAveragePolicy{}}},
+			{"min-var", Config{Policy: MinimumVariability{}}},
+			{"capped", Config{Policy: CappedRate{Cap: caps[tr.Name]}}},
+			{"nearest-type", Config{Estimator: NearestTypeEstimator{}}},
+			{"type-mean", Config{Estimator: TypeMeanEstimator{}}},
+			{"ewma", Config{Estimator: EWMAEstimator{}}},
+			{"oracle", Config{Estimator: OracleEstimator{}}},
+		} {
+			cfg := c.cfg
+			cfg.K, cfg.H, cfg.D = 1, tr.GOP.N, 0.2
+			s, err := Smooth(tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := "basic"
-			if p != nil {
-				name = p.Name()
+			if got, want := scheduleFingerprint(s), golden[tr.Name][c.name]; got != want {
+				t.Errorf("%s %s (Policy %v, Estimator %v): schedule fingerprint %#x, want %#x (kernel arithmetic changed)",
+					tr.Name, c.name, cfg.Policy, cfg.Estimator, got, want)
 			}
-			if got, want := scheduleFingerprint(s), golden[tr.Name][name]; got != want {
-				t.Errorf("%s %s (Policy %v): schedule fingerprint %#x, want seed %#x (kernel arithmetic changed)",
-					tr.Name, name, p, got, want)
+			if c.name == "capped" && len(s.PolicyViolations()) == 0 {
+				t.Errorf("%s: cap %v does not bind", tr.Name, caps[tr.Name])
 			}
 		}
+	}
+
+	// An adaptive-pattern trace, where View.Type reads explicit types.
+	s, err := Smooth(adaptiveTrace(108, 1), Config{K: 1, H: 9, D: 0.2, Estimator: NearestTypeEstimator{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := scheduleFingerprint(s), uint64(0xbfaf4e0c536d20ba); got != want {
+		t.Errorf("adaptive nearest-type: schedule fingerprint %#x, want %#x (kernel arithmetic changed)", got, want)
 	}
 }
 

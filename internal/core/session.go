@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mpegsmooth/internal/mpeg"
 )
@@ -140,14 +141,14 @@ func WithLength(n int) SessionOption {
 // withTypes supplies explicit per-picture types for adaptive-pattern
 // traces (used by Smooth; live streams follow the GOP pattern).
 func withTypes(types []mpeg.PictureType) SessionOption {
-	return func(s *Session) { s.engine.types = types }
+	return func(s *Session) { s.engine.view.types = types }
 }
 
 // NewSession prepares a smoothing session for a stream with the given
 // picture period and coding pattern.
 func NewSession(tau float64, gop mpeg.GOP, cfg Config, opts ...SessionOption) (*Session, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("core: non-positive picture period %v", tau)
+	if !(tau > 0) || math.IsInf(tau, 1) {
+		return nil, fmt.Errorf("core: picture period %v must be positive and finite", tau)
 	}
 	if err := gop.Validate(); err != nil {
 		return nil, err
@@ -160,7 +161,7 @@ func NewSession(tau float64, gop mpeg.GOP, cfg Config, opts ...SessionOption) (*
 	}
 	s := &Session{
 		cfg:    cfg,
-		engine: newEngine(cfg, tau, gop, nil),
+		engine: newEngine(cfg, tau, gop),
 		end:    -1,
 	}
 	for _, opt := range opts {
@@ -219,10 +220,15 @@ func (s *Session) runAll(sizes []int64) []Decision {
 }
 
 // drain emits every decision whose inputs are determined, then every
-// observation whose window's sizes are known.
+// observation whose window's sizes are known. Each decision is written
+// in place into the slot it occupies in the returned slice.
 func (s *Session) drain() []Decision {
 	var out []Decision
-	tau := s.engine.tau
+	if len(s.sizes) == s.end {
+		// The sequence is complete: every remaining picture is decided
+		// in this call.
+		out = make([]Decision, 0, s.end-s.next)
+	}
 	for s.next < len(s.sizes) {
 		j := s.next
 		a := len(s.sizes)
@@ -237,27 +243,17 @@ func (s *Session) drain() []Decision {
 			if s.end < 0 && a < j+s.cfg.H {
 				break
 			}
-			// View completeness: every picture visible at t_j must be
-			// pushed. t_j is already determined by depart and (j+K)τ.
-			now := s.depart
-			if t := float64(j+s.cfg.K) * tau; t > now {
-				now = t
-			}
-			// Count pictures with (i+1)τ <= now using the same float
-			// comparison View.Arrived uses, so live and offline views
-			// agree bit for bit.
-			visible := int(now / tau)
-			for float64(visible+1)*tau <= now {
-				visible++
-			}
-			for visible > 0 && float64(visible)*tau > now {
-				visible--
-			}
-			if visible > a {
+			// View completeness: every picture visible at t_j, which
+			// depart and (j+K)τ already determine, must be pushed, so
+			// wait while picture a, the first one not pushed, has
+			// arrived by t_j.
+			if arrivals(s.engine.start(j, s.depart), s.engine.tau, a+1) > a {
 				break
 			}
 		}
-		d, est := s.engine.decide(j, s.sizes, s.depart, s.rate, s.end)
+		out = append(out, Decision{})
+		d := &out[len(out)-1]
+		est := s.engine.decide(j, s.sizes, s.depart, s.rate, s.end, d)
 		s.depart, s.rate = d.Depart, d.Rate
 		if d.Rate > s.peak {
 			s.peak = d.Rate
@@ -275,7 +271,6 @@ func (s *Session) drain() []Decision {
 				est: est,
 			})
 		}
-		out = append(out, d)
 	}
 	s.observe()
 	return out

@@ -244,3 +244,43 @@ func TestSessionPeakRateMatchesSchedule(t *testing.T) {
 		t.Fatalf("PeakRate %v, max rate %v", sched.PeakRate(), max)
 	}
 }
+
+// TestKernelAllocs pins the kernel's allocations. Smooth allocates the
+// same number of times whatever the trace's length, and a Session with
+// a declared length allocates at most once per Push, on average: the
+// decisions it returns, plus the occasional growth of its size prefix.
+// A View, Bounds, State or Decision that escaped to the heap would cost
+// an allocation per decision and fail both checks.
+func TestKernelAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{54, 270, 1080} {
+		tr := paperTrace(t, n)
+		cfg := Config{K: 1, H: tr.GOP.N, D: 0.2}
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := Smooth(tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("Smooth allocations at 54, 270 and 1080 pictures: %v, want one count", counts)
+	}
+
+	tr := paperTrace(t, 270)
+	s, err := NewSession(tr.Tau, tr.GOP, Config{K: 1, H: tr.GOP.N, D: 0.2}, WithLength(tr.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	// AllocsPerRun makes one warm-up call before its runs: every
+	// picture is pushed once.
+	perPush := testing.AllocsPerRun(tr.Len()-1, func() {
+		if _, err := s.Push(tr.Sizes[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if perPush > 1 {
+		t.Errorf("declared-length Push allocates %v times per call, want at most 1", perPush)
+	}
+}

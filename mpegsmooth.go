@@ -72,10 +72,14 @@ type (
 	Schedule = core.Schedule
 	// Policy owns rate selection within the Theorem 1 band the decision
 	// kernel accumulates; implement it to add a new selection rule.
+	// Select receives pointers to the kernel's own Bounds and State:
+	// read them during the call only, and never retain them.
 	Policy = core.Policy
-	// Bounds is the accumulated Theorem 1 band handed to Policy.Select.
+	// Bounds is the accumulated Theorem 1 band; Policy.Select gets a
+	// pointer to the kernel's copy, refilled for every picture.
 	Bounds = core.Bounds
-	// State is the per-decision context handed to Policy.Select.
+	// State is the per-decision context; Policy.Select gets a pointer
+	// to the kernel's copy, refilled for every picture.
 	State = core.State
 	// BasicPolicy holds the previous rate (fewest rate changes).
 	BasicPolicy = core.BasicPolicy
@@ -89,6 +93,9 @@ type (
 	// Estimator predicts sizes of pictures that have not arrived.
 	Estimator = core.Estimator
 	// View is what an estimator may observe at a point in time.
+	// Estimator.Estimate gets a pointer to the kernel's View, refilled
+	// for every picture: read it during the call only, and never
+	// retain it.
 	View = core.View
 	// PatternEstimator is the paper's S_{j−N} estimator.
 	PatternEstimator = core.PatternEstimator
