@@ -24,7 +24,29 @@ func SmoothObserved(tr *trace.Trace, cfg Config, obs Observer) (*Schedule, error
 	if err != nil {
 		return nil, err
 	}
-	return scheduleFrom(tr, sess.cfg, sess.runAll(tr.Sizes)), nil
+	// Each array is its own allocation: a caller that keeps only the
+	// rate function (see RateFunc) keeps only Start and Rates alive.
+	n := tr.Len()
+	s := &Schedule{
+		Trace:      tr,
+		Config:     sess.cfg,
+		Rates:      make([]float64, n),
+		Start:      make([]float64, n),
+		Depart:     make([]float64, n),
+		Delays:     make([]float64, n),
+		LowerBound: make([]float64, n),
+		UpperBound: make([]float64, n),
+	}
+	sess.runAll(tr.Sizes, func(d *Decision) {
+		j := d.Picture
+		s.Rates[j] = d.Rate
+		s.Start[j] = d.Start
+		s.Depart[j] = d.Depart
+		s.Delays[j] = d.Delay
+		s.LowerBound[j] = d.Lower
+		s.UpperBound[j] = d.Upper
+	})
+	return s, nil
 }
 
 // newTraceSession builds a Session for a validated complete trace,
@@ -35,30 +57,4 @@ func newTraceSession(tr *trace.Trace, cfg Config, opts ...SessionOption) (*Sessi
 	}
 	opts = append([]SessionOption{withTypes(tr.Types)}, opts...)
 	return NewSession(tr.Tau, tr.GOP, cfg, opts...)
-}
-
-// scheduleFrom assembles a Schedule from a full decision sequence.
-func scheduleFrom(tr *trace.Trace, cfg Config, ds []Decision) *Schedule {
-	n := tr.Len()
-	s := &Schedule{
-		Trace:      tr,
-		Config:     cfg,
-		Rates:      make([]float64, n),
-		Start:      make([]float64, n),
-		Depart:     make([]float64, n),
-		Delays:     make([]float64, n),
-		LowerBound: make([]float64, n),
-		UpperBound: make([]float64, n),
-	}
-	for i := range ds {
-		d := &ds[i]
-		j := d.Picture
-		s.Rates[j] = d.Rate
-		s.Start[j] = d.Start
-		s.Depart[j] = d.Depart
-		s.Delays[j] = d.Delay
-		s.LowerBound[j] = d.Lower
-		s.UpperBound[j] = d.Upper
-	}
-	return s
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpegsmooth/internal/metrics"
 	"mpegsmooth/internal/mpeg"
 	"mpegsmooth/internal/trace"
 )
@@ -333,6 +334,66 @@ func TestIdealPartialLastBlock(t *testing.T) {
 	// Last block has one picture: rate 600/0.1 = 6000.
 	if math.Abs(s.Rates[3]-6000) > 1e-9 {
 		t.Fatalf("partial block rate %v", s.Rates[3])
+	}
+}
+
+// TestIdealRateFuncMatchesIdeal: Evaluate reads ideal smoothing's R(t)
+// straight from the trace, and it must be Ideal(tr).RateFunc() bit for
+// bit: on the paper sequences, on an adaptive-pattern trace, and at
+// lengths that end mid-pattern (5 and 271 pictures).
+func TestIdealRateFuncMatchesIdeal(t *testing.T) {
+	traces := []*trace.Trace{adaptiveTrace(271, 1)}
+	for _, n := range []int{5, 270, 271} {
+		seqs, err := trace.PaperSequences(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, seqs...)
+	}
+	for _, tr := range traces {
+		ideal, err := Ideal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ideal.RateFunc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := idealRateFunc(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameStepBits(got, want); err != nil {
+			t.Errorf("%s, %d pictures: %v", tr.Name, tr.Len(), err)
+		}
+	}
+}
+
+// TestRateFuncDropsRepeatedStart: RateFunc shares a schedule's Start and
+// Rates when the starts strictly increase, and copies a schedule whose
+// start repeats (a zero-length send), dropping that send.
+func TestRateFuncDropsRepeatedStart(t *testing.T) {
+	s := &Schedule{
+		Start:  []float64{0, 1, 1, 2},
+		Rates:  []float64{10, 20, 30, 40},
+		Depart: []float64{1, 1, 2, 3},
+	}
+	f, err := s.RateFunc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &metrics.StepFunc{Times: []float64{0, 1, 2}, Values: []float64{10, 20, 40}, End: 3}
+	if err := sameStepBits(f, want); err != nil {
+		t.Errorf("repeated start: %v", err)
+	}
+
+	s.Start[2] = 1.5
+	f, err = s.RateFunc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &f.Times[0] != &s.Start[0] || &f.Values[0] != &s.Rates[0] {
+		t.Error("strictly increasing starts: RateFunc copied Start and Rates")
 	}
 }
 

@@ -39,7 +39,7 @@ func (e *engine) start(j int, depart float64) float64 {
 	return max(depart, float64(j+e.cfg.K)*e.tau)
 }
 
-// decide schedules picture j into *d.
+// decide schedules picture j into *d, assigning every field of *d.
 //
 //	sizes    the prefix of picture sizes the system has learned so far;
 //	         must include picture j and every picture visible at t_j
@@ -99,21 +99,22 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int, d *
 		}
 	}
 
-	e.bounds = Bounds{
-		Lower: lower, Upper: upper,
-		LowerPrev: lowerOld, UpperPrev: upperOld,
-		Crossed: lower > upper,
-		Sum:     sum,
-		Depth:   h,
-	}
-	e.state = State{
-		Picture:  j,
-		Held:     held,
-		Now:      now,
-		Tau:      tau,
-		PatternN: e.view.gop.N,
-	}
-	rate := e.policy.Select(&e.bounds, &e.state)
+	// Bounds, State and *d are written field by field, every field on
+	// every call: assigning a composite literal copies the whole struct
+	// through a temporary.
+	b := &e.bounds
+	b.Lower, b.Upper = lower, upper
+	b.LowerPrev, b.UpperPrev = lowerOld, upperOld
+	b.Crossed = lower > upper
+	b.Sum = sum
+	b.Depth = h
+	st := &e.state
+	st.Picture = j
+	st.Held = held
+	st.Now = now
+	st.Tau = tau
+	st.PatternN = e.view.gop.N
+	rate := e.policy.Select(b, st)
 	if math.IsInf(rate, 1) || rate <= 0 {
 		// Only reachable in K = 0 runs whose delay bound is already
 		// unsatisfiable (the lower-bound denominator went negative).
@@ -124,16 +125,13 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int, d *
 	// Eqs. (3)–(4) with the picture's ACTUAL size: the transmitter
 	// always sends real bits, whatever the estimator believed.
 	actual := float64(sizes[j])
-	*d = Decision{
-		Picture:   j,
-		Rate:      rate,
-		Start:     now,
-		Depart:    now + actual/rate,
-		BandLower: lower,
-		BandUpper: upper,
-		Depth:     h,
-	}
+	d.Picture = j
+	d.Rate = rate
+	d.Start = now
+	d.Depart = now + actual/rate
 	d.Delay = d.Depart - float64(j)*tau
+	d.BandLower, d.BandUpper = lower, upper
+	d.Depth = h
 
 	// Theorem 1 (h = 0, actual size) bounds for verification.
 	d.Lower = math.Inf(1)
@@ -152,9 +150,10 @@ func (e *engine) decide(j int, sizes []int64, depart, held float64, end int, d *
 }
 
 // outOfBand reports that rate lies outside the Theorem 1 band
-// [lower, upper] beyond float tolerance.
+// [lower, upper] beyond float tolerance. It negates the in-band test so
+// that a NaN rate, which no comparison places in the band, is out.
 func outOfBand(rate, lower, upper float64) bool {
-	return rate < lower*(1-1e-12)-1e-9 || rate > upper*(1+1e-12)+1e-9
+	return !(rate >= lower*(1-1e-12)-1e-9 && rate <= upper*(1+1e-12)+1e-9)
 }
 
 // estimate is the part of a decision's lookahead window the kernel had

@@ -162,6 +162,76 @@ func TestK0FallbackRate(t *testing.T) {
 	}
 }
 
+// TestDecideAssignsEveryField: a Session decides every picture into one
+// Decision, and hands its policy one Bounds and one State, all reused
+// from picture to picture, so decide must assign every field of each on
+// every call. A run that starts every decision from sentinels (NaN, −1,
+// true) must match a run that starts it from zero values, on a K = 0
+// trace that takes the fallback rate and under a binding cap.
+func TestDecideAssignsEveryField(t *testing.T) {
+	nan := math.NaN()
+	sentinel := decisionRecord{
+		d: Decision{Picture: -1, Rate: nan, Start: nan, Depart: nan, Delay: nan,
+			Lower: nan, Upper: nan, BandLower: nan, BandUpper: nan, Depth: -1, OutOfBand: true},
+		b: Bounds{Lower: nan, Upper: nan, LowerPrev: nan, UpperPrev: nan, Crossed: true, Sum: nan, Depth: -1},
+		s: State{Picture: -1, Held: nan, Now: nan, Tau: nan, PatternN: -1},
+	}
+	k0 := &trace.Trace{Name: "k0", Tau: 0.1, GOP: mpeg.GOP{M: 1, N: 1}, Sizes: []int64{5_000_000, 1000, 1000}}
+	for _, c := range []struct {
+		name     string
+		tr       *trace.Trace
+		cfg      Config
+		fallback bool // the case must take the K = 0 fallback, else leave the band
+	}{
+		{"K=0 fallback", k0, Config{K: 0, H: 1, D: 0.01}, true},
+		{"binding cap", paperTrace(t, 108), Config{K: 1, H: 9, D: 0.2, Policy: CappedRate{Cap: 2.6e6}}, false},
+	} {
+		zero := decideFrom(t, c.tr, c.cfg, decisionRecord{})
+		filled := decideFrom(t, c.tr, c.cfg, sentinel)
+		fallbacks, outOfBand := 0, 0
+		for j := range zero {
+			if filled[j] != zero[j] {
+				t.Fatalf("%s, picture %d: from sentinels %+v, from zeros %+v", c.name, j, filled[j], zero[j])
+			}
+			if r := c.cfg.policy().Select(&zero[j].b, &zero[j].s); math.IsInf(r, 1) || r <= 0 {
+				fallbacks++
+			}
+			if zero[j].d.OutOfBand {
+				outOfBand++
+			}
+		}
+		if len(zero) != c.tr.Len() || (c.fallback && fallbacks == 0) || outOfBand == 0 {
+			t.Errorf("%s: %d decisions, %d fallback rates, %d out of band: the case misses its path",
+				c.name, len(zero), fallbacks, outOfBand)
+		}
+	}
+}
+
+// decisionRecord is one decision with the Bounds and State its policy saw.
+type decisionRecord struct {
+	d Decision
+	b Bounds
+	s State
+}
+
+// decideFrom smooths tr offline, setting the Session's Decision and its
+// engine's Bounds and State to from before every decision.
+func decideFrom(t *testing.T, tr *trace.Trace, cfg Config, from decisionRecord) []decisionRecord {
+	t.Helper()
+	sess, err := newTraceSession(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sess.engine
+	sess.dec, e.bounds, e.state = from.d, from.b, from.s
+	var out []decisionRecord
+	sess.runAll(tr.Sizes, func(d *Decision) {
+		out = append(out, decisionRecord{*d, e.bounds, e.state})
+		*d, e.bounds, e.state = from.d, from.b, from.s
+	})
+	return out
+}
+
 // TestArrivals checks the kernel's one arrival count against its
 // definition, picture by picture: picture i has arrived by now exactly
 // when (i+1)τ ≤ now. The times probed sit on and one ulp either side of

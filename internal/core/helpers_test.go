@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"mpegsmooth/internal/metrics"
@@ -28,4 +30,23 @@ func viewAt(tr *trace.Trace, now float64) *View {
 	v := &View{tau: tr.Tau, gop: tr.GOP, types: tr.Types}
 	v.at(tr.Sizes, now)
 	return v
+}
+
+// sameStepBits returns the first difference between two step functions'
+// Times, Values and End, compared by their float bits, or nil.
+func sameStepBits(got, want *metrics.StepFunc) error {
+	if len(got.Times) != len(want.Times) {
+		return fmt.Errorf("%d segments, want %d", len(got.Times), len(want.Times))
+	}
+	for k := range got.Times {
+		if math.Float64bits(got.Times[k]) != math.Float64bits(want.Times[k]) ||
+			math.Float64bits(got.Values[k]) != math.Float64bits(want.Values[k]) {
+			return fmt.Errorf("segment %d: (%v, %v), want (%v, %v)",
+				k, got.Times[k], got.Values[k], want.Times[k], want.Values[k])
+		}
+	}
+	if math.Float64bits(got.End) != math.Float64bits(want.End) {
+		return fmt.Errorf("end %v, want %v", got.End, want.End)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mpegsmooth/internal/metrics"
 	"mpegsmooth/internal/trace"
 )
 
@@ -41,12 +42,11 @@ func PiecewiseCBR(tr *trace.Trace, window int) (*Schedule, error) {
 	}
 	n := tr.Len()
 	tau := tr.Tau
-	N := window
 	s := &Schedule{
 		Trace: tr,
 		Config: Config{
-			K: N,
-			H: N,
+			K: window,
+			H: window,
 			D: math.Inf(1), // no delay bound is enforced
 		},
 		Rates:      make([]float64, n),
@@ -56,30 +56,54 @@ func PiecewiseCBR(tr *trace.Trace, window int) (*Schedule, error) {
 		LowerBound: make([]float64, n),
 		UpperBound: make([]float64, n),
 	}
+	piecewiseCBR(tr.Sizes, tau, window, s.Start, s.Rates)
+	for j, start := range s.Start {
+		// piecewiseCBR's clock steps by this same sum, so Depart[j] is
+		// its time after picture j, bit for bit.
+		s.Depart[j] = start + float64(tr.Sizes[j])/s.Rates[j]
+		s.Delays[j] = s.Depart[j] - float64(j)*tau
+		s.UpperBound[j] = math.Inf(1)
+	}
+	return s, nil
+}
+
+// piecewiseCBR fills start and rates, one entry per picture, with
+// piecewise-CBR transmission of sizes in blocks of window pictures and
+// returns the time the last bit leaves.
+func piecewiseCBR(sizes []int64, tau float64, window int, start, rates []float64) float64 {
+	n := len(sizes)
 	depart := 0.0
-	for from := 0; from < n; from += N {
-		to := from + N
-		if to > n {
-			to = n
-		}
+	for from := 0; from < n; from += window {
+		to := min(from+window, n)
 		var sum float64
 		for j := from; j < to; j++ {
-			sum += float64(tr.Sizes[j])
+			sum += float64(sizes[j])
 		}
 		rate := sum / (float64(to-from) * tau)
 		// The last picture of the block arrives by (to)τ in 0-based
 		// indexing; the block starts after that and after the previous
 		// block drains.
-		start := math.Max(depart, float64(to)*tau)
+		t := max(depart, float64(to)*tau)
 		for j := from; j < to; j++ {
-			s.Rates[j] = rate
-			s.Start[j] = start
-			start += float64(tr.Sizes[j]) / rate
-			s.Depart[j] = start
-			s.Delays[j] = start - float64(j)*tau
-			s.UpperBound[j] = math.Inf(1)
+			rates[j] = rate
+			start[j] = t
+			t += float64(sizes[j]) / rate
 		}
-		depart = start
+		depart = t
 	}
-	return s, nil
+	return depart
+}
+
+// idealRateFunc is Ideal(tr).RateFunc(), ideal smoothing's R(t), read
+// straight from the trace: it builds the starts and rates of the step
+// function and no Schedule around them.
+func idealRateFunc(tr *trace.Trace) (*metrics.StepFunc, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	n := tr.Len()
+	buf := make([]float64, 2*n)
+	start, rates := buf[:n:n], buf[n:]
+	end := piecewiseCBR(tr.Sizes, tr.Tau, tr.GOP.N, start, rates)
+	return rateFunc(start, rates, end)
 }

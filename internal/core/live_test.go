@@ -49,7 +49,8 @@ func matchesOffline(tr *trace.Trace, cfg Config, live []Decision, obs []Observat
 	if err != nil {
 		return err
 	}
-	want := sess.runAll(tr.Sizes)
+	var want []Decision
+	sess.runAll(tr.Sizes, func(d *Decision) { want = append(want, *d) })
 	if len(live) != len(want) || len(obs) != len(wantObs) {
 		return fmt.Errorf("%d decisions and %d observations, want %d and %d",
 			len(live), len(obs), len(want), len(wantObs))

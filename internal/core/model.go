@@ -97,21 +97,40 @@ type Schedule struct {
 	UpperBound []float64
 }
 
-// RateFunc returns r(t) as a step function over [t_1, d_n).
+// RateFunc returns r(t) as a step function over [t_1, d_n). Its Times
+// and Values are the schedule's own Start and Rates, not copies, when
+// the starts strictly increase, as they do in every schedule Smooth and
+// PiecewiseCBR build: both sides must then treat them as read-only.
+// Only a schedule with a zero-length send, whose start repeats, is
+// copied, with that send dropped.
 func (s *Schedule) RateFunc() (*metrics.StepFunc, error) {
-	n := len(s.Rates)
-	times := make([]float64, 0, n)
-	values := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		// Guard against zero-length sends (cannot happen with positive
-		// sizes, but keep the step function valid regardless).
-		if len(times) > 0 && s.Start[i] <= times[len(times)-1] {
+	return rateFunc(s.Start, s.Rates, s.Depart[len(s.Depart)-1])
+}
+
+// rateFunc is the step function that takes rates[i] from start[i] and
+// ends at end. It shares start and rates when the starts strictly
+// increase; a NaN start stops that test, as a repeat does. Otherwise it
+// copies them, dropping each send that starts no later than the last
+// one kept (a zero-length send, impossible with positive sizes) and
+// keeping a NaN start for NewStepFunc to reject.
+func rateFunc(start, rates []float64, end float64) (*metrics.StepFunc, error) {
+	i := 1
+	for i < len(start) && start[i] > start[i-1] {
+		i++
+	}
+	if i >= len(start) {
+		return metrics.NewStepFunc(start, rates, end)
+	}
+	times := make([]float64, 0, len(start))
+	values := make([]float64, 0, len(start))
+	for k, t := range start {
+		if len(times) > 0 && t <= times[len(times)-1] {
 			continue
 		}
-		times = append(times, s.Start[i])
-		values = append(values, s.Rates[i])
+		times = append(times, t)
+		values = append(values, rates[k])
 	}
-	return metrics.NewStepFunc(times, values, s.Depart[n-1])
+	return metrics.NewStepFunc(times, values, end)
 }
 
 // Evaluate computes the paper's four smoothness measures (Section 5.2)
@@ -119,15 +138,11 @@ func (s *Schedule) RateFunc() (*metrics.StepFunc, error) {
 // aligned by the (N−K)τ advance of Eq. 16, over the trace's duration
 // plus D.
 func (s *Schedule) Evaluate() (metrics.Measures, error) {
-	ideal, err := Ideal(s.Trace)
+	idf, err := idealRateFunc(s.Trace)
 	if err != nil {
 		return metrics.Measures{}, err
 	}
 	rf, err := s.RateFunc()
-	if err != nil {
-		return metrics.Measures{}, err
-	}
-	idf, err := ideal.RateFunc()
 	if err != nil {
 		return metrics.Measures{}, err
 	}
@@ -161,11 +176,14 @@ func (s *Schedule) MaxDelay() float64 {
 	return max
 }
 
+// The checks below negate an in-range test, so that a NaN, which no
+// comparison places in range, is reported as a violation.
+
 // CheckDelayBound verifies delay_i <= D for every picture (Theorem 1,
 // property (7)). It returns the first violating picture, or -1.
 func (s *Schedule) CheckDelayBound() int {
 	for i, d := range s.Delays {
-		if d > s.Config.D+1e-9 {
+		if !(d <= s.Config.D+1e-9) {
 			return i
 		}
 	}
@@ -177,7 +195,7 @@ func (s *Schedule) CheckDelayBound() int {
 // boundary, or -1.
 func (s *Schedule) CheckContinuousService() int {
 	for i := 1; i < len(s.Start); i++ {
-		if math.Abs(s.Start[i]-s.Depart[i-1]) > 1e-9 {
+		if !(math.Abs(s.Start[i]-s.Depart[i-1]) <= 1e-9) {
 			return i
 		}
 	}
@@ -218,7 +236,7 @@ func (s *Schedule) PolicyViolations() []int {
 func (s *Schedule) CheckConservation() int {
 	for i := range s.Rates {
 		sent := (s.Depart[i] - s.Start[i]) * s.Rates[i]
-		if math.Abs(sent-float64(s.Trace.Sizes[i])) > 1e-6*float64(s.Trace.Sizes[i])+1e-3 {
+		if !(math.Abs(sent-float64(s.Trace.Sizes[i])) <= 1e-6*float64(s.Trace.Sizes[i])+1e-3) {
 			return i
 		}
 	}
@@ -235,7 +253,7 @@ func (s *Schedule) CheckCausality() int {
 	}
 	tau := s.Trace.Tau
 	for i := range s.Start {
-		if s.Start[i] < float64(i+1)*tau-1e-9 {
+		if !(s.Start[i] >= float64(i+1)*tau-1e-9) {
 			return i
 		}
 	}

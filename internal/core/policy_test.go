@@ -113,7 +113,8 @@ func TestPolicyGoldenSchedules(t *testing.T) {
 
 // TestCappedRateEnforcesCeiling: the cap binds on every picture, and
 // when it forces the rate below the Theorem 1 lower bound, the schedule
-// reports the violation instead of silently exceeding the ceiling.
+// reports the violation instead of silently exceeding the ceiling. A
+// policy that selects NaN is reported too, at every picture.
 func TestCappedRateEnforcesCeiling(t *testing.T) {
 	tr := paperTrace(t, 108)
 	base, err := Smooth(tr, Config{K: 1, H: 9, D: 0.2})
@@ -172,7 +173,41 @@ func TestCappedRateEnforcesCeiling(t *testing.T) {
 	if i := s.CheckContinuousService(); i != -1 {
 		t.Errorf("continuous service violated at %d under cap", i)
 	}
+
+	// NaN lies in no band and passes every comparison: the schedule
+	// must still fail each Theorem 1 check, list every picture as a
+	// policy violation, and be refused by Evaluate.
+	ns, err := Smooth(tr, Config{K: 1, H: 9, D: 0.2, Policy: nanPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := ns.PolicyViolations(); len(v) != tr.Len() {
+		t.Errorf("NaN policy: %d of %d pictures are policy violations", len(v), tr.Len())
+	}
+	for _, c := range []struct {
+		name  string
+		check func() int
+	}{
+		{"delay bound", ns.CheckDelayBound},
+		{"continuous service", ns.CheckContinuousService},
+		{"rates within bounds", ns.CheckRatesWithinBounds},
+		{"conservation", ns.CheckConservation},
+		{"causality", ns.CheckCausality},
+	} {
+		if c.check() == -1 {
+			t.Errorf("NaN policy passes the %s check", c.name)
+		}
+	}
+	if m, err := ns.Evaluate(); err == nil {
+		t.Errorf("NaN policy: Evaluate returned %+v and no error", m)
+	}
 }
+
+// nanPolicy selects NaN for every picture.
+type nanPolicy struct{}
+
+func (nanPolicy) Name() string                   { return "nan" }
+func (nanPolicy) Select(*Bounds, *State) float64 { return math.NaN() }
 
 // TestCappedRateValidate rejects non-positive ceilings at Validate time.
 func TestCappedRateValidate(t *testing.T) {

@@ -55,6 +55,10 @@ type Session struct {
 	rate     float64
 	peak     float64
 	observer Observer
+	// dec is the one Decision drain decides every picture into. It is a
+	// field, not a local of drain, because a local passed by address
+	// through a func value escapes to the heap.
+	dec Decision
 	// unobserved holds decided pictures whose Observation waits for the
 	// actual sizes of its estimated window, oldest first.
 	unobserved []pendingObservation
@@ -69,7 +73,10 @@ type pendingObservation struct {
 
 // Decision reports one scheduled picture. The first seven fields mirror
 // Schedule's per-picture arrays; the rest expose the kernel's view of
-// the decision for observers and live consumers.
+// the decision for observers and live consumers. The kernel decides
+// every picture of a Session into one Decision it owns: Push and Close
+// return copies in a fresh slice, and Smooth copies the mirrored fields
+// straight into its Schedule.
 type Decision struct {
 	Picture              int
 	Rate                 float64
@@ -183,14 +190,25 @@ func (s *Session) Push(size int64) ([]Decision, error) {
 		return nil, fmt.Errorf("core: non-positive picture size %d", size)
 	}
 	s.sizes = append(s.sizes, size)
-	return s.drain(), nil
+	return s.decisions(), nil
 }
 
 // Close marks the end of the picture sequence — its length is what was
 // pushed — and returns all remaining decisions. Close is idempotent.
 func (s *Session) Close() []Decision {
 	s.end = len(s.sizes)
-	return s.drain()
+	return s.decisions()
+}
+
+// decisions drains the Session into a fresh slice, presized when the
+// sequence is complete and every remaining picture is decided now.
+func (s *Session) decisions() []Decision {
+	var out []Decision
+	if len(s.sizes) == s.end {
+		out = make([]Decision, 0, s.end-s.next)
+	}
+	s.drain(func(d *Decision) { out = append(out, *d) })
+	return out
 }
 
 // Pushed returns the number of picture sizes received so far.
@@ -211,24 +229,21 @@ func (s *Session) Policy() Policy { return s.engine.policy }
 func (s *Session) PeakRate() float64 { return s.peak }
 
 // runAll consumes a complete, already-validated size sequence in one
-// shot — the offline mode: push all, close. Because the sequence length
-// is known before the first decision, every decide call sees the bounded
-// lookahead directly, exactly as the paper's Figure 2 loop does.
-func (s *Session) runAll(sizes []int64) []Decision {
-	s.sizes = sizes
-	return s.Close()
+// shot — the offline mode: push all, close — handing each decision to
+// put. Because the sequence length is known before the first decision,
+// every decide call sees the bounded lookahead directly, exactly as the
+// paper's Figure 2 loop does.
+func (s *Session) runAll(sizes []int64, put func(*Decision)) {
+	s.sizes, s.end = sizes, len(sizes)
+	s.drain(put)
 }
 
-// drain emits every decision whose inputs are determined, then every
-// observation whose window's sizes are known. Each decision is written
-// in place into the slot it occupies in the returned slice.
-func (s *Session) drain() []Decision {
-	var out []Decision
-	if len(s.sizes) == s.end {
-		// The sequence is complete: every remaining picture is decided
-		// in this call.
-		out = make([]Decision, 0, s.end-s.next)
-	}
+// drain decides every picture whose inputs are determined, then hands
+// on every observation whose window's sizes are known. Each decision is
+// written into s.dec and passed to put, in picture order; put must copy
+// out what it keeps before it returns, since the next decision
+// overwrites it.
+func (s *Session) drain(put func(*Decision)) {
 	for s.next < len(s.sizes) {
 		j := s.next
 		a := len(s.sizes)
@@ -251,8 +266,7 @@ func (s *Session) drain() []Decision {
 				break
 			}
 		}
-		out = append(out, Decision{})
-		d := &out[len(out)-1]
+		d := &s.dec
 		est := s.engine.decide(j, s.sizes, s.depart, s.rate, s.end, d)
 		s.depart, s.rate = d.Depart, d.Rate
 		if d.Rate > s.peak {
@@ -271,9 +285,9 @@ func (s *Session) drain() []Decision {
 				est: est,
 			})
 		}
+		put(d)
 	}
 	s.observe()
-	return out
 }
 
 // observe hands the observer every waiting observation, in picture

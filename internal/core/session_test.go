@@ -185,15 +185,14 @@ func TestSessionObserverSeesCapViolations(t *testing.T) {
 	}
 	cfg := Config{K: 1, H: 9, D: 0.2, Policy: CappedRate{Cap: peak * 0.8}}
 	var negative []int
-	sess, err := newTraceSession(tr, cfg, WithObserver(func(o Observation) {
+	sched, err := SmoothObserved(tr, cfg, func(o Observation) {
 		if o.LowerSlack < 0 {
 			negative = append(negative, o.Picture)
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := scheduleFrom(tr, cfg, sess.runAll(tr.Sizes))
 	if len(negative) == 0 {
 		t.Fatal("binding cap but observer saw no negative slack")
 	}
@@ -245,29 +244,45 @@ func TestSessionPeakRateMatchesSchedule(t *testing.T) {
 	}
 }
 
-// TestKernelAllocs pins the kernel's allocations. Smooth allocates the
-// same number of times whatever the trace's length, and a Session with
-// a declared length allocates at most once per Push, on average: the
-// decisions it returns, plus the occasional growth of its size prefix.
-// A View, Bounds, State or Decision that escaped to the heap would cost
-// an allocation per decision and fail both checks.
+// TestKernelAllocs pins the kernel's allocations. Smooth and Evaluate
+// each allocate the same number of times whatever the trace's length,
+// Evaluate at most three times (its two step functions and the ideal's
+// starts and rates), and a Session with a declared length allocates at
+// most once per Push, on average: the decisions it returns, plus the
+// occasional growth of its size prefix. A View, Bounds, State or
+// Decision that escaped to the heap would cost an allocation per
+// decision and fail the Smooth and Push checks; an Evaluate that built
+// ideal smoothing's Schedule again would fail its ceiling.
 func TestKernelAllocs(t *testing.T) {
-	var counts []float64
+	var smooths, evals []float64
 	for _, n := range []int{54, 270, 1080} {
 		tr := paperTrace(t, n)
 		cfg := Config{K: 1, H: tr.GOP.N, D: 0.2}
-		counts = append(counts, testing.AllocsPerRun(5, func() {
+		smooths = append(smooths, testing.AllocsPerRun(5, func() {
 			if _, err := Smooth(tr, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}))
+		sched, err := Smooth(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals = append(evals, testing.AllocsPerRun(5, func() {
+			if _, err := sched.Evaluate(); err != nil {
+				t.Fatal(err)
+			}
+		}))
 	}
-	if counts[0] != counts[1] || counts[1] != counts[2] {
-		t.Errorf("Smooth allocations at 54, 270 and 1080 pictures: %v, want one count", counts)
+	if smooths[0] != smooths[1] || smooths[1] != smooths[2] {
+		t.Errorf("Smooth allocations at 54, 270 and 1080 pictures: %v, want one count", smooths)
+	}
+	if evals[0] != evals[1] || evals[1] != evals[2] || evals[0] > 3 {
+		t.Errorf("Evaluate allocations at 54, 270 and 1080 pictures: %v, want one count of at most 3", evals)
 	}
 
 	tr := paperTrace(t, 270)
-	s, err := NewSession(tr.Tau, tr.GOP, Config{K: 1, H: tr.GOP.N, D: 0.2}, WithLength(tr.Len()))
+	cfg := Config{K: 1, H: tr.GOP.N, D: 0.2}
+	s, err := NewSession(tr.Tau, tr.GOP, cfg, WithLength(tr.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,5 +297,34 @@ func TestKernelAllocs(t *testing.T) {
 	})
 	if perPush > 1 {
 		t.Errorf("declared-length Push allocates %v times per call, want at most 1", perPush)
+	}
+
+	// A declared-length stream closed one picture short leaves several
+	// pictures undecided; Close decides them all into one presized
+	// slice. Each run closes its own Session, AllocsPerRun's warm-up
+	// included.
+	closers := make([]*Session, 6)
+	for i := range closers {
+		s, err := NewSession(tr.Tau, tr.GOP, cfg, WithLength(tr.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range tr.Sizes[:tr.Len()-1] {
+			if _, err := s.Push(size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Pending() < 2 {
+			t.Fatalf("%d pictures pending before Close, want several", s.Pending())
+		}
+		closers[i] = s
+	}
+	next = 0
+	perClose := testing.AllocsPerRun(len(closers)-1, func() {
+		closers[next].Close()
+		next++
+	})
+	if perClose > 1 {
+		t.Errorf("declared-length Close allocates %v times, want at most 1", perClose)
 	}
 }

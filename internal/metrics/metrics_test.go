@@ -29,6 +29,12 @@ func TestNewStepFuncValidation(t *testing.T) {
 	if _, err := NewStepFunc([]float64{0, 1}, []float64{1, 2}, 1); err == nil {
 		t.Error("end before last time should fail")
 	}
+	if _, err := NewStepFunc([]float64{0, math.NaN()}, []float64{1, 2}, 2); err == nil {
+		t.Error("NaN time should fail")
+	}
+	if _, err := NewStepFunc([]float64{0, 1}, []float64{1, 2}, math.NaN()); err == nil {
+		t.Error("NaN end should fail")
+	}
 }
 
 func TestAt(t *testing.T) {

@@ -20,17 +20,18 @@ type StepFunc struct {
 	End    float64   // end of the final segment
 }
 
-// NewStepFunc validates and constructs a step function.
+// NewStepFunc validates and constructs a step function. The ordering
+// checks negate the increasing test, so a NaN time or end fails them.
 func NewStepFunc(times, values []float64, end float64) (*StepFunc, error) {
 	if len(times) == 0 || len(times) != len(values) {
 		return nil, fmt.Errorf("metrics: %d times vs %d values", len(times), len(values))
 	}
 	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
+		if !(times[i] > times[i-1]) {
 			return nil, fmt.Errorf("metrics: times not increasing at %d (%v, %v)", i, times[i-1], times[i])
 		}
 	}
-	if end <= times[len(times)-1] {
+	if !(end > times[len(times)-1]) {
 		return nil, fmt.Errorf("metrics: end %v not after last time %v", end, times[len(times)-1])
 	}
 	return &StepFunc{Times: times, Values: values, End: end}, nil
