@@ -7,7 +7,7 @@ GO ?= go
 # a renamed test fails the target instead of silently running nothing.
 REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
 
-.PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster framefuzz journal protocol results examples clean
+.PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster framefuzz journal protocol results examples loc clean
 
 all: build vet test test-race
 
@@ -129,6 +129,11 @@ examples:
 	$(GO) run ./examples/livesmoother
 	$(GO) run ./examples/multiplex
 	$(GO) run ./examples/encodepipeline
+
+# Non-test Go lines per package outside bench/, then the total: the
+# count a simplicity claim quotes.
+loc:
+	bash scripts/loc.sh
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -52,7 +52,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		opsAddr      = fs.String("ops", "127.0.0.1:8403", "operations endpoint listen address (empty = disabled)")
 		capacity     = fs.Float64("capacity", 10e6, "shared egress link capacity (bits/s)")
 		policySpec   = fs.String("policy", "basic", "rate policy: basic, moving-average, capped:<bps>, min-var")
-		hFlag        = fs.Int("H", 0, "lookahead in pictures (0 = each stream's pattern length)")
 		maxStreams   = fs.Int("max-streams", 0, "concurrent stream cap (0 = capacity-limited only)")
 		readTimeout  = fs.Duration("read-timeout", 30*time.Second, "per-message read deadline")
 		writeTimeout = fs.Duration("write-timeout", 30*time.Second, "per-write deadline for verdicts and deadline-capable egress sinks")
@@ -91,7 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scfg := server.Config{
 		LinkRate:        *capacity,
 		Policy:          policy,
-		H:               *hFlag,
 		MaxStreams:      *maxStreams,
 		ReadTimeout:     *readTimeout,
 		WriteTimeout:    *writeTimeout,

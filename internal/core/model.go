@@ -154,22 +154,24 @@ func (s *Schedule) Evaluate() (metrics.Measures, error) {
 // schedule's traffic descriptor. A sender declares it in a transport
 // StreamHello, and an admission controller reserves it against a shared
 // link — the sum of admitted peaks never exceeding the link capacity is
-// what makes the multiplexing of Section 5 lossless.
+// what makes the multiplexing of Section 5 lossless. A NaN rate makes
+// the peak NaN, so such a schedule cannot pass for a quiet one.
 func (s *Schedule) PeakRate() float64 {
 	peak := 0.0
 	for _, r := range s.Rates {
-		if r > peak {
+		if r > peak || math.IsNaN(r) {
 			peak = r
 		}
 	}
 	return peak
 }
 
-// MaxDelay returns the largest per-picture delay.
+// MaxDelay returns the largest per-picture delay; a NaN delay makes it
+// NaN.
 func (s *Schedule) MaxDelay() float64 {
 	max := 0.0
 	for _, d := range s.Delays {
-		if d > max {
+		if d > max || math.IsNaN(d) {
 			max = d
 		}
 	}

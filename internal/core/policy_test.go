@@ -201,6 +201,27 @@ func TestCappedRateEnforcesCeiling(t *testing.T) {
 	if m, err := ns.Evaluate(); err == nil {
 		t.Errorf("NaN policy: Evaluate returned %+v and no error", m)
 	}
+	// Its peak and largest delay are NaN, not 0, offline and live; a
+	// schedule with no NaN keeps the peak it always had.
+	if p, d := ns.PeakRate(), ns.MaxDelay(); !math.IsNaN(p) || !math.IsNaN(d) {
+		t.Errorf("NaN policy: peak %v, max delay %v; want NaN and NaN", p, d)
+	}
+	live, err := NewSession(tr.Tau, tr.GOP, Config{K: 1, H: 9, D: 0.2, Policy: nanPolicy{}}, WithLength(tr.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range tr.Sizes {
+		if _, err := live.Push(size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.Close()
+	if p := live.PeakRate(); !math.IsNaN(p) {
+		t.Errorf("NaN policy: live Session peak %v, want NaN", p)
+	}
+	if math.Float64bits(base.PeakRate()) != math.Float64bits(peak) {
+		t.Errorf("peak %v, want %v", base.PeakRate(), peak)
+	}
 }
 
 // nanPolicy selects NaN for every picture.

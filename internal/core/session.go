@@ -269,7 +269,7 @@ func (s *Session) drain(put func(*Decision)) {
 		d := &s.dec
 		est := s.engine.decide(j, s.sizes, s.depart, s.rate, s.end, d)
 		s.depart, s.rate = d.Depart, d.Rate
-		if d.Rate > s.peak {
+		if d.Rate > s.peak || math.IsNaN(d.Rate) {
 			s.peak = d.Rate
 		}
 		s.next++

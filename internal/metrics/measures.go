@@ -60,7 +60,8 @@ type DelayStats struct {
 	Violations int
 }
 
-// SummarizeDelays computes delay statistics against a bound D.
+// SummarizeDelays computes delay statistics against a bound D. A NaN
+// delay makes Max and Mean NaN and counts as a violation.
 func SummarizeDelays(delays []float64, bound float64) DelayStats {
 	var s DelayStats
 	if len(delays) == 0 {
@@ -68,11 +69,11 @@ func SummarizeDelays(delays []float64, bound float64) DelayStats {
 	}
 	var sum float64
 	for _, d := range delays {
-		if d > s.Max {
+		if d > s.Max || math.IsNaN(d) {
 			s.Max = d
 		}
 		sum += d
-		if d > bound+1e-9 {
+		if !(d <= bound+1e-9) {
 			s.Violations++
 		}
 	}

@@ -197,6 +197,14 @@ func TestSummarizeDelays(t *testing.T) {
 	if z := SummarizeDelays(nil, 1); z.Max != 0 || z.Mean != 0 || z.Violations != 0 {
 		t.Errorf("empty delays: %+v", z)
 	}
+	// A NaN delay propagates into Max and Mean wherever it sits, and
+	// counts as a violation.
+	for _, delays := range [][]float64{{math.NaN(), 0.1, 0.2}, {0.1, 0.2, math.NaN()}} {
+		n := SummarizeDelays(delays, 0.15)
+		if !math.IsNaN(n.Max) || !math.IsNaN(n.Mean) || n.Violations != 2 {
+			t.Errorf("delays %v: %+v; want NaN max and mean, 2 violations", delays, n)
+		}
+	}
 }
 
 // Property: PositiveAreaDiff(f,g) - PositiveAreaDiff(g,f) == ∫f - ∫g

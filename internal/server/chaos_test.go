@@ -34,6 +34,41 @@ func payloadFNV(payloads [][]byte) uint64 {
 	return h.Sum64()
 }
 
+// checkSoakEnd checks what every soak harness demands of a server once
+// its clients are done: the admissions it expects, no stream failed,
+// active or parked, every reservation back (nothing reserved, the whole
+// capacity available), and each finished stream holding all of kit's
+// pictures with the sender's exact bytes. It returns the snapshot it
+// checked.
+func checkSoakEnd(t *testing.T, srv *Server, admitted int64, kit *clientKit) Snapshot {
+	t.Helper()
+	snap := srv.Snapshot()
+	if snap.Streams.Admitted != admitted {
+		t.Errorf("admitted %d sessions, want %d: handshake retries double-reserved", snap.Streams.Admitted, admitted)
+	}
+	if s := snap.Streams; s.Failed != 0 || s.Active != 0 || s.Parked != 0 {
+		t.Errorf("%d streams failed, %d active, %d parked; want none", s.Failed, s.Active, s.Parked)
+	}
+	if snap.ReservedPeak != 0 || snap.AvailablePeak != snap.CapacityBPS {
+		t.Errorf("reservations leaked: %.0f bps reserved, %.0f of %.0f available",
+			snap.ReservedPeak, snap.AvailablePeak, snap.CapacityBPS)
+	}
+	// Lossless and byte-exact: every finished stream accepted every
+	// picture, in order, with the sender's exact bytes.
+	fin := srv.FinishedStreams()
+	if int64(len(fin)) != snap.Streams.Completed {
+		t.Errorf("%d finished snapshots for %d completed streams", len(fin), snap.Streams.Completed)
+	}
+	wantFNV := payloadFNV(kit.payloads)
+	for _, ss := range fin {
+		if ss.Pictures != kit.tr.Len() || ss.PayloadFNV != wantFNV {
+			t.Errorf("stream %d: %d pictures, payload hash %016x; want %d, %016x — bytes corrupted or lost",
+				ss.ID, ss.Pictures, ss.PayloadFNV, kit.tr.Len(), wantFNV)
+		}
+	}
+	return snap
+}
+
 // startChaosServer is startServer with the listener wrapped in a
 // fault-injecting network.
 func startChaosServer(t testing.TB, cfg Config, nw *faultnet.Network) (*Server, string) {
@@ -91,7 +126,6 @@ func TestChaosSoakResumableStreams(t *testing.T) {
 	}
 	const clients = 20
 	kit := makeClient(t, testTrace(t, 72))
-	wantFNV := payloadFNV(kit.payloads)
 
 	nw := faultnet.New(faultnet.Config{
 		Seed:        42,
@@ -156,29 +190,10 @@ func TestChaosSoakResumableStreams(t *testing.T) {
 		s := srv.Snapshot()
 		return s.Streams.Completed == clients && s.Streams.Active == 0
 	})
-
-	snap := srv.Snapshot()
-	if snap.Streams.Failed != 0 {
-		t.Fatalf("%d streams failed under chaos", snap.Streams.Failed)
-	}
-	if snap.Streams.Parked != 0 {
-		t.Fatalf("%d streams still parked", snap.Streams.Parked)
-	}
-	// Lossless and byte-exact: every finished stream accepted every
-	// picture, in order, with the sender's exact bytes.
-	fin := srv.FinishedStreams()
-	if len(fin) != clients {
-		t.Fatalf("%d finished snapshots, want %d", len(fin), clients)
-	}
-	for _, ss := range fin {
-		if ss.Pictures != kit.tr.Len() {
-			t.Fatalf("stream %d: %d pictures, want %d", ss.ID, ss.Pictures, kit.tr.Len())
-		}
-		if ss.PayloadFNV != wantFNV {
-			t.Fatalf("stream %d: payload hash %x, want %x — bytes corrupted or lost",
-				ss.ID, ss.PayloadFNV, wantFNV)
-		}
-	}
+	// Exactly-once admission under chaos: every retried or deduplicated
+	// handshake converged on one reservation per client, and the ledger
+	// survived the churn.
+	snap := checkSoakEnd(t, srv, clients, kit)
 	// The chaos was real on both sides: each harness injected faults,
 	// the server classified them, and streams came back.
 	counts := nw.Counts()
@@ -194,16 +209,6 @@ func TestChaosSoakResumableStreams(t *testing.T) {
 	}
 	if snap.Faults.Resumed < 1 || resumes < 1 {
 		t.Fatalf("no stream resumed (server %d, clients %d)", snap.Faults.Resumed, resumes)
-	}
-	// Exactly-once admission under chaos: every retried or deduplicated
-	// handshake converged on one reservation per client, and the ledger
-	// survived the churn.
-	if snap.Streams.Admitted != clients {
-		t.Fatalf("admitted %d sessions for %d clients: handshake retries double-reserved",
-			snap.Streams.Admitted, clients)
-	}
-	if snap.ReservedPeak != 0 || snap.AvailablePeak != snap.CapacityBPS {
-		t.Fatalf("reservations leaked: %.0f reserved", snap.ReservedPeak)
 	}
 }
 

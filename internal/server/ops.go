@@ -12,7 +12,8 @@ import (
 )
 
 // StreamCounts are the admission and lifecycle counters. The server
-// keeps all of them itself; netsim.Admission holds only the reservation
+// keeps all of them itself, bumped by lifecycle moves (DESIGN §8) and
+// handshake verdicts; netsim.Admission holds only the reservation
 // arithmetic behind Active.
 type StreamCounts struct {
 	// Admitted counts the admissions this server committed: reserved
@@ -29,7 +30,7 @@ type StreamCounts struct {
 	RejectedMalformed int64 `json:"rejected_malformed"`
 	RejectedBusy      int64 `json:"rejected_busy"`
 	Active            int64 `json:"active"`
-	// Parked counts the active streams whose snapshot says parked:
+	// Parked counts the active streams in the parked or claimed state:
 	// disconnected, or recovered from the journal and not yet resumed,
 	// holding their reservation through the resume window.
 	Parked    int64 `json:"parked"`
@@ -126,9 +127,12 @@ type Snapshot struct {
 	// finished and active.
 	Faults FaultCounts `json:"faults"`
 	// DelayViolations counts finished streams whose largest per-picture
-	// delay exceeded their bound D — always 0 for K ≥ 1 streams, by
-	// Theorem 1. WorstDelayHeadroomS is the smallest D − maxDelay margin
-	// any finished stream kept (0 until a stream finishes).
+	// delay exceeded their bound D. The delay is the kernel's nominal
+	// Decision.Delay, not when the picture's last byte left egress, so a
+	// stream that misses its deadline on the wall clock still reads 0
+	// here. WorstDelayHeadroomS is the smallest D − maxDelay margin any
+	// finished stream kept, on the same nominal delays (0 until a stream
+	// finishes).
 	DelayViolations     int64            `json:"delay_violations"`
 	WorstDelayHeadroomS float64          `json:"worst_delay_headroom_s"`
 	PerStream           []StreamSnapshot `json:"active_streams"`
@@ -147,26 +151,14 @@ func (s *Server) Snapshot() Snapshot {
 		streams = append(streams, st)
 	}
 	snap := Snapshot{
-		CapacityBPS:   s.admission.Capacity(),
-		ReservedPeak:  s.admission.Reserved(),
-		AvailablePeak: s.admission.Available(),
-		Streams: StreamCounts{
-			Admitted:            s.admitted,
-			RejectedCapacity:    s.rejectedCapacity,
-			RejectedMalformed:   s.rejectedMalformed,
-			RejectedBusy:        s.rejectedBusy,
-			Active:              s.admission.Active(),
-			Completed:           s.completed,
-			Failed:              s.failed,
-			HelloDeduped:        s.helloDeduped,
-			AlreadyComplete:     s.alreadyComplete,
-			Redirected:          s.redirected,
-			Recovered:           s.recoveredStreams,
-			RecoveredTombstones: s.recoveredTombstones,
-		},
+		CapacityBPS:     s.admission.Capacity(),
+		ReservedPeak:    s.admission.Reserved(),
+		AvailablePeak:   s.admission.Available(),
+		Streams:         s.counts,
 		Faults:          s.faultTotals,
 		DelayViolations: s.delayViolations,
 	}
+	snap.Streams.Active = s.admission.Active()
 	if !math.IsInf(s.worstHeadroom, 1) {
 		snap.WorstDelayHeadroomS = s.worstHeadroom
 	}

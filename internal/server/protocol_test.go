@@ -193,7 +193,6 @@ func TestProtocolRandomizedCompound(t *testing.T) {
 
 func runProtocolScenario(t *testing.T, sc protoScenario, seed int64) {
 	kit := makeClient(t, testTrace(t, 18))
-	wantFNV := payloadFNV(kit.payloads)
 
 	serverNet := faultnet.New(faultnet.Config{Seed: seed, Ops: sc.serverOps})
 	clientNet := faultnet.New(faultnet.Config{Seed: seed + 1000, Ops: sc.clientOps})
@@ -218,29 +217,10 @@ func runProtocolScenario(t *testing.T, sc protoScenario, seed int64) {
 		return s.Streams.Completed == 1 && s.Streams.Active == 0
 	})
 
-	snap := srv.Snapshot()
-	// Exactly one reservation ever, fully released.
-	if snap.Streams.Admitted != 1 {
-		t.Errorf("admitted %d sessions, want exactly 1 (double reservation)", snap.Streams.Admitted)
-	}
-	if snap.Streams.Failed != 0 {
-		t.Errorf("%d server-side stream failures", snap.Streams.Failed)
-	}
-	if snap.ReservedPeak != 0 {
-		t.Errorf("%.0f bps still reserved after completion", snap.ReservedPeak)
-	}
-	// No byte divergence: the one finished stream accepted every
-	// picture with the sender's exact bytes.
-	fin := srv.FinishedStreams()
-	if len(fin) != 1 {
-		t.Fatalf("%d finished streams, want 1", len(fin))
-	}
-	if fin[0].Pictures != kit.tr.Len() {
-		t.Errorf("server accepted %d pictures, want %d", fin[0].Pictures, kit.tr.Len())
-	}
-	if fin[0].PayloadFNV != wantFNV {
-		t.Errorf("server payload fnv %016x, want %016x — bytes diverged", fin[0].PayloadFNV, wantFNV)
-	}
+	// Exactly one reservation ever, fully released, and no byte
+	// divergence: the one finished stream accepted every picture with the
+	// sender's exact bytes.
+	snap := checkSoakEnd(t, srv, 1, kit)
 	// Scenario-specific recovery evidence.
 	if res.Resumes < sc.minResumes {
 		t.Errorf("client resumed %d times, want at least %d", res.Resumes, sc.minResumes)

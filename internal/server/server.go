@@ -29,6 +29,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
@@ -80,9 +81,6 @@ type Config struct {
 	// Policy selects rates for every stream's smoothing session; nil
 	// means core.BasicPolicy (fewest rate changes).
 	Policy core.Policy
-	// H is the lookahead interval in pictures; 0 resolves to each
-	// stream's own pattern length N (the paper's usual choice).
-	H int
 	// MaxStreams caps concurrently active streams (0 = no cap beyond
 	// link capacity).
 	MaxStreams int
@@ -210,21 +208,12 @@ type Server struct {
 	ln         net.Listener
 	closed     bool
 
-	// journal is cfg.Journal (nil disables durability); the recovered
-	// counters report what the journal replay rebuilt at startup.
-	journal             *journal.Journal
-	recoveredStreams    int64
-	recoveredTombstones int64
+	// journal is cfg.Journal (nil disables durability).
+	journal *journal.Journal
 
-	admitted          int64 // committed admissions; rollbacks count as busy
-	completed         int64
-	failed            int64
-	rejectedCapacity  int64
-	rejectedMalformed int64
-	rejectedBusy      int64
-	helloDeduped      int64
-	alreadyComplete   int64
-	redirected        int64
+	// counts are the session counters; Snapshot fills in active, parked
+	// and rejected.
+	counts StreamCounts
 
 	// faultTotals accumulates finished streams' fault counters; active
 	// streams' counters are added at snapshot time.
@@ -447,34 +436,25 @@ func (s *Server) recoverFromJournal() {
 			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (prefix hash unrecoverable)")
 			continue
 		}
-		st := newParkedStream(rec.Hello, ph, rec.Watermark)
+		st := newStream(wire{}, rec.Hello, ph, rec.Watermark)
+		st.token = token
 		sess, err := s.newSession(st)
 		if err != nil {
 			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (session rebuild failed)")
 			continue
 		}
 		st.sess = sess
-		st.token = token
 		s.mu.Lock()
-		s.nextID++
-		st.id = s.nextID
-		s.streams[st.id] = st
-		s.resumable[token] = st
-		if rec.Hello.Nonce != 0 {
-			s.nonces[rec.Hello.Nonce] = st
-		}
 		s.admission.Rehydrate(rec.Hello.PeakRate)
-		s.recoveredStreams++
+		s.registerLocked(st)
+		_, after := s.applyLocked(st, move{ev: evRecover})
 		s.mu.Unlock()
-		s.cfg.Logf("smoothd: recovered stream %d (token %016x) parked at picture %d awaiting resume",
-			st.id, token, rec.Watermark)
+		after()
 		s.wg.Add(1)
-		go func(st *stream) {
+		go func() {
 			defer s.wg.Done()
-			err := s.run(st, nil)
-			s.finish(st, err)
-			st.closeConn()
-		}(st)
+			s.run(st, nil)
+		}()
 	}
 	// Entomb in expiry order: the ledger sweeps expired tombstones off
 	// the front of its insertion order.
@@ -495,7 +475,7 @@ func (s *Server) recoverFromJournal() {
 			expires:  tb.Expires,
 		}, now)
 	}
-	s.recoveredTombstones += int64(len(tombs))
+	s.counts.RecoveredTombstones += int64(len(tombs))
 	s.mu.Unlock()
 }
 
@@ -511,23 +491,30 @@ func (s *Server) journalWatermark(st *stream) {
 	// journal's own coalescing entry, so it is free for the next picture.
 }
 
-// journalComplete makes a stream's completion durable — called before
-// the completion ack is written, so an acked stream is always
-// answerable as AlreadyComplete after a crash. A failure here degrades
-// durability, not correctness: the un-journaled completion recovers as
-// a fully-caught-up parked stream, and the sender's resume completes it
-// again idempotently.
-func (s *Server) journalComplete(st *stream) (uint64, error) {
+// commitCompletion makes a stream's completion durable (quorum-held in
+// a cluster) before its ack is written, so an acked stream is answerable
+// as AlreadyComplete after a crash. A failure costs durability, not
+// correctness, and is only logged: there is nothing to roll back, and
+// the un-journaled completion recovers as a fully caught-up parked
+// stream that the sender's resume completes again.
+func (s *Server) commitCompletion(ctx context.Context, st *stream) {
 	if s.journal == nil || st.token == 0 {
-		return 0, nil
+		return
 	}
 	next, sum := st.resumePoint()
 	var state [8]byte
 	binary.BigEndian.PutUint64(state[:], sum)
-	return s.journal.Completed(journal.TombstoneRecord{
+	seq, err := s.journal.Completed(journal.TombstoneRecord{
 		Token: st.token, Nonce: st.hello.Nonce, Pictures: next,
 		HashState: state[:], Expires: time.Now().Add(s.tombstoneTTL()),
 	})
+	if err != nil {
+		s.cfg.Logf("smoothd: stream %d completion journal write failed: %v", st.id, err)
+	} else if s.cfg.Quorum != nil {
+		if err := s.cfg.Quorum.WaitCommitted(ctx, seq); err != nil {
+			s.cfg.Logf("smoothd: stream %d completion quorum not reached: %v", st.id, err)
+		}
+	}
 }
 
 // handle runs one connection: the first message decides whether it is a
@@ -535,24 +522,23 @@ func (s *Server) journalComplete(st *stream) (uint64, error) {
 // FrameReader/FrameWriter pair owns each direction for the connection's
 // whole life — the frame sequence counters span handshake and stream.
 func (s *Server) handle(conn net.Conn) {
-	fr := transport.NewFrameReaderBuffered(conn)
-	fr.MaxPayload = s.cfg.MaxPictureBytes
-	fw := transport.NewFrameWriter(conn)
-	fw.WriteTimeout = s.cfg.WriteTimeout
-	fw.MaxPayload = s.cfg.MaxPictureBytes
+	w := wire{conn: conn, fr: transport.NewFrameReaderBuffered(conn), fw: transport.NewFrameWriter(conn)}
+	w.fr.MaxPayload = s.cfg.MaxPictureBytes
+	w.fw.WriteTimeout = s.cfg.WriteTimeout
+	w.fw.MaxPayload = s.cfg.MaxPictureBytes
 
-	msg, err := fr.ReadMessageTimeout(s.cfg.ReadTimeout)
+	msg, err := w.fr.ReadMessageTimeout(s.cfg.ReadTimeout)
 	if err != nil {
-		s.rejectConn(conn, fw, transport.RejectedMalformed, err)
+		s.rejectConn(w, transport.RejectedMalformed, err)
 		return
 	}
 	switch m := msg.(type) {
 	case *transport.StreamHello:
-		s.handleHello(conn, fr, fw, m)
+		s.handleHello(w, m)
 	case *transport.StreamResume:
-		s.handleResume(conn, fr, fw, m)
+		s.handleResume(w, m)
 	default:
-		s.rejectConn(conn, fw, transport.RejectedMalformed,
+		s.rejectConn(w, transport.RejectedMalformed,
 			fmt.Errorf("server: expected hello or resume, got %T", msg))
 	}
 }
@@ -560,7 +546,7 @@ func (s *Server) handle(conn net.Conn) {
 // redirectIfRemote answers a handshake whose session key another shard
 // owns with that shard's address (best effort) and closes the
 // connection. It reports whether the connection was redirected.
-func (s *Server) redirectIfRemote(conn net.Conn, fw *transport.FrameWriter, key uint64) bool {
+func (s *Server) redirectIfRemote(w wire, key uint64) bool {
 	if s.cfg.Route == nil {
 		return false
 	}
@@ -569,21 +555,21 @@ func (s *Server) redirectIfRemote(conn net.Conn, fw *transport.FrameWriter, key 
 		return false
 	}
 	s.mu.Lock()
-	s.redirected++
+	s.counts.Redirected++
 	s.mu.Unlock()
-	fw.WriteRedirect(transport.Redirect{Addr: addr, Epoch: s.cfg.Epoch})
-	conn.Close()
+	w.fw.WriteRedirect(transport.Redirect{Addr: addr, Epoch: s.cfg.Epoch})
+	w.conn.Close()
 	s.cfg.Logf("smoothd: %s redirected to %s (key %016x not owned by this shard)",
-		conn.RemoteAddr(), addr, key)
+		w.conn.RemoteAddr(), addr, key)
 	return true
 }
 
 // rejectConn answers a doomed connection with a verdict (best effort)
 // and closes it.
-func (s *Server) rejectConn(conn net.Conn, fw *transport.FrameWriter, code transport.VerdictCode, cause error) {
-	fw.WriteVerdict(s.reject(code))
-	conn.Close()
-	s.cfg.Logf("smoothd: %s %s: %v", conn.RemoteAddr(), code, cause)
+func (s *Server) rejectConn(w wire, code transport.VerdictCode, cause error) {
+	w.fw.WriteVerdict(s.reject(code))
+	w.conn.Close()
+	s.cfg.Logf("smoothd: %s %s: %v", w.conn.RemoteAddr(), code, cause)
 }
 
 // reject counts one rejection under its code and returns the verdict
@@ -593,11 +579,11 @@ func (s *Server) reject(code transport.VerdictCode) transport.Verdict {
 	defer s.mu.Unlock()
 	switch code {
 	case transport.RejectedCapacity:
-		s.rejectedCapacity++
+		s.counts.RejectedCapacity++
 	case transport.RejectedMalformed:
-		s.rejectedMalformed++
+		s.counts.RejectedMalformed++
 	case transport.RejectedBusy:
-		s.rejectedBusy++
+		s.counts.RejectedBusy++
 	}
 	return transport.Verdict{Code: code, Available: s.admission.Available(), Epoch: s.cfg.Epoch}
 }
@@ -607,8 +593,8 @@ func (s *Server) reject(code transport.VerdictCode) transport.Verdict {
 // copy of our admission verdict was lost in flight and it redialed — so
 // instead of reserving a second session we reattach the connection to
 // the existing one, exactly as a resume would.
-func (s *Server) handleHello(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello *transport.StreamHello) {
-	if hello.Nonce != 0 && s.redirectIfRemote(conn, fw, hello.Nonce) {
+func (s *Server) handleHello(w wire, hello *transport.StreamHello) {
+	if hello.Nonce != 0 && s.redirectIfRemote(w, hello.Nonce) {
 		return
 	}
 	if hello.Nonce != 0 {
@@ -616,41 +602,39 @@ func (s *Server) handleHello(conn net.Conn, fr *transport.FrameReader, fw *trans
 		prior := s.nonces[hello.Nonce]
 		dup := prior != nil && prior.hello == *hello
 		if dup {
-			s.helloDeduped++
+			s.counts.HelloDeduped++
 		}
 		avail := s.admission.Available()
 		s.mu.Unlock()
 		if dup {
-			s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", prior.id, conn.RemoteAddr())
-			s.reattach(conn, fr, fw, prior, prior.token, avail)
+			s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", prior.id, w.conn.RemoteAddr())
+			s.reattach(w, prior, prior.token, avail)
 			return
 		}
 		if prior != nil {
-			s.rejectConn(conn, fw, transport.RejectedMalformed,
+			s.rejectConn(w, transport.RejectedMalformed,
 				fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce))
 			return
 		}
 	}
-	st, verdict, err := s.admit(conn, fr, fw, hello)
-	if werr := fw.WriteVerdict(verdict); werr != nil && err == nil {
+	st, verdict, err := s.admit(w.conn, w.fr, w.fw, hello)
+	if werr := w.fw.WriteVerdict(verdict); werr != nil && err == nil {
 		err = werr
 	}
 	if st == nil {
-		conn.Close()
-		s.cfg.Logf("smoothd: %s %s: %v", conn.RemoteAddr(), verdict.Code, err)
+		w.conn.Close()
+		s.cfg.Logf("smoothd: %s %s: %v", w.conn.RemoteAddr(), verdict.Code, err)
 		return
 	}
-	err = s.run(st, err)
-	s.finish(st, err)
-	st.closeConn()
+	s.run(st, err)
 }
 
 // handleResume hands a reconnecting sender's connection to its parked
 // stream. An unknown token is checked against the completion tombstones
 // first: a sender that finished but lost the completion ack gets an
 // AlreadyComplete verdict carrying the final hash, not a rejection.
-func (s *Server) handleResume(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, m *transport.StreamResume) {
-	if s.redirectIfRemote(conn, fw, m.Token) {
+func (s *Server) handleResume(w wire, m *transport.StreamResume) {
+	if s.redirectIfRemote(w, m.Token) {
 		return
 	}
 	s.mu.Lock()
@@ -661,82 +645,66 @@ func (s *Server) handleResume(conn net.Conn, fr *transport.FrameReader, fw *tran
 		tomb, entombed = s.tombstones.lookup(m.Token, time.Now())
 	}
 	if entombed {
-		s.alreadyComplete++
+		s.counts.AlreadyComplete++
 	}
 	closed := s.closed
 	avail := s.admission.Available()
 	s.mu.Unlock()
 	if entombed {
-		fw.WriteVerdict(transport.Verdict{
+		w.fw.WriteVerdict(transport.Verdict{
 			Code: transport.AlreadyComplete, Available: avail,
 			ResumeToken: m.Token, NextIndex: tomb.pictures, PrefixFNV: tomb.fnv,
 			Epoch: s.cfg.Epoch,
 		})
-		conn.Close()
+		w.conn.Close()
 		s.cfg.Logf("smoothd: resume from %s answered already-complete (%d pictures, fnv %016x)",
-			conn.RemoteAddr(), tomb.pictures, tomb.fnv)
+			w.conn.RemoteAddr(), tomb.pictures, tomb.fnv)
 		return
 	}
 	if st == nil || closed {
-		s.rejectConn(conn, fw, transport.RejectedMalformed,
+		s.rejectConn(w, transport.RejectedMalformed,
 			fmt.Errorf("server: resume with unknown token"))
 		return
 	}
-	s.reattach(conn, fr, fw, st, m.Token, avail)
+	s.reattach(w, st, m.Token, avail)
 }
 
 // reattach hands a reconnecting sender's connection (resume by token or
 // hello retransmission matched by nonce) to its parked stream; avail is
-// the headroom the caller read with the stream. The accepting flag
-// (under the stream's lock) serializes competing reconnect attempts;
-// the verdict carrying the replay point and the accepted-prefix hash is
-// written before the connection changes hands.
-func (s *Server) reattach(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, st *stream, token uint64, avail float64) {
-	st.mu.Lock()
-	if !st.accepting {
+// the headroom the caller read with the stream. The claim move
+// serializes competing reconnects; the verdict carrying the replay point
+// and the accepted-prefix hash is written before the adopt move hands
+// the connection over.
+func (s *Server) reattach(w wire, st *stream, token uint64, avail float64) {
+	if !s.apply(st, move{ev: evClaim}) {
 		// The stream has not parked yet — most likely its ingest loop is
 		// still blocked on the dead connection. Close that connection to
 		// expedite fault detection; the sender's backoff retry will find
 		// the stream parked.
-		old := st.conn
-		st.mu.Unlock()
-		if old != nil {
-			old.Close()
-		}
-		s.rejectConn(conn, fw, transport.RejectedBusy,
+		st.closeConn()
+		s.rejectConn(w, transport.RejectedBusy,
 			fmt.Errorf("server: stream %d not yet accepting resume", st.id))
 		return
 	}
-	st.accepting = false // claim the resume slot
-	st.mu.Unlock()
-	// The claim parks the watermark: ingest is blocked on resumeCh, so
-	// the resume point cannot move under us.
+	// The claim freezes the watermark: ingest waits for the adopt, so the
+	// resume point cannot move under us.
 	next, prefix := st.resumePoint()
-
-	if err := fw.WriteVerdict(transport.Verdict{
+	if err := w.fw.WriteVerdict(transport.Verdict{
 		Code: transport.Admitted, Available: avail,
 		ResumeToken: token, NextIndex: next, PrefixFNV: prefix,
 		Epoch: s.cfg.Epoch,
 	}); err != nil {
 		// Could not deliver the replay point; reopen the slot for the
 		// sender's next attempt.
-		st.mu.Lock()
-		st.accepting = true
-		st.mu.Unlock()
-		conn.Close()
+		s.apply(st, move{ev: evRelease})
+		w.conn.Close()
 		return
 	}
-	st.mu.Lock()
-	if st.resumeGone {
-		// The resume window expired between our claim and now; the
-		// stream is finishing and will never read the channel.
-		st.mu.Unlock()
-		conn.Close()
-		return
+	if !s.apply(st, move{ev: evAdopt, w: w}) {
+		// The window lapsed, or the stream ended, while the verdict was
+		// on its way.
+		w.conn.Close()
 	}
-	st.resumeCh <- resumedConn{conn: conn, fr: fr, fw: fw}
-	st.mu.Unlock()
-	s.cfg.Logf("smoothd: stream %d resumed from %s at picture %d", st.id, conn.RemoteAddr(), next)
 }
 
 // admit validates the hello and takes the admission decision. A nil
@@ -752,11 +720,7 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		return nil, s.reject(transport.RejectedMalformed), err
 	}
 
-	st := newStream(conn, fr, fw, *hello, ph)
-	// Hand the reader the stream's payload pool: ingest reads each
-	// picture into a recycled buffer, and egress (or the duplicate-drop
-	// path) returns it once the bytes are finished with.
-	fr.Pool = &st.pool
+	st := newStream(wire{conn, fr, fw}, *hello, ph, 0)
 	sess, err := s.newSession(st)
 	if err != nil {
 		return nil, s.reject(transport.RejectedMalformed), err
@@ -784,27 +748,20 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		return nil, s.reject(transport.RejectedCapacity),
 			fmt.Errorf("server: peak %.0f bps exceeds available %.0f bps", hello.PeakRate, avail)
 	}
-	s.nextID++
-	st.id = s.nextID
-	s.streams[st.id] = st
-	if hello.Nonce != 0 {
-		s.nonces[hello.Nonce] = st
-	}
 	if s.cfg.ResumeWindow > 0 {
 		st.token = s.newTokenLocked()
-		s.resumable[st.token] = st
 	}
+	s.registerLocked(st)
 	avail := s.admission.Available()
 	s.mu.Unlock()
 	if err := s.commitAdmission(st); err != nil {
+		// Rolled back while admitting: counted busy, not admitted.
 		s.mu.Lock()
 		s.dropLocked(st)
 		s.mu.Unlock()
 		return nil, s.reject(transport.RejectedBusy), err
 	}
-	s.mu.Lock()
-	s.admitted++
-	s.mu.Unlock()
+	s.apply(st, move{ev: evAdmit})
 	_, prefix := st.resumePoint() // empty hash: nothing accepted yet
 	return st, transport.Verdict{
 		Code: transport.Admitted, Available: avail, ResumeToken: st.token, PrefixFNV: prefix,
@@ -813,20 +770,18 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 }
 
 // newSession builds the smoothing Session for st's remaining pictures,
-// from its base on, with the server's policy and lookahead. A declared
-// picture count is binding: the Session refuses a picture beyond it, and
-// it decides each picture as soon as Theorem 1's inputs have arrived.
-// A count of 0 leaves the length unknown, and each decision waits for
-// its H-picture window, because an open-ended schedule can peak above
-// the one the sender computed its declared peak from.
+// from its base on, with the server's policy and a lookahead of one
+// pattern, H = N: the hello carries no H, and the sender computed its
+// declared peak at H = N. A declared picture count is binding: the
+// Session refuses a picture beyond it, and it decides each picture as
+// soon as Theorem 1's inputs have arrived. A count of 0 leaves the
+// length unknown, and each decision waits for its H-picture window,
+// because an open-ended schedule can peak above the one the sender
+// computed its declared peak from.
 func (s *Server) newSession(st *stream) (*core.Session, error) {
-	h := s.cfg.H
-	if h <= 0 {
-		h = st.hello.GOP.N
-	}
 	remaining := st.hello.Pictures - st.base
 	sess, err := core.NewSession(st.hello.Tau, st.hello.GOP, core.Config{
-		K: st.hello.K, D: st.hello.D, H: h, Policy: s.cfg.Policy,
+		K: st.hello.K, D: st.hello.D, H: st.hello.GOP.N, Policy: s.cfg.Policy,
 	}, core.WithObserver(st.observe), core.WithLength(remaining))
 	if err == nil && st.hello.Pictures > 0 && remaining <= 0 {
 		// A recovered stream whose every declared picture was accepted
@@ -865,6 +820,21 @@ func (s *Server) commitAdmission(st *stream) error {
 		return fmt.Errorf("server: admission quorum not reached: %w", err)
 	}
 	return nil
+}
+
+// registerLocked enters st into the session table under a fresh id, and
+// under its hello nonce and resume token when it has them. Caller holds
+// s.mu and has reserved st's peak; dropLocked undoes both.
+func (s *Server) registerLocked(st *stream) {
+	s.nextID++
+	st.id = s.nextID
+	s.streams[st.id] = st
+	if st.hello.Nonce != 0 {
+		s.nonces[st.hello.Nonce] = st
+	}
+	if st.token != 0 {
+		s.resumable[st.token] = st
+	}
 }
 
 // dropLocked releases st's reservation and removes it from the session
@@ -916,31 +886,36 @@ func (s *Server) newTokenLocked() uint64 {
 	}
 }
 
-// run drives an admitted stream: ingest on this goroutine, egress on a
-// second. admitErr carries a verdict-write failure from handleHello.
-func (s *Server) run(st *stream, admitErr error) error {
-	if admitErr != nil {
+// run drives an admitted stream to its end: ingest on this goroutine,
+// egress on a second, then finish. admitErr carries a verdict-write
+// failure from handleHello.
+func (s *Server) run(st *stream, admitErr error) {
+	err := admitErr
+	if err != nil {
 		close(st.queue)
-		return admitErr
+	} else {
+		egressDone := make(chan error, 1)
+		go func() { egressDone <- st.runEgress(s.ctx, s.egress, s.cfg.Clock, s.cfg.TimeScale) }()
+		err = cmp.Or(st.runIngest(s.ctx, s), <-egressDone) // ingest's error first
 	}
-	egressDone := make(chan error, 1)
-	go func() {
-		egressDone <- st.runEgress(s.ctx, s.egress, s.cfg.Clock, s.cfg.TimeScale)
-	}()
-	ingestErr := st.runIngest(s.ctx, s)
-	egressErr := <-egressDone
-	if ingestErr != nil {
-		return ingestErr
-	}
-	return egressErr
+	s.finish(st, err)
+	st.closeConn()
 }
 
-// finish releases the stream's reservation and records its outcome.
+// finish releases the stream's reservation, makes its terminal move
+// (completed, or failed with err) and records its outcome. A stream
+// whose resume window lapsed has counted and logged its failure
+// already, so its fail move is refused.
 func (s *Server) finish(st *stream, err error) {
-	ss := st.snapshot()
+	end := move{ev: evComplete}
+	if err != nil {
+		end = move{ev: evFail, cause: err}
+	}
 	s.mu.Lock()
 	s.dropLocked(st)
-	if st.token != 0 && err == nil {
+	_, after := s.applyLocked(st, end)
+	ss := st.snapshot()
+	if st.token != 0 && st.state == completed {
 		// Entomb the completed stream in the critical section that drops
 		// its token, so a resume finds one or the other.
 		now := time.Now()
@@ -949,10 +924,9 @@ func (s *Server) finish(st *stream, err error) {
 			expires: now.Add(s.tombstoneTTL()),
 		}, now)
 	}
-	if err != nil {
-		s.failed++
-	} else {
-		s.completed++
+	reason := journal.ExpireFailed
+	if st.state == lapsed {
+		reason = journal.ExpireResumeWindow
 	}
 	s.faultTotals.add(ss.Faults)
 	s.finished = append(s.finished, ss)
@@ -966,25 +940,16 @@ func (s *Server) finish(st *stream, err error) {
 		s.delayViolations++
 	}
 	s.mu.Unlock()
+	after()
 	if err != nil && s.journal != nil && st.token != 0 && s.ctx.Err() == nil {
 		// A terminal failure releases the reservation, so the journal
 		// must forget the stream too — otherwise the next generation
 		// would rehydrate a reservation nobody holds. Streams ended by
 		// shutdown cancellation are deliberately NOT expired: they stay
 		// journaled so the next generation recovers them parked.
-		reason := journal.ExpireFailed
-		if st.resumeWindowLapsed() {
-			reason = journal.ExpireResumeWindow
-		}
 		if _, jerr := s.journal.Expired(st.token, st.hello.Nonce, reason); jerr != nil {
 			s.cfg.Logf("smoothd: stream %d expiry journal write failed: %v", st.id, jerr)
 		}
-	}
-	if err != nil {
-		s.cfg.Logf("smoothd: stream %d from %s failed: %v", st.id, ss.Remote, err)
-	} else {
-		s.cfg.Logf("smoothd: stream %d from %s completed: %d pictures, peak %.0f bps",
-			st.id, ss.Remote, ss.Pictures, ss.SessionPeak)
 	}
 }
 

@@ -24,9 +24,9 @@ type item struct {
 // never redialed within the resume window.
 var errRecoveredUnresumed = errors.New("server: recovered stream never resumed")
 
-// resumedConn is a reconnecting sender's connection, handed from the
-// accept handler to the parked stream's ingest loop.
-type resumedConn struct {
+// wire is one connection and the framers that own its two directions
+// for the connection's whole life.
+type wire struct {
 	conn net.Conn
 	fr   *transport.FrameReader
 	fw   *transport.FrameWriter
@@ -36,20 +36,18 @@ type resumedConn struct {
 // and driving the smoothing Session, a bounded queue, and an egress loop
 // pacing decided pictures onto the shared link. The Session itself is
 // touched only by ingest (it is single-goroutine by contract); mu exists
-// so the ops endpoint can snapshot live counters and so a resume handler
-// can hand over a fresh connection.
+// so the ops endpoint can snapshot live counters and so a reattach can
+// hand over a fresh connection.
 //
-// The connection (and its FrameReader) is mutable: a retryable fault
-// parks the stream, and a StreamResume handshake replaces them. The
-// accepting/resumeGone flags (under mu) serialize that handover against
-// the resume-window expiry.
+// The connection is mutable: a retryable fault parks the stream, and a
+// reattach hands it a fresh one. Both are lifecycle moves, made by
+// Server.applyLocked.
 type stream struct {
-	id       uint64
-	remote   string
-	hello    transport.StreamHello
-	queue    chan item
-	token    uint64
-	resumeCh chan resumedConn // cap 1; guarded by accepting/resumeGone
+	id     uint64
+	remote string
+	hello  transport.StreamHello
+	queue  chan item
+	token  uint64
 
 	// base is the absolute index of the first picture this generation's
 	// Session will see: 0 for a freshly admitted stream, the recovered
@@ -64,22 +62,17 @@ type stream struct {
 	// paces the picture onto the link, or immediately when a replayed
 	// duplicate is dropped. Per-stream (not global) so buffer sizes
 	// settle to the stream's own picture distribution and a resumed
-	// connection inherits warm buffers via adopt.
+	// connection inherits warm buffers via attach.
 	pool transport.BufferPool
 
-	mu           sync.Mutex
-	conn         net.Conn
-	fr           *transport.FrameReader
-	fw           *transport.FrameWriter
-	accepting    bool // parked and willing to adopt a resumed connection
-	resumeGone   bool // resume window expired; never deliver again
-	parked       bool
-	windowLapsed bool // the resume window ran out with no reconnect
-	resumes      int
-	faults       FaultCounts
-	expected     int                  // next (absolute) picture index ingest will accept
-	prefix       transport.PrefixHash // running hash over accepted payloads, in order
-	wmState      []byte               // scratch for prefixState (reused per picture)
+	mu       sync.Mutex
+	state    state         // written under s.mu and mu, by Server.applyLocked
+	wake     chan struct{} // closed by the adopt that ends a park
+	w        wire          // the current connection; zero while parked
+	faults   FaultCounts
+	expected int                  // next (absolute) picture index ingest will accept
+	prefix   transport.PrefixHash // running hash over accepted payloads, in order
+	wmState  []byte               // scratch for prefixState (reused per picture)
 
 	sess           *core.Session
 	stats          *metrics.DecisionStats
@@ -90,42 +83,35 @@ type stream struct {
 	egressedBits   int64
 }
 
-// newStream builds the stream skeleton; the caller creates the Session
-// with st.observe installed and assigns it to st.sess before the stream
-// is published. prefix is the negotiated integrity hash, fresh for a
-// new stream.
-func newStream(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello transport.StreamHello, prefix transport.PrefixHash) *stream {
-	return &stream{
-		remote:   conn.RemoteAddr().String(),
-		conn:     conn,
-		fr:       fr,
-		fw:       fw,
-		hello:    hello,
-		queue:    make(chan item, queueLen),
-		resumeCh: make(chan resumedConn, 1),
-		prefix:   prefix,
-		stats:    metrics.NewDecisionStats(),
-	}
-}
-
-// newParkedStream builds a journal-recovered stream: no connection yet,
-// the accept watermark and prefix hash restored to their journaled
-// values. Its ingest loop starts by waiting out the resume window for
-// the sender to redial; pictures below base were accepted by the
-// previous server generation (their payloads are gone with it) and the
-// fresh Session smooths only the remainder.
-func newParkedStream(hello transport.StreamHello, prefix transport.PrefixHash, watermark int) *stream {
-	return &stream{
+// newStream builds an admitting stream skeleton that numbers its
+// pictures from base, with prefix the integrity hash at base. Without a
+// connection it is a journal-recovered stream, base its watermark, that
+// the recover move parks. The caller creates the Session with st.observe
+// installed and assigns it to st.sess before the stream is published.
+func newStream(w wire, hello transport.StreamHello, prefix transport.PrefixHash, base int) *stream {
+	st := &stream{
 		remote:   "(recovered)",
 		hello:    hello,
 		queue:    make(chan item, queueLen),
-		resumeCh: make(chan resumedConn, 1),
+		wake:     make(chan struct{}),
 		prefix:   prefix,
 		stats:    metrics.NewDecisionStats(),
-		base:     watermark,
-		expected: watermark,
-		parked:   true,
+		base:     base,
+		expected: base,
 	}
+	if w.conn != nil {
+		st.attach(w)
+	}
+	return st
+}
+
+// attach makes w the stream's connection. Its reader draws payloads from
+// the stream's pool, so a resumed connection inherits the warm buffers
+// its predecessor filled. The caller owns st or holds st.mu.
+func (st *stream) attach(w wire) {
+	w.fr.Pool = &st.pool
+	st.w = w
+	st.remote = w.conn.RemoteAddr().String()
 }
 
 // observe feeds the per-stream DecisionStats; installed as the Session
@@ -159,18 +145,10 @@ func (st *stream) prefixState() (next int, state []byte) {
 	return st.expected, st.wmState
 }
 
-// resumeWindowLapsed reports whether the stream failed because its
-// resume window ran out — the journal's ExpireResumeWindow reason.
-func (st *stream) resumeWindowLapsed() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.windowLapsed
-}
-
 // closeConn closes whichever connection the stream currently owns.
 func (st *stream) closeConn() {
 	st.mu.Lock()
-	conn := st.conn
+	conn := st.w.conn
 	st.mu.Unlock()
 	if conn != nil {
 		conn.Close()
@@ -212,13 +190,6 @@ func (st *stream) note(decs []core.Decision) {
 	}
 }
 
-// recordFault classifies and counts one ingest fault.
-func (st *stream) recordFault(class transport.FaultClass) {
-	st.mu.Lock()
-	st.faults.record(class)
-	st.mu.Unlock()
-}
-
 // runIngest reads the connection until the end marker, pushing picture
 // sizes through the smoothing session and enqueueing decided pictures
 // for egress. The bounded queue is the backpressure point: when egress
@@ -251,72 +222,42 @@ func (st *stream) runIngest(ctx context.Context, s *Server) error {
 		}
 		return nil
 	}
+	cause := errRecoveredUnresumed // why the stream is parked, should its window lapse
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		st.mu.Lock()
-		fr, fw := st.fr, st.fw
+		w := st.w
 		st.mu.Unlock()
-		if fr == nil {
-			// Journal-recovered stream: no connection yet. Park first —
-			// the sender redials with its resume token, or the window
-			// lapses and the stream expires like any abandoned park.
-			if rerr := st.awaitResume(ctx, s, errRecoveredUnresumed); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		msg, err := fr.ReadMessageTimeout(s.cfg.ReadTimeout)
-		if errors.Is(err, transport.ErrClosed) {
-			// Make the completion durable before echoing the end marker as
-			// the completion ack: an acked stream must be answerable as
-			// AlreadyComplete even across a crash. (A journal failure here
-			// costs durability, not correctness — see journalComplete.)
-			seq, jerr := s.journalComplete(st)
-			if jerr != nil {
-				s.cfg.Logf("smoothd: stream %d completion journal write failed: %v", st.id, jerr)
-			} else if seq != 0 && s.cfg.Quorum != nil {
-				// Hold the completion ack until a quorum holds the
-				// tombstone. Unlike admission there is nothing to roll
-				// back — every picture was accepted — so a terminal gate
-				// error only costs ack durability: log and ack anyway
-				// (the sender's resume would complete idempotently).
-				if qerr := s.cfg.Quorum.WaitCommitted(ctx, seq); qerr != nil {
-					s.cfg.Logf("smoothd: stream %d completion quorum not reached: %v", st.id, qerr)
-				}
-			}
-			// Echo the end marker as the completion ack: the sender only
-			// reports success once every picture was accepted here. If the
-			// ack cannot be delivered, park — the resume replays nothing
-			// and the ack is retried on the fresh connection.
-			if aerr := fw.WriteEnd(); aerr != nil {
-				class := transport.ClassifyFault(aerr)
-				if ctx.Err() == nil && class != transport.FaultNone {
-					st.recordFault(class)
-				}
-				if st.token != 0 && s.cfg.ResumeWindow > 0 && class.Retryable() && ctx.Err() == nil {
-					if rerr := st.awaitResume(ctx, s, aerr); rerr != nil {
-						return rerr
-					}
-					continue
-				}
-				// Unconfirmed, but complete: every picture was accepted.
-			}
-			return enqueue(st.closeSession())
-		}
-		if err != nil {
-			class := transport.ClassifyFault(err)
-			if ctx.Err() == nil && class != transport.FaultNone {
-				st.recordFault(class)
-			}
-			if st.token == 0 || s.cfg.ResumeWindow <= 0 || !class.Retryable() || ctx.Err() != nil {
+		if w.conn == nil {
+			// Parked, by a fault or since recovery: the sender redials
+			// with its resume token, or the window lapses.
+			if err := st.awaitResume(ctx, s, cause); err != nil {
 				return err
 			}
-			if rerr := st.awaitResume(ctx, s, err); rerr != nil {
-				return rerr
-			}
 			continue
+		}
+		msg, err := w.fr.ReadMessageTimeout(s.cfg.ReadTimeout)
+		end := errors.Is(err, transport.ErrClosed)
+		if end {
+			// Echo the end marker as the completion ack, once the completion
+			// is durable: the sender only reports success once every picture
+			// was accepted here. An ack that cannot be delivered parks the
+			// stream like any fault; the resume replays nothing and the ack
+			// is retried on the fresh connection.
+			s.commitCompletion(ctx, st)
+			err = w.fw.WriteEnd()
+		}
+		switch {
+		case err != nil && st.park(ctx, s, err):
+			cause = err
+			continue
+		case end:
+			// Acked, or unconfirmed but complete: every picture was accepted.
+			return enqueue(st.closeSession())
+		case err != nil:
+			return err
 		}
 		switch m := msg.(type) {
 		case *transport.RateNotification:
@@ -364,73 +305,43 @@ func (st *stream) runIngest(ctx context.Context, s *Server) error {
 	}
 }
 
-// awaitResume parks the stream for the resume window: the dead
-// connection is closed, the admission reservation stays held, and the
-// ingest loop blocks until a resume handler delivers a fresh connection
-// or the window expires. cause is the fault that parked us, reported if
-// no sender comes back.
+// park counts a connection fault by class and, when the stream may wait
+// out the resume window for it (the fault is retryable, the stream holds
+// a resume token, and the server is not shutting down), parks the
+// stream. It reports whether the stream parked.
+func (st *stream) park(ctx context.Context, s *Server, err error) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	class := transport.ClassifyFault(err)
+	st.mu.Lock()
+	st.faults.record(class) // FaultNone counts nothing
+	st.mu.Unlock()
+	return st.token != 0 && class.Retryable() && s.apply(st, move{ev: evPark})
+}
+
+// awaitResume waits out a parked stream's resume window with its
+// reservation held. It returns nil once a reattach has adopted the
+// stream, and otherwise the error that ends it: the window lapsed,
+// reporting cause, or the server is shutting down.
 func (st *stream) awaitResume(ctx context.Context, s *Server, cause error) error {
 	st.mu.Lock()
-	if st.conn != nil {
-		st.conn.Close()
-	}
-	st.conn = nil
-	st.accepting = true
-	st.resumeGone = false
-	st.parked = true
+	wake := st.wake
 	st.mu.Unlock()
-
 	timer := time.NewTimer(s.cfg.ResumeWindow)
 	defer timer.Stop()
 	select {
-	case rc := <-st.resumeCh:
-		st.adopt(rc)
+	case <-wake:
 		return nil
 	case <-ctx.Done():
-		st.mu.Lock()
-		st.accepting = false
-		st.resumeGone = true
-		st.parked = false
-		st.mu.Unlock()
 		return ctx.Err()
 	case <-timer.C:
 	}
-	// Window expired. Flip the flags under the lock, then drain once:
-	// a resume handler that claimed the slot before our flip has either
-	// already delivered (we adopt it and carry on) or will observe
-	// resumeGone and close its connection.
-	st.mu.Lock()
-	st.accepting = false
-	select {
-	case rc := <-st.resumeCh:
-		st.mu.Unlock()
-		st.adopt(rc)
-		return nil
-	default:
-		st.resumeGone = true
-		st.parked = false
-		st.windowLapsed = true
-		st.faults.ResumeExpired++
-		st.mu.Unlock()
+	err := fmt.Errorf("server: no resume within %v: %w", s.cfg.ResumeWindow, cause)
+	if !s.apply(st, move{ev: evLapse, cause: err}) {
+		return nil // a reattach adopted the stream as the window closed
 	}
-	return fmt.Errorf("server: no resume within %v: %w", s.cfg.ResumeWindow, cause)
-}
-
-// adopt installs a resumed connection as the stream's current one. The
-// fresh connection's reader joins the stream's payload pool, so a
-// resume inherits the warm buffers its predecessor filled.
-func (st *stream) adopt(rc resumedConn) {
-	st.mu.Lock()
-	rc.fr.Pool = &st.pool
-	st.conn = rc.conn
-	st.fr = rc.fr
-	st.fw = rc.fw
-	st.remote = rc.conn.RemoteAddr().String()
-	st.accepting = false
-	st.parked = false
-	st.resumes++
-	st.faults.Resumed++
-	st.mu.Unlock()
+	return err
 }
 
 // runEgress paces decided pictures onto the shared link at their decided
@@ -496,9 +407,10 @@ type StreamSnapshot struct {
 	// PeakViolations counts sender rate declarations above the admitted
 	// peak — traffic-contract breaches a Policer would tag.
 	PeakViolations int `json:"peak_violations"`
-	// Resumes counts accepted reconnects; Parked reports a stream
-	// currently disconnected and waiting out its resume window. Faults
-	// are this stream's classified transport faults.
+	// Resumes counts accepted reconnects (faults.resumed); Parked
+	// reports a stream in the parked or claimed state: disconnected and
+	// waiting out its resume window. Faults are this stream's classified
+	// transport faults.
 	Resumes int         `json:"resumes"`
 	Parked  bool        `json:"parked"`
 	Faults  FaultCounts `json:"faults"`
@@ -537,8 +449,8 @@ func (st *stream) snapshot() StreamSnapshot {
 		MaxUndecided: st.maxUndecided,
 
 		PeakViolations: st.peakViolations,
-		Resumes:        st.resumes,
-		Parked:         st.parked,
+		Resumes:        int(st.faults.Resumed),
+		Parked:         st.state == parked || st.state == claimed,
 		Faults:         st.faults,
 		PayloadFNV:     st.prefix.Sum64(),
 
