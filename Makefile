@@ -7,7 +7,7 @@ GO ?= go
 # a renamed test fails the target instead of silently running nothing.
 REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
 
-.PHONY: all build test test-race vet bench muxbench chaos datagram dgfuzz fadingsweep crash cluster framefuzz journal protocol results examples loc clean
+.PHONY: all build test test-race vet bench benchpair muxbench chaos datagram dgfuzz fadingsweep crash cluster framefuzz journal protocol results examples loc clean
 
 all: build vet test test-race
 
@@ -113,6 +113,19 @@ results:
 # without re-running the unit tests.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# The benchmark (bench/) on two revisions in alternating pairs, with
+# each side's medians and quartiles, the pair wins and the verdict
+# against BENCHMARK.json's bounds (scripts/benchpair.sh), e.g.
+#   make benchpair BASE=HEAD~1 WORKLOAD=ingest_journal PAIRS=10 SEED=1
+BASE ?= HEAD~1
+CHANGE ?= HEAD
+WORKLOAD ?= ingest_journal
+PAIRS ?= 10
+SEED ?= 1
+BENCH_SECONDS ?= 15
+benchpair:
+	bash scripts/benchpair.sh $(BASE) $(CHANGE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --seconds $(BENCH_SECONDS)
 
 # The event-engine scale benchmark: the seed heap scheduler vs the
 # timing-wheel engine (per-cell and fluid) on the 1000-source

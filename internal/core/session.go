@@ -75,8 +75,9 @@ type pendingObservation struct {
 // Schedule's per-picture arrays; the rest expose the kernel's view of
 // the decision for observers and live consumers. The kernel decides
 // every picture of a Session into one Decision it owns: Push and Close
-// return copies in a fresh slice, and Smooth copies the mirrored fields
-// straight into its Schedule.
+// return copies in a fresh slice, AppendPush appends them to the
+// caller's, and Smooth copies the mirrored fields straight into its
+// Schedule.
 type Decision struct {
 	Picture              int
 	Rate                 float64
@@ -178,37 +179,45 @@ func NewSession(tau float64, gop mpeg.GOP, cfg Config, opts ...SessionOption) (*
 }
 
 // Push appends the size of the next encoded picture (display order) and
-// returns any decisions that became determined. Invalid input — a push
-// beyond the declared length or after Close, or a non-positive size —
-// is rejected before any state is touched, so a failed Push never
-// perturbs the schedule.
+// returns any decisions that became determined, in a fresh slice: it is
+// AppendPush(nil, size).
 func (s *Session) Push(size int64) ([]Decision, error) {
+	return s.AppendPush(nil, size)
+}
+
+// AppendPush is Push appending the decisions to dst and returning the
+// extended slice, so a caller that reuses one slice across pushes — a
+// live stream's ingest loop — allocates nothing per picture. Invalid
+// input — a push beyond the declared length or after Close, or a
+// non-positive size — is rejected before any state is touched, so a
+// failed push never perturbs the schedule; it returns dst unchanged.
+func (s *Session) AppendPush(dst []Decision, size int64) ([]Decision, error) {
 	if len(s.sizes) == s.end {
-		return nil, fmt.Errorf("core: Push past the end of a %d-picture sequence", s.end)
+		return dst, fmt.Errorf("core: Push past the end of a %d-picture sequence", s.end)
 	}
 	if size <= 0 {
-		return nil, fmt.Errorf("core: non-positive picture size %d", size)
+		return dst, fmt.Errorf("core: non-positive picture size %d", size)
 	}
 	s.sizes = append(s.sizes, size)
-	return s.decisions(), nil
+	return s.appendDecisions(dst), nil
 }
 
 // Close marks the end of the picture sequence — its length is what was
 // pushed — and returns all remaining decisions. Close is idempotent.
 func (s *Session) Close() []Decision {
 	s.end = len(s.sizes)
-	return s.decisions()
+	return s.appendDecisions(nil)
 }
 
-// decisions drains the Session into a fresh slice, presized when the
-// sequence is complete and every remaining picture is decided now.
-func (s *Session) decisions() []Decision {
-	var out []Decision
-	if len(s.sizes) == s.end {
-		out = make([]Decision, 0, s.end-s.next)
+// appendDecisions drains the Session onto dst, grown first to hold
+// every remaining decision when the sequence is complete and all of
+// them are decided now.
+func (s *Session) appendDecisions(dst []Decision) []Decision {
+	if n := s.end - s.next; len(s.sizes) == s.end && cap(dst)-len(dst) < n {
+		dst = append(make([]Decision, 0, len(dst)+n), dst...)
 	}
-	s.drain(func(d *Decision) { out = append(out, *d) })
-	return out
+	s.drain(func(d *Decision) { dst = append(dst, *d) })
+	return dst
 }
 
 // Pushed returns the number of picture sizes received so far.

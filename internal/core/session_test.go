@@ -244,20 +244,47 @@ func TestSessionPeakRateMatchesSchedule(t *testing.T) {
 	}
 }
 
+// sizeHistory keeps TestKernelAllocs' reference slice on the heap, as a
+// Session's size history is.
+var sizeHistory []int64
+
 // TestKernelAllocs pins the kernel's allocations. Smooth and Evaluate
 // each allocate the same number of times whatever the trace's length,
 // Evaluate at most three times (its two step functions and the ideal's
 // starts and rates), and a Session with a declared length allocates at
 // most once per Push, on average: the decisions it returns, plus the
-// occasional growth of its size prefix. A View, Bounds, State or
-// Decision that escaped to the heap would cost an allocation per
-// decision and fail the Smooth and Push checks; an Evaluate that built
-// ideal smoothing's Schedule again would fail its ceiling.
+// occasional growth of its size prefix. Pushed with AppendPush into one
+// reused slice, as smoothd's ingest does, a whole stream allocates a
+// constant number of times plus the growth of its size history,
+// whatever its length. A View, Bounds, State or Decision that escaped
+// to the heap would cost an allocation per decision and fail the
+// Smooth, Push and AppendPush checks; an Evaluate that built ideal
+// smoothing's Schedule again would fail its ceiling.
 func TestKernelAllocs(t *testing.T) {
-	var smooths, evals []float64
+	var smooths, evals, streams []float64
 	for _, n := range []int{54, 270, 1080} {
 		tr := paperTrace(t, n)
 		cfg := Config{K: 1, H: tr.GOP.N, D: 0.2}
+		stream := testing.AllocsPerRun(3, func() {
+			s, err := NewSession(tr.Tau, tr.GOP, cfg, WithLength(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decs []Decision
+			for _, size := range tr.Sizes {
+				if decs, err = s.AppendPush(decs[:0], size); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		history := testing.AllocsPerRun(3, func() {
+			var sizes []int64
+			for _, size := range tr.Sizes {
+				sizes = append(sizes, size)
+			}
+			sizeHistory = sizes
+		})
+		streams = append(streams, stream-history)
 		smooths = append(smooths, testing.AllocsPerRun(5, func() {
 			if _, err := Smooth(tr, cfg); err != nil {
 				t.Fatal(err)
@@ -278,6 +305,9 @@ func TestKernelAllocs(t *testing.T) {
 	}
 	if evals[0] != evals[1] || evals[1] != evals[2] || evals[0] > 3 {
 		t.Errorf("Evaluate allocations at 54, 270 and 1080 pictures: %v, want one count of at most 3", evals)
+	}
+	if streams[0] != streams[1] || streams[1] != streams[2] {
+		t.Errorf("AppendPush stream allocations beyond its size history at 54, 270 and 1080 pictures: %v, want one count", streams)
 	}
 
 	tr := paperTrace(t, 270)

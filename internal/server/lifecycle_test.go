@@ -195,7 +195,7 @@ func TestLifecycleTransitions(t *testing.T) {
 			if from == admitting || from == streaming {
 				w, peer = pipe()
 			}
-			st := newStream(w, kit.hello, prefix, 0)
+			st := newStream(w, kit.hello, prefix, 0, &srv.pool)
 			if st.sess, err = srv.newSession(st); err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestCancelWhileClaimedClosesReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A recovered stream, parked with its ingest waiting out the window.
-	st := newStream(wire{}, kit.hello, prefix, 0)
+	st := newStream(wire{}, kit.hello, prefix, 0, &srv.pool)
 	st.token = 0x70CE
 	if st.sess, err = srv.newSession(st); err != nil {
 		t.Fatal(err)

@@ -85,11 +85,15 @@ type Config struct {
 	// link capacity).
 	MaxStreams int
 	// ReadTimeout bounds the wait for each inbound message so a stalled
-	// sender cannot wedge its stream forever (default 30s).
+	// sender cannot wedge its stream forever (default 30s): a stalled
+	// sender is cut off no sooner than ReadTimeout and no later than 9/8
+	// of it, the read deadline being re-armed lazily rather than per
+	// message (transport.Deadline).
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each outbound write — verdicts and, when the
-	// egress sink supports write deadlines, shared-link writes (default:
-	// ReadTimeout).
+	// egress sink supports write deadlines, shared-link writes — to at
+	// least WriteTimeout and at most 9/8 of it, like ReadTimeout
+	// (default: ReadTimeout).
 	WriteTimeout time.Duration
 	// ResumeWindow is how long a disconnected admitted stream is parked
 	// (reservation held, Session intact) awaiting a StreamResume with
@@ -218,6 +222,10 @@ type Server struct {
 	// faultTotals accumulates finished streams' fault counters; active
 	// streams' counters are added at snapshot time.
 	faultTotals FaultCounts
+
+	// pool recycles picture payload buffers across every stream, so a
+	// new session starts with the buffers earlier ones warmed.
+	pool transport.BufferPool
 
 	// finished keeps the last finishedKeep stream snapshots for ops and
 	// post-mortems; worstHeadroom and delayViolations aggregate the
@@ -436,7 +444,7 @@ func (s *Server) recoverFromJournal() {
 			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (prefix hash unrecoverable)")
 			continue
 		}
-		st := newStream(wire{}, rec.Hello, ph, rec.Watermark)
+		st := newStream(wire{}, rec.Hello, ph, rec.Watermark, &s.pool)
 		st.token = token
 		sess, err := s.newSession(st)
 		if err != nil {
@@ -720,7 +728,7 @@ func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.F
 		return nil, s.reject(transport.RejectedMalformed), err
 	}
 
-	st := newStream(wire{conn, fr, fw}, *hello, ph, 0)
+	st := newStream(wire{conn, fr, fw}, *hello, ph, 0, &s.pool)
 	sess, err := s.newSession(st)
 	if err != nil {
 		return nil, s.reject(transport.RejectedMalformed), err
@@ -936,7 +944,7 @@ func (s *Server) finish(st *stream, err error) {
 	if ss.Decisions > 0 && ss.DelayHeadroom < s.worstHeadroom {
 		s.worstHeadroom = ss.DelayHeadroom
 	}
-	if ss.MaxDelay > ss.DelayBound+delayTolerance {
+	if ss.MaxDelay > ss.DelayBound+delayTolerance || errors.Is(err, errRateNotFinite) {
 		s.delayViolations++
 	}
 	s.mu.Unlock()
@@ -974,31 +982,26 @@ func (s *Server) FinishedStreams() []StreamSnapshot {
 
 // link serializes all streams' paced writes onto the shared egress sink
 // and accounts the bits that crossed it. When the sink supports write
-// deadlines (a net.Conn egress), each write is bounded by the server's
-// WriteTimeout so a wedged downstream cannot stall every stream forever.
+// deadlines (a net.Conn egress), each write gets at least the server's
+// WriteTimeout and at most 9/8 of it (transport.Deadline), so a wedged
+// downstream cannot stall every stream forever.
 type link struct {
 	mu      sync.Mutex
 	w       io.Writer
-	d       interface{ SetWriteDeadline(time.Time) error }
+	dl      transport.Deadline
 	timeout time.Duration
 	bits    int64
 }
 
 func newLink(w io.Writer, timeout time.Duration) *link {
-	l := &link{w: w, timeout: timeout}
-	if d, ok := w.(interface{ SetWriteDeadline(time.Time) error }); ok {
-		l.d = d
-	}
-	return l
+	return &link{w: w, dl: transport.WriteDeadline(w), timeout: timeout}
 }
 
 func (l *link) write(p []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.d != nil && l.timeout > 0 {
-		if err := l.d.SetWriteDeadline(time.Now().Add(l.timeout)); err != nil {
-			return fmt.Errorf("server: arming egress write deadline: %w", err)
-		}
+	if err := l.dl.Arm(l.timeout); err != nil {
+		return fmt.Errorf("server: arming egress write deadline: %w", err)
 	}
 	if _, err := l.w.Write(p); err != nil {
 		return err

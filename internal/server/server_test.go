@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -465,6 +466,68 @@ func TestOpsEndpoint(t *testing.T) {
 	}
 	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "smoothd") {
 		t.Fatalf("expvar %d: smoothd var missing\n%s", code, body)
+	}
+}
+
+// nanPolicy selects NaN for every picture: the kernel passes it through.
+type nanPolicy struct{}
+
+func (nanPolicy) Select(*core.Bounds, *core.State) float64 { return math.NaN() }
+func (nanPolicy) Name() string                             { return "nan" }
+
+// TestNaNPolicyFailsStream: a custom policy's NaN rate reaches no
+// egress pacer. The stream fails on its first decision as a delay
+// violation, its reservation is released, and the ops snapshot stays
+// JSON-encodable on every sample taken while it runs.
+func TestNaNPolicyFailsStream(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 20))
+	srv, addr := startServer(t, Config{LinkRate: 2 * kit.hello.PeakRate, Policy: nanPolicy{}})
+
+	stop := make(chan struct{})
+	type sampled struct {
+		active int
+		err    error
+	}
+	done := make(chan sampled, 1)
+	go func() {
+		var got sampled
+		for {
+			snap := srv.Snapshot()
+			if _, err := json.Marshal(snap); err != nil && got.err == nil {
+				got.err = err
+			}
+			got.active += len(snap.PerStream)
+			select {
+			case <-stop:
+				done <- got
+				return
+			default:
+			}
+		}
+	}()
+	// The server cuts the sender off mid-stream; its error is expected.
+	if v, _ := kit.stream(t.Context(), addr); !v.IsAdmitted() {
+		t.Fatalf("verdict %+v", v)
+	}
+	waitFor(t, "the NaN stream ends", func() bool { return srv.Snapshot().Streams.Active == 0 })
+	close(stop)
+	got := <-done
+	if got.err != nil {
+		t.Errorf("snapshot taken while the stream ran: %v", got.err)
+	}
+	if got.active == 0 {
+		t.Error("no snapshot saw the stream active")
+	}
+	snap := srv.Snapshot()
+	if snap.Streams.Failed != 1 || snap.Streams.Completed != 0 || snap.DelayViolations != 1 {
+		t.Errorf("failed %d, completed %d, delay violations %d; want 1, 0, 1",
+			snap.Streams.Failed, snap.Streams.Completed, snap.DelayViolations)
+	}
+	if snap.EgressedBits != 0 || snap.ReservedPeak != 0 {
+		t.Errorf("egressed %d bits, reserved %v bit/s after the stream; want 0, 0", snap.EgressedBits, snap.ReservedPeak)
+	}
+	if _, err := json.Marshal(snap); err != nil {
+		t.Errorf("snapshot after the stream: %v", err)
 	}
 }
 

@@ -24,6 +24,12 @@ type item struct {
 // never redialed within the resume window.
 var errRecoveredUnresumed = errors.New("server: recovered stream never resumed")
 
+// errRateNotFinite fails a stream whose policy decided a picture at a
+// rate that is not finite (the kernel passes a policy's NaN through).
+// Egress cannot pace such a picture and its delay is unbounded, so the
+// stream counts as a delay violation.
+var errRateNotFinite = errors.New("server: decided rate not finite")
+
 // wire is one connection and the framers that own its two directions
 // for the connection's whole life.
 type wire struct {
@@ -56,14 +62,11 @@ type stream struct {
 	// absolute stream indices.
 	base int
 
-	// pool recycles picture payload buffers across this stream's frames:
-	// the FrameReader (fr.Pool) draws each payload from it, and the
-	// buffer goes back once its bytes are finished with — after egress
-	// paces the picture onto the link, or immediately when a replayed
-	// duplicate is dropped. Per-stream (not global) so buffer sizes
-	// settle to the stream's own picture distribution and a resumed
-	// connection inherits warm buffers via attach.
-	pool transport.BufferPool
+	// pool is the server's payload pool: the FrameReader (fr.Pool) draws
+	// each payload from it, and the buffer goes back once its bytes are
+	// finished with — after egress paces the picture onto the link, or
+	// immediately when a replayed duplicate is dropped.
+	pool *transport.BufferPool
 
 	mu       sync.Mutex
 	state    state         // written under s.mu and mu, by Server.applyLocked
@@ -75,25 +78,29 @@ type stream struct {
 	wmState  []byte               // scratch for prefixState (reused per picture)
 
 	sess           *core.Session
+	decs           []core.Decision // push's reused decision slice
 	stats          *metrics.DecisionStats
-	maxUndecided   int // largest sess.Pending() after a push
-	maxDelay       float64
+	maxUndecided   int     // largest sess.Pending() after a push
+	maxDelay       float64 // of the decisions ingest accepted
+	peak           float64 // the largest rate ingest accepted
 	peakViolations int
 	currentRate    float64
 	egressedBits   int64
 }
 
 // newStream builds an admitting stream skeleton that numbers its
-// pictures from base, with prefix the integrity hash at base. Without a
-// connection it is a journal-recovered stream, base its watermark, that
-// the recover move parks. The caller creates the Session with st.observe
-// installed and assigns it to st.sess before the stream is published.
-func newStream(w wire, hello transport.StreamHello, prefix transport.PrefixHash, base int) *stream {
+// pictures from base, with prefix the integrity hash at base, drawing
+// payloads from pool. Without a connection it is a journal-recovered
+// stream, base its watermark, that the recover move parks. The caller
+// creates the Session with st.observe installed and assigns it to
+// st.sess before the stream is published.
+func newStream(w wire, hello transport.StreamHello, prefix transport.PrefixHash, base int, pool *transport.BufferPool) *stream {
 	st := &stream{
 		remote:   "(recovered)",
 		hello:    hello,
 		queue:    make(chan item, queueLen),
 		wake:     make(chan struct{}),
+		pool:     pool,
 		prefix:   prefix,
 		stats:    metrics.NewDecisionStats(),
 		base:     base,
@@ -106,10 +113,9 @@ func newStream(w wire, hello transport.StreamHello, prefix transport.PrefixHash,
 }
 
 // attach makes w the stream's connection. Its reader draws payloads from
-// the stream's pool, so a resumed connection inherits the warm buffers
-// its predecessor filled. The caller owns st or holds st.mu.
+// the server's pool. The caller owns st or holds st.mu.
 func (st *stream) attach(w wire) {
-	w.fr.Pool = &st.pool
+	w.fr.Pool = st.pool
 	st.w = w
 	st.remote = w.conn.RemoteAddr().String()
 }
@@ -155,39 +161,48 @@ func (st *stream) closeConn() {
 	}
 }
 
-// push hands one accepted picture to the Session and records the
-// emitted decisions' delay and peak — and the payload's contribution to
-// the stream's running integrity hash — under the stream lock.
-func (st *stream) push(payload []byte) ([]core.Decision, error) {
+// push hands one accepted picture, whose payload has CRC-32/IEEE crc,
+// to the Session and records the emitted decisions' delay and peak —
+// and the payload's contribution to the stream's running integrity hash
+// — under the stream lock. The decisions are valid until the next push.
+func (st *stream) push(payload []byte, crc uint32) ([]core.Decision, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	decs, err := st.sess.Push(int64(len(payload)) * 8)
+	decs, err := st.sess.AppendPush(st.decs[:0], int64(len(payload))*8)
 	if err != nil {
 		return nil, err
 	}
+	st.decs = decs
 	st.expected++
-	st.prefix.Absorb(payload)
+	st.prefix.Absorb(payload, crc)
 	st.maxUndecided = max(st.maxUndecided, st.sess.Pending())
-	st.note(decs)
-	return decs, nil
+	return decs, st.note(decs)
 }
 
 // closeSession flushes the Session's remaining decisions.
-func (st *stream) closeSession() []core.Decision {
+func (st *stream) closeSession() ([]core.Decision, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	decs := st.sess.Close()
-	st.note(decs)
-	return decs
+	return decs, st.note(decs)
 }
 
-// note must run under st.mu.
-func (st *stream) note(decs []core.Decision) {
+// note records the decisions' delay and rate, and refuses a decision
+// whose rate is not finite before egress could pace it: it returns
+// errRateNotFinite, and the stream fails. It must run under st.mu.
+func (st *stream) note(decs []core.Decision) error {
 	for _, d := range decs {
+		if math.IsNaN(d.Rate) || math.IsInf(d.Rate, 0) {
+			return fmt.Errorf("%w: picture %d at %v bit/s", errRateNotFinite, d.Picture+st.base, d.Rate)
+		}
 		if d.Delay > st.maxDelay {
 			st.maxDelay = d.Delay
 		}
+		if d.Rate > st.peak {
+			st.peak = d.Rate
+		}
 	}
+	return nil
 }
 
 // runIngest reads the connection until the end marker, pushing picture
@@ -204,22 +219,31 @@ func (st *stream) note(decs []core.Decision) {
 // is a protocol violation and fails the stream.
 func (st *stream) runIngest(ctx context.Context, s *Server) error {
 	defer close(st.queue)
-	pending := make(map[int][]byte)
+	// pending holds the accepted payloads still waiting for their
+	// decisions, oldest first, and decided is the absolute index of the
+	// next decision: the Session decides pictures in order, so each
+	// decision takes the front payload, and the rest move down in place.
+	var pending [][]byte
+	decided := st.base
 	enqueue := func(decs []core.Decision) error {
+		taken := 0
 		for _, d := range decs {
 			// Decision picture numbers are session-local; st.base rebases
 			// them to absolute indices for journal-recovered streams.
-			payload, ok := pending[d.Picture+st.base]
-			if !ok {
+			if taken == len(pending) || d.Picture+st.base != decided {
 				return fmt.Errorf("server: decision for picture %d without payload", d.Picture+st.base)
 			}
-			delete(pending, d.Picture+st.base)
 			select {
-			case st.queue <- item{dec: d, payload: payload}:
+			case st.queue <- item{dec: d, payload: pending[taken]}:
 			case <-ctx.Done():
 				return ctx.Err()
 			}
+			taken++
+			decided++
 		}
+		n := copy(pending, pending[taken:])
+		clear(pending[n:])
+		pending = pending[:n]
 		return nil
 	}
 	cause := errRecoveredUnresumed // why the stream is parked, should its window lapse
@@ -255,7 +279,11 @@ func (st *stream) runIngest(ctx context.Context, s *Server) error {
 			continue
 		case end:
 			// Acked, or unconfirmed but complete: every picture was accepted.
-			return enqueue(st.closeSession())
+			decs, err := st.closeSession()
+			if err != nil {
+				return err
+			}
+			return enqueue(decs)
 		case err != nil:
 			return err
 		}
@@ -286,8 +314,8 @@ func (st *stream) runIngest(ctx context.Context, s *Server) error {
 			if m.Index > exp {
 				return fmt.Errorf("server: picture %d out of order (expected %d)", m.Index, exp)
 			}
-			pending[exp] = m.Payload
-			decs, err := st.push(m.Payload)
+			pending = append(pending, m.Payload)
+			decs, err := st.push(m.Payload, m.CRC)
 			if err != nil {
 				return err
 			}
@@ -385,7 +413,8 @@ type StreamSnapshot struct {
 	// DeclaredPeak is the hello's reserved traffic descriptor;
 	// SessionPeak is the largest rate the server's own session has
 	// decided so far (≤ DeclaredPeak for a truthful sender using the
-	// same smoothing parameters).
+	// same smoothing parameters). A decision at a rate that is not
+	// finite fails the stream and never counts here.
 	DeclaredPeak float64 `json:"declared_peak_bps"`
 	SessionPeak  float64 `json:"session_peak_bps"`
 	CurrentRate  float64 `json:"current_rate_bps"`
@@ -441,7 +470,7 @@ func (st *stream) snapshot() StreamSnapshot {
 		ID:           st.id,
 		Remote:       st.remote,
 		DeclaredPeak: st.hello.PeakRate,
-		SessionPeak:  st.sess.PeakRate(),
+		SessionPeak:  st.peak,
 		CurrentRate:  st.currentRate,
 		Pictures:     st.expected,
 		Decisions:    st.stats.Decisions,

@@ -53,8 +53,11 @@ func (m IntegrityMode) Valid() bool { return m <= IntegrityHMAC }
 // crash-recovery journal can persist the watermark hash and resume it
 // bit-exactly in a fresh process.
 type PrefixHash interface {
-	// Absorb appends one payload to the hashed prefix.
-	Absorb(payload []byte)
+	// Absorb appends one payload to the hashed prefix. crc is the
+	// payload's CRC-32/IEEE, which a FrameReader has already verified
+	// (PictureFrame.CRC): the FNV mode hashes it instead of computing it
+	// again, and the HMAC mode ignores it.
+	Absorb(payload []byte, crc uint32)
 	// Sum64 returns the 8-byte wire tag of the current prefix.
 	Sum64() uint64
 	// State returns the full internal state (8 bytes for FNV, 32 for the
@@ -97,7 +100,7 @@ func PrefixSum(mode IntegrityMode, key []byte, payloads [][]byte, n int) (uint64
 		return 0, err
 	}
 	for _, p := range payloads[:n] {
-		h.Absorb(p)
+		h.Absorb(p, crc32.ChecksumIEEE(p))
 	}
 	return h.Sum64(), nil
 }
@@ -116,21 +119,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // fnvPrefix implements PrefixHash as FNV-1a chained over one 16-byte
 // record per payload: big-endian uint64(len) ‖ CRC-32C ‖ CRC-32/IEEE.
-// Both CRCs run in hardware, so a picture costs two vectorised passes
-// instead of a byte-serial FNV-1a multiply chain over its whole
-// payload. The pair of CRCs catches every burst of up to 32 bits in a
-// payload, and the length field pins picture boundaries; any other
-// divergence escapes only through a 64-bit collision. The state is the
-// 64-bit FNV-1a value, so it stays trivially resumable.
+// Both CRCs run in hardware, and the CRC-32/IEEE is the one the frame
+// already carries and the reader verified, so a picture costs one
+// vectorised pass of its own instead of a byte-serial FNV-1a multiply
+// chain over its whole payload. The pair of CRCs catches every burst
+// of up to 32 bits in a payload, and the length field pins picture
+// boundaries; any other divergence escapes only through a 64-bit
+// collision. The state is the 64-bit FNV-1a value, so it stays
+// trivially resumable.
 type fnvPrefix struct {
 	state uint64
 }
 
-func (f *fnvPrefix) Absorb(payload []byte) {
+func (f *fnvPrefix) Absorb(payload []byte, crc uint32) {
 	var rec [16]byte
 	binary.BigEndian.PutUint64(rec[0:8], uint64(len(payload)))
 	binary.BigEndian.PutUint32(rec[8:12], crc32.Checksum(payload, castagnoli))
-	binary.BigEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(rec[12:16], crc)
 	s := f.state
 	for _, b := range rec {
 		s ^= uint64(b)
@@ -172,7 +177,7 @@ type hmacPrefix struct {
 	chain []byte // 32 bytes
 }
 
-func (h *hmacPrefix) Absorb(payload []byte) {
+func (h *hmacPrefix) Absorb(payload []byte, _ uint32) {
 	mac := hmac.New(sha256.New, h.key)
 	mac.Write(h.chain)
 	mac.Write(payload)

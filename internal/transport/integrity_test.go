@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
 	"math/rand"
 	"testing"
+
+	"mpegsmooth/internal/mpeg"
 )
 
 func testPayloads(t *testing.T, n int) [][]byte {
@@ -68,9 +71,52 @@ func TestFNVPrefixMatchesStdlib(t *testing.T) {
 		t.Fatalf("empty prefix: %016x, want offset basis %016x", h.Sum64(), want)
 	}
 	for i, p := range payloads {
-		h.Absorb(p)
+		h.Absorb(p, crc32.ChecksumIEEE(p))
 		if want := referenceTag(payloads[:i+1]); h.Sum64() != want {
 			t.Fatalf("after %d payloads: %016x vs reference %016x", i+1, h.Sum64(), want)
+		}
+	}
+}
+
+// TestPictureFrameCRC pins the CRC hand-off: a PictureFrame read with
+// or without a pool carries its payload's CRC-32/IEEE, and a prefix hash
+// absorbing that CRC reaches PrefixSum's tag.
+func TestPictureFrameCRC(t *testing.T) {
+	payloads := testPayloads(t, 12)
+	var wire bytes.Buffer
+	fw := NewFrameWriter(&wire)
+	for i, p := range payloads {
+		if err := fw.WritePictureHeader(i, mpeg.TypeP, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteChunk(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fnvTag(t, payloads)
+	for _, pool := range []*BufferPool{nil, {}} {
+		fr := NewFrameReader(bytes.NewReader(wire.Bytes()))
+		fr.Pool = pool
+		h, err := NewPrefixHash(IntegrityFNV, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range payloads {
+			m, err := fr.ReadMessage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pic := m.(*PictureFrame)
+			if crc := crc32.ChecksumIEEE(pic.Payload); pic.CRC != crc {
+				t.Fatalf("pooled %v, picture %d: CRC %08x, payload's %08x", pool != nil, i, pic.CRC, crc)
+			}
+			h.Absorb(pic.Payload, pic.CRC)
+			if pool != nil {
+				pool.Put(pic.Payload)
+			}
+		}
+		if h.Sum64() != want {
+			t.Errorf("pooled %v: tag %016x from the frames' CRCs, PrefixSum %016x", pool != nil, h.Sum64(), want)
 		}
 	}
 }
@@ -159,14 +205,14 @@ func TestPrefixHashStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range payloads {
-				full.Absorb(p)
+				full.Absorb(p, crc32.ChecksumIEEE(p))
 			}
 			want := full.Sum64()
 
 			for cut := 0; cut <= len(payloads); cut++ {
 				first, _ := NewPrefixHash(mode, key)
 				for _, p := range payloads[:cut] {
-					first.Absorb(p)
+					first.Absorb(p, crc32.ChecksumIEEE(p))
 				}
 				state := first.State()
 				scratch := first.AppendState([]byte("journal"))
@@ -178,7 +224,7 @@ func TestPrefixHashStateRoundTrip(t *testing.T) {
 					t.Fatalf("cut %d: Restore: %v", cut, err)
 				}
 				for _, p := range payloads[cut:] {
-					second.Absorb(p)
+					second.Absorb(p, crc32.ChecksumIEEE(p))
 				}
 				if got := second.Sum64(); got != want {
 					t.Fatalf("cut %d: resumed sum %016x, want %016x", cut, got, want)
@@ -235,7 +281,7 @@ func TestFNVPrefixAbsorbZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 7400)
-	if allocs := testing.AllocsPerRun(200, func() { h.Absorb(payload) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { h.Absorb(payload, crc32.ChecksumIEEE(payload)) }); allocs != 0 {
 		t.Errorf("fnv Absorb allocates %.1f objects/picture, want 0", allocs)
 	}
 }

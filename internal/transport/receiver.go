@@ -57,8 +57,11 @@ func (r *Report) TotalBytes() int {
 // The zero value behaves exactly like the package-level Receive.
 type Receiver struct {
 	// ReadTimeout bounds the wait for each message (header through
-	// payload). Zero means wait forever. It takes effect only when the
-	// connection supports read deadlines (net.Conn does).
+	// payload): a stalled sender is cut off no sooner than ReadTimeout
+	// and no later than 9/8 of it, the deadline being re-armed lazily
+	// (FrameReader.ReadMessageTimeout). Zero means wait forever. It
+	// takes effect only when the connection supports read deadlines
+	// (net.Conn does).
 	ReadTimeout time.Duration
 	// MaxPictureBytes caps the payload size the receiver will accept
 	// (default transport.DefaultMaxPictureBytes).

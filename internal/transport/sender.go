@@ -107,10 +107,12 @@ type Sender struct {
 	// are schedule durations divided by TimeScale (default 1; tests use
 	// large factors to replay multi-second schedules in milliseconds).
 	TimeScale float64
-	// WriteTimeout arms a write deadline per message and payload chunk
-	// (the mirror of Receiver.ReadTimeout) so a dead or stalled receiver
-	// cannot wedge the sender goroutine. Zero means no deadline; it
-	// takes effect only when the connection supports write deadlines.
+	// WriteTimeout bounds every message and payload chunk write (the
+	// mirror of Receiver.ReadTimeout) so a dead or stalled receiver
+	// cannot wedge the sender goroutine: each gets at least WriteTimeout
+	// and at most 9/8 of it (FrameWriter.WriteTimeout). Zero means no
+	// deadline; it takes effect only when the connection supports write
+	// deadlines.
 	WriteTimeout time.Duration
 }
 

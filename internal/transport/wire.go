@@ -110,6 +110,10 @@ type PictureFrame struct {
 	Index   int
 	Type    mpeg.PictureType
 	Payload []byte
+	// CRC is the payload's CRC-32/IEEE, the value FrameReader verified
+	// the payload against, so a consumer hashing the payload (a
+	// PrefixHash) need not compute it again.
+	CRC uint32
 }
 
 // StreamHello opens a stream session with a server that performs
@@ -276,17 +280,6 @@ type Verdict struct {
 // IsAdmitted reports whether the stream may proceed.
 func (v Verdict) IsAdmitted() bool { return v.Code == Admitted }
 
-// deadlineWriter is the write-deadline surface of net.Conn.
-type deadlineWriter interface {
-	SetWriteDeadline(time.Time) error
-}
-
-// deadlineReader is the read-deadline surface of net.Conn (net.Pipe
-// supports it too); any other reader gets no deadline.
-type deadlineReader interface {
-	SetReadDeadline(time.Time) error
-}
-
 // FrameWriter frames outbound messages with a CRC32 checksum and a
 // per-connection sequence number. One FrameWriter must own a
 // connection's write side for the whole session — the handshake and the
@@ -298,13 +291,14 @@ type deadlineReader interface {
 // frame order on the wire are those of writing each frame as it comes.
 type FrameWriter struct {
 	w   io.Writer
-	d   deadlineWriter
+	dl  Deadline
 	seq uint32
 	// WriteTimeout, when nonzero and the underlying writer supports
 	// write deadlines, bounds every write so a dead or stalled receiver
-	// cannot wedge the sender goroutine. It is re-armed per write (a
-	// picture's header and first chunk share one), mirroring
-	// Receiver.ReadTimeout.
+	// cannot wedge the sender goroutine: each write (a picture's header
+	// and first chunk share one) gets at least WriteTimeout and at most
+	// 9/8 of it, the deadline being re-armed lazily (see Deadline),
+	// mirroring Receiver.ReadTimeout.
 	WriteTimeout time.Duration
 	// MaxPayload caps the picture payload size this writer will frame
 	// (default DefaultMaxPictureBytes, never above MaxPictureBytes).
@@ -326,11 +320,7 @@ type FrameWriter struct {
 // NewFrameWriter wraps a connection's write side. If w supports
 // SetWriteDeadline (net.Conn does), WriteTimeout can bound each write.
 func NewFrameWriter(w io.Writer) *FrameWriter {
-	fw := &FrameWriter{w: w}
-	if d, ok := w.(deadlineWriter); ok {
-		fw.d = d
-	}
-	return fw
+	return &FrameWriter{w: w, dl: WriteDeadline(w)}
 }
 
 func (fw *FrameWriter) maxPayload() int {
@@ -340,12 +330,11 @@ func (fw *FrameWriter) maxPayload() int {
 	return DefaultMaxPictureBytes
 }
 
-// arm sets the per-write deadline, when one is configured.
+// arm covers the next write with the write deadline, when one is
+// configured.
 func (fw *FrameWriter) arm() error {
-	if fw.d != nil && fw.WriteTimeout > 0 {
-		if err := fw.d.SetWriteDeadline(time.Now().Add(fw.WriteTimeout)); err != nil {
-			return fmt.Errorf("transport: arming write deadline: %w", err)
-		}
+	if err := fw.dl.Arm(fw.WriteTimeout); err != nil {
+		return fmt.Errorf("transport: arming write deadline: %w", err)
 	}
 	return nil
 }
@@ -516,7 +505,7 @@ func (fw *FrameWriter) WriteEnd() error {
 // must own a connection's read side for the whole session.
 type FrameReader struct {
 	r   io.Reader
-	d   deadlineReader
+	dl  Deadline
 	seq uint32
 	// MaxPayload caps the declared picture payload size this reader
 	// will allocate for (default DefaultMaxPictureBytes, never above
@@ -543,11 +532,7 @@ type FrameReader struct {
 
 // NewFrameReader wraps a connection's read side.
 func NewFrameReader(r io.Reader) *FrameReader {
-	fr := &FrameReader{r: r}
-	if d, ok := r.(deadlineReader); ok {
-		fr.d = d
-	}
-	return fr
+	return &FrameReader{r: r, dl: readDeadline(r)}
 }
 
 // frameReadBufSize is the buffer NewFrameReaderBuffered puts in front
@@ -564,11 +549,7 @@ const frameReadBufSize = 32 << 10
 // owns the connection's read side either way; nothing else may read
 // from conn once it is handed here.
 func NewFrameReaderBuffered(conn io.Reader) *FrameReader {
-	fr := &FrameReader{r: bufio.NewReaderSize(conn, frameReadBufSize)}
-	if d, ok := conn.(deadlineReader); ok {
-		fr.d = d
-	}
-	return fr
+	return &FrameReader{r: bufio.NewReaderSize(conn, frameReadBufSize), dl: readDeadline(conn)}
 }
 
 func (fr *FrameReader) maxPayload() int {
@@ -722,38 +703,35 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 			}
 			return nil, fmt.Errorf("transport: truncated picture payload: %w", err)
 		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(body[9:13]); got != want {
+		crc := crc32.ChecksumIEEE(payload)
+		if want := binary.BigEndian.Uint32(body[9:13]); crc != want {
 			if fr.Pool != nil {
 				fr.Pool.Put(payload)
 			}
-			return nil, fmt.Errorf("%w: payload crc %08x, want %08x", ErrCorrupt, got, want)
+			return nil, fmt.Errorf("%w: payload crc %08x, want %08x", ErrCorrupt, crc, want)
 		}
 		if fr.Pool != nil {
-			fr.pic = PictureFrame{Index: index, Type: ty, Payload: payload}
+			fr.pic = PictureFrame{Index: index, Type: ty, Payload: payload, CRC: crc}
 			return &fr.pic, nil
 		}
-		return &PictureFrame{Index: index, Type: ty, Payload: payload}, nil
+		return &PictureFrame{Index: index, Type: ty, Payload: payload, CRC: crc}, nil
 	case kindEnd:
 		return nil, ErrClosed
 	}
 	return nil, fmt.Errorf("%w: unknown message kind %#02x", ErrCorrupt, kind)
 }
 
-// ReadMessageTimeout arms a read deadline covering the whole next
-// message — header and payload — before reading it, so a sender that
-// stalls mid-picture cannot wedge the reader forever. The deadline is
-// re-armed per call, never accumulated across a session. A zero
-// timeout, or a reader without SetReadDeadline, reads (and explicitly
-// clears any previous deadline) without one.
+// ReadMessageTimeout reads the next message under a read deadline that
+// covers the whole of it — header and payload — so a sender that stalls
+// mid-picture cannot wedge the reader forever. The message gets at least
+// timeout and at most 9/8 of it: the deadline is re-armed lazily, only
+// when it would leave less than timeout or more than 9/8 of it (see
+// Deadline), never accumulated across a session. A zero timeout reads
+// without a deadline, clearing one a previous call armed; a reader
+// without SetReadDeadline reads without one.
 func (fr *FrameReader) ReadMessageTimeout(timeout time.Duration) (any, error) {
-	if fr.d != nil {
-		if timeout > 0 {
-			if err := fr.d.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-				return nil, fmt.Errorf("transport: arming read deadline: %w", err)
-			}
-		} else if err := fr.d.SetReadDeadline(time.Time{}); err != nil {
-			return nil, fmt.Errorf("transport: clearing read deadline: %w", err)
-		}
+	if err := fr.dl.Arm(timeout); err != nil {
+		return nil, fmt.Errorf("transport: arming read deadline: %w", err)
 	}
 	return fr.ReadMessage()
 }
