@@ -64,14 +64,18 @@ crash:
 
 # The multi-node failover harness: WAL replication to a warm-standby
 # follower, promotion after the primary process is killed AND its
-# journal dir deleted, sharded redirect placement, and the quorum-2
-# chaos schedules (kill-primary with no catch-up gate, kill-follower,
-# partition-then-heal with epoch fencing) — all race-mode — plus the
-# OS-process failover and quorum smokes driving the real binary.
+# journal dir deleted, sharded redirect placement, the quorum-2 chaos
+# schedules (kill-primary with no catch-up gate, kill-follower,
+# partition-then-heal with epoch fencing) and the node lifecycle's
+# transition table — all race-mode — plus the OS-process failover and
+# quorum smokes driving the real binary. The two stop-during-bring-up
+# races repeat five times, so a change that reopens either window fails.
 cluster:
-	$(REQUIRE_TESTS) 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower' ./internal/cluster/
+	$(REQUIRE_TESTS) 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower|TestNode' ./internal/cluster/
+	$(REQUIRE_TESTS) 'TestNodeStopDuringPromotion|TestNodeShutdownDuringDemotion' ./internal/cluster/
 	$(REQUIRE_TESTS) 'TestClusterFailoverSmoke|TestClusterQuorumSmoke' ./cmd/smoothd/
-	$(GO) test -race -v -run 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower' -count=1 ./internal/cluster/
+	$(GO) test -race -v -run 'TestFailover|TestFollower|TestSharded|TestRing|TestQuorum|TestTwoFollower|TestNode' -count=1 ./internal/cluster/
+	$(GO) test -race -run 'TestNodeStopDuringPromotion|TestNodeShutdownDuringDemotion' -count=5 ./internal/cluster/
 	$(GO) test -v -run 'TestClusterFailoverSmoke|TestClusterQuorumSmoke' -count=1 ./cmd/smoothd/
 
 # The frame fuzzers: arbitrary bytes against the shared frame codec

@@ -130,7 +130,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scfg.Journal = jrnl
 	srv, err := server.New(scfg)
 	if err != nil {
-		// The server never adopted the journal; release its lock here.
+		// The server never adopted the journal. Close it here: that
+		// closes its open segment and stops its flusher.
 		if jrnl != nil {
 			jrnl.Close()
 		}

@@ -291,6 +291,7 @@ func TestShardedRedirect(t *testing.T) {
 		mu        sync.Mutex
 		redirects int
 		failures  []error
+		tokens    = make([]uint64, clients)
 	)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -302,6 +303,7 @@ func TestShardedRedirect(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			redirects += res.Redirects
+			tokens[i] = res.Verdict.ResumeToken
 			if err != nil {
 				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
 			}
@@ -329,6 +331,14 @@ func TestShardedRedirect(t *testing.T) {
 	}
 	if redirected == 0 {
 		t.Error("no server counted a redirect")
+	}
+	// Token homing: every resume token was issued by the shard that owns
+	// the client's nonce and hashes to that shard, so a resume routes
+	// straight home.
+	for i, tok := range tokens {
+		if got, want := ring.Owner(tok), ring.Owner(nonces[i]); got != want {
+			t.Errorf("client %d: resume token %016x is owned by %s, its nonce by %s", i, tok, got, want)
+		}
 	}
 	// Determinism: both shards computed the same ring.
 	for _, key := range []uint64{1, 2, 3, 1 << 40, 1<<63 - 1} {

@@ -49,7 +49,7 @@ type Config struct {
 	// authoritative log, or the follower's warm standby replica.
 	Journal journal.Config
 	// Server is the template for the stream server this node runs when
-	// primary; Journal, Route, and OwnsToken are injected by the node.
+	// primary; Journal, Epoch, Quorum and Route are injected by the node.
 	Server server.Config
 	// HeartbeatInterval paces the primary's replication heartbeats
 	// (default 250ms). FailoverTimeout is how long a follower tolerates
@@ -90,21 +90,15 @@ type Node struct {
 	self   Peer
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	// wg counts every goroutine the node starts; a stop returns once
+	// they have all exited.
+	wg sync.WaitGroup
 
 	mu            sync.Mutex
-	role          Role
-	srv           *server.Server
-	jrnl          *journal.Journal
-	streamLn      net.Listener
-	replLn        net.Listener
-	replConn      net.Conn
-	quorum        *quorumTracker
-	followerConns map[net.Conn]struct{}
+	state         state
+	term          *term // the role's resources; a stopped node keeps its last one
 	promotions    int64
 	lastPromotion time.Time
-	serveErr      error
-	stopped       bool
 
 	heard     atomic.Int64 // unix nanos of the last replication frame
 	connected atomic.Bool
@@ -113,8 +107,7 @@ type Node struct {
 	// reach its peers — but the process stays alive, which is exactly
 	// the deposed-primary scenario epoch fencing exists for.
 	isolated atomic.Bool
-	// epoch is the fencing term this node last served as primary under
-	// (stamped into every replication cursor and server verdict).
+	// epoch is the fencing term this node last served as primary under.
 	epoch atomic.Uint64
 
 	followers     int64 // attached followers (primary)
@@ -127,6 +120,155 @@ type Node struct {
 	rng *rand.Rand
 
 	repl replState
+}
+
+// state is where a node is in its lifecycle (DESIGN §12). Node.apply
+// makes every move; no move leaves stopped, so a stop wins every race
+// with a bring-up.
+type state uint8
+
+const (
+	following state = iota // a standby follows the shard's primary, or is being opened
+	primary                // a primary term serves the shard
+	stopped                // Shutdown or Kill ended the node
+)
+
+// move names one lifecycle move.
+type move uint8
+
+const (
+	mvStart   move = iota // rank 0 installs its first primary term
+	mvFollow              // a standby: Start at rank ≥ 1, or after a demotion or a failed promotion
+	mvPromote             // a follower installs the primary term it brought up
+	mvDemote              // a deposed primary takes its term down
+	mvStop                // Shutdown or Kill
+)
+
+// moves is the transition table: the states each move may leave, a bit
+// per state; the state it enters; and the goroutines its caller then
+// starts, which apply counts in n.wg under n.mu so that a stop cannot
+// miss one.
+var moves = [...]struct {
+	from  uint8
+	to    state
+	loops int
+}{
+	mvStart:   {1 << following, primary, 2},   // Serve, publishLoop
+	mvFollow:  {1 << following, following, 1}, // followLoop
+	mvPromote: {1 << following, primary, 2},
+	mvDemote:  {1 << primary, following, 1}, // teardown, then rejoin
+	mvStop:    {1<<following | 1<<primary, stopped, 0},
+}
+
+// term is what a node holds in one role. A follower's is its standby
+// journal and its connection to the primary; a primary's is the server
+// on its journal, the shard's stream and replication listeners, the
+// quorum gate, the attached followers' connections and the fencing
+// epoch it serves under.
+type term struct {
+	jrnl   *journal.Journal
+	srv    *server.Server // nil on a follower
+	ln     net.Listener   // the shard's stream address
+	replLn net.Listener   // the shard's replication address
+	gate   *quorumTracker // nil with quorum gating off
+	epoch  uint64
+	// conns are the replication connections the term's loops hold,
+	// under n.mu; nil once the term is torn down.
+	conns map[net.Conn]struct{}
+}
+
+// role is the role t serves in. A node with no term — before Start, or
+// between a demotion and its standby — is a follower.
+func (t *term) role() Role {
+	if t == nil || t.srv == nil {
+		return RoleFollower
+	}
+	return RolePrimary
+}
+
+// errStopped refuses a bring-up whose node was stopped meanwhile.
+var errStopped = errors.New("cluster: node stopped")
+
+// apply is the one place a node's state changes. A move the table does
+// not allow from the node's state is refused: it changes nothing, and
+// the term it would have installed is released crash-style, outside
+// n.mu. A legal move installs t (start, follow, promote) or takes the
+// installed term down (demote; stop, which leaves it in place for Role,
+// Status, Server and StreamAddr to answer from), bumps the counter it
+// implies, and returns the term it replaced or took down.
+func (n *Node) apply(m move, t *term) (old *term, ok bool) {
+	n.mu.Lock()
+	mv := moves[m]
+	if ok = mv.from&(1<<n.state) != 0; ok {
+		n.state, old = mv.to, n.term
+		if m != mvStop {
+			n.term = t
+		}
+		n.wg.Add(mv.loops)
+		switch m {
+		case mvPromote:
+			n.promotions++
+			n.lastPromotion = time.Now()
+			fallthrough
+		case mvStart:
+			n.epoch.Store(t.epoch)
+		case mvDemote:
+			atomic.AddInt64(&n.demotions, 1)
+		}
+	}
+	n.mu.Unlock()
+	if !ok && t != nil {
+		n.end(context.Background(), t, false)
+	}
+	return old, ok
+}
+
+// end tears t down: the quorum gate, both listeners and every
+// replication connection first, then the server and its journal —
+// drained within ctx if drain is set (Shutdown), crash-style otherwise
+// (Kill, demote, and a term whose bring-up failed or was refused), so
+// the journal keeps exactly what fsync guaranteed. The server closes
+// the stream listener too, but only once Serve has taken it.
+func (n *Node) end(ctx context.Context, t *term, drain bool) error {
+	if t.gate != nil {
+		t.gate.close()
+	}
+	for _, ln := range []net.Listener{t.ln, t.replLn} {
+		if ln != nil {
+			ln.Close()
+		}
+	}
+	n.mu.Lock()
+	conns := t.conns
+	t.conns = nil
+	n.mu.Unlock()
+	for c := range conns {
+		c.Close()
+	}
+	switch {
+	case t.srv != nil && drain:
+		return t.srv.Shutdown(ctx) // closes the journal
+	case t.srv != nil:
+		t.srv.Kill() // abandons the journal
+	case t.jrnl != nil && drain:
+		return t.jrnl.Close()
+	case t.jrnl != nil:
+		t.jrnl.Abandon()
+	}
+	return nil
+}
+
+// hold registers c with t, for t's teardown to close, and returns the
+// func that unregisters it. A term already torn down closes c at once.
+func (n *Node) hold(t *term, c net.Conn) (release func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if t.conns == nil {
+		c.Close()
+	} else {
+		t.conns[c] = struct{}{}
+	}
+	return func() { n.mu.Lock(); delete(t.conns, c); n.mu.Unlock() }
 }
 
 // errIsolated is what the partition simulation injects for every
@@ -307,14 +449,12 @@ func New(cfg Config) (*Node, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		cfg:           cfg,
-		ring:          ring,
-		self:          self,
-		ctx:           ctx,
-		cancel:        cancel,
-		role:          RoleFollower,
-		followerConns: map[net.Conn]struct{}{},
-		rng:           rand.New(rand.NewSource(seed)),
+		cfg:    cfg,
+		ring:   ring,
+		self:   self,
+		ctx:    ctx,
+		cancel: cancel,
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 	activeNode.Store(n)
 	nodeExpvarOnce.Do(func() {
@@ -328,111 +468,110 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Start launches the node in its configured role: rank 0 opens the
-// journal and serves immediately as primary; higher ranks open a
+// Start launches the node in its configured role: rank 0 binds the
+// shard's stream address and serves as primary; higher ranks open a
 // standby journal and follow the shard's replication feed.
 func (n *Node) Start() error {
-	if n.cfg.Rank == 0 {
-		return n.startPrimary()
+	if n.cfg.Rank > 0 {
+		return n.follow()
 	}
+	ln, err := n.listenTCP(n.self.StreamAddr)
+	if err != nil {
+		return fmt.Errorf("cluster: stream listener: %w", err)
+	}
+	return n.lead(mvStart, ln)
+}
+
+// lead is the primary bring-up that rank-0 Start and promote share, on
+// the shard's stream listener ln: bring the term up, install it with
+// move m, and start its Serve and publish loops.
+func (n *Node) lead(m move, ln net.Listener) error {
+	t := &term{ln: ln, conns: map[net.Conn]struct{}{}}
+	if err := n.bringUp(t); err != nil {
+		n.end(context.Background(), t, false)
+		return err
+	}
+	if _, ok := n.apply(m, t); !ok {
+		return errStopped
+	}
+	go func() {
+		defer n.wg.Done()
+		if err := t.srv.Serve(t.ln); err != nil {
+			n.logf("cluster: %s: serving streams: %v", n.id(), err)
+		}
+	}()
+	go n.publishLoop(t)
+	snap := t.srv.Snapshot()
+	n.logf("cluster: %s serving as primary on %s at epoch %d (replication on %s; %d streams recovered, %d tombstones)",
+		n.id(), ln.Addr(), t.epoch, t.replLn.Addr(), snap.Streams.Recovered, snap.Streams.RecoveredTombstones)
+	return nil
+}
+
+// bringUp builds a primary term into t: open the journal; fsync the
+// successor epoch into it before anything is served under that epoch,
+// so this node can never forget it was (or failed to stay) the term's
+// primary; build the server on it, whose recovery parks every journaled
+// stream at its watermark; bind the replication address. On error, t
+// holds what the earlier steps built.
+func (n *Node) bringUp(t *term) (err error) {
+	if t.jrnl, err = journal.Open(n.cfg.Journal); err != nil {
+		return fmt.Errorf("cluster: journal: %w", err)
+	}
+	t.epoch = t.jrnl.Epoch() + 1
+	if _, err = t.jrnl.AppendEpoch(t.epoch); err != nil {
+		return fmt.Errorf("cluster: fencing epoch %d not journalable: %w", t.epoch, err)
+	}
+	if n.cfg.Quorum >= 2 {
+		t.gate = newQuorumTracker(n.cfg.Quorum-1, ackWindow, n.cfg.AckTimeout, n.cfg.Logf)
+	}
+	if t.srv, err = server.New(n.serverConfig(t)); err != nil {
+		return err
+	}
+	if t.replLn, err = n.bind(n.self.ReplAddr); err != nil {
+		return fmt.Errorf("cluster: replication listener: %w", err)
+	}
+	return nil
+}
+
+// follow is the standby bring-up that Start at rank ≥ 1, demote and a
+// failed promotion share: open the journal as a warm standby, install
+// it, and follow the shard's primary.
+func (n *Node) follow() error {
 	jrnl, err := journal.Open(n.cfg.Journal)
 	if err != nil {
 		return fmt.Errorf("cluster: standby journal: %w", err)
 	}
-	n.mu.Lock()
-	n.jrnl = jrnl
-	n.mu.Unlock()
+	t := &term{jrnl: jrnl, conns: map[net.Conn]struct{}{}}
+	if _, ok := n.apply(mvFollow, t); !ok {
+		return errStopped
+	}
 	n.logf("cluster: %s following %s", n.id(), n.self.ReplAddr)
-	n.wg.Add(1)
-	go n.followLoop()
+	go n.followLoop(t)
 	return nil
 }
 
-func (n *Node) startPrimary() error {
-	jrnl, err := journal.Open(n.cfg.Journal)
-	if err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	epoch, gate, err := n.beginEpoch(jrnl)
-	if err != nil {
-		jrnl.Close()
-		return err
-	}
-	srv, err := server.New(n.serverConfig(jrnl, epoch, gate))
-	if err != nil {
-		jrnl.Close()
-		return err
-	}
-	ln, err := n.listenTCP(n.self.StreamAddr)
-	if err != nil {
-		srv.Kill()
-		return fmt.Errorf("cluster: stream listener: %w", err)
-	}
-	replLn, err := n.listenTCP(n.self.ReplAddr)
-	if err != nil {
-		srv.Kill()
-		ln.Close()
-		return fmt.Errorf("cluster: replication listener: %w", err)
-	}
-	n.adoptPrimary(srv, jrnl, ln, replLn, epoch, gate)
-	n.logf("cluster: %s serving as primary on %s (replication on %s, epoch %d)",
-		n.id(), ln.Addr(), replLn.Addr(), epoch)
-	return nil
-}
-
-// beginEpoch opens a new primary term: the successor epoch is fsynced
-// into the journal before anything is served under it, so this node can
-// never forget it was (or failed to stay) the term's primary. The
-// returned gate is the quorum tracker for the term, nil when quorum
-// gating is disabled.
-func (n *Node) beginEpoch(jrnl *journal.Journal) (uint64, *quorumTracker, error) {
-	epoch := jrnl.Epoch() + 1
-	if _, err := jrnl.AppendEpoch(epoch); err != nil {
-		return 0, nil, fmt.Errorf("cluster: fencing epoch %d not journalable: %w", epoch, err)
-	}
-	var gate *quorumTracker
-	if n.cfg.Quorum >= 2 {
-		gate = newQuorumTracker(n.cfg.Quorum-1, ackWindow, n.cfg.AckTimeout, n.cfg.Logf)
-	}
-	return epoch, gate, nil
-}
-
-// adoptPrimary installs the server and listeners and spawns the serve
-// and publish loops; it is the single transition into the primary role.
-func (n *Node) adoptPrimary(srv *server.Server, jrnl *journal.Journal, ln, replLn net.Listener, epoch uint64, gate *quorumTracker) {
-	n.epoch.Store(epoch)
-	n.mu.Lock()
-	n.role = RolePrimary
-	n.srv = srv
-	n.jrnl = jrnl
-	n.streamLn = ln
-	n.replLn = replLn
-	n.quorum = gate
-	n.mu.Unlock()
-	n.wg.Add(2)
-	go func() {
-		defer n.wg.Done()
-		if err := srv.Serve(ln); err != nil {
-			n.mu.Lock()
-			n.serveErr = err
-			n.mu.Unlock()
+// rejoin retries the standby bring-up until it succeeds or the node
+// stops; a stopped node reopens nothing.
+func (n *Node) rejoin() {
+	for n.ctx.Err() == nil {
+		err := n.follow()
+		if err == nil || n.ctx.Err() != nil {
+			return
 		}
-	}()
-	go func() {
-		defer n.wg.Done()
-		n.publishLoop(replLn, jrnl)
-	}()
+		n.logf("cluster: %s: reopening journal as standby: %v", n.id(), err)
+		n.sleep(n.cfg.DialTimeout / 4)
+	}
 }
 
-// tryPromote runs the follower's election protocol once the primary has
-// been silent past FailoverTimeout. Ranks stagger their attempts — with
-// seeded jitter on top of the rank term, so two followers whose clocks
+// elect runs the follower's election once the primary has been silent
+// past FailoverTimeout. Ranks stagger their attempts — with seeded
+// jitter on top of the rank term, so two followers whose clocks
 // detected the silence in the same instant still cannot race the
 // port-bind election in lockstep; after the stagger, a probe of the
 // shard's replication address detects an already-promoted peer. The
 // real lock is the OS: whoever binds the shard's stream address is the
-// new primary. Returns true when this node promoted.
-func (n *Node) tryPromote() bool {
+// new primary. elect returns the won stream listener, or nil.
+func (n *Node) elect() net.Listener {
 	step := n.cfg.FailoverTimeout / 2
 	stagger := time.Duration(n.cfg.Rank-1) * step
 	if jitter := step / 2; jitter > 0 {
@@ -440,158 +579,63 @@ func (n *Node) tryPromote() bool {
 	}
 	if stagger > 0 {
 		if !n.sleep(stagger) {
-			return false
+			return nil
 		}
 		if c, err := n.dialTCP(n.self.ReplAddr); err == nil {
 			// A lower rank already promoted; go back to following it.
 			c.Close()
 			n.noteHeard()
-			return false
+			return nil
 		}
 	}
-	deadline := time.Now().Add(n.cfg.FailoverTimeout)
-	var ln net.Listener
-	for {
-		var err error
-		ln, err = n.listenTCP(n.self.StreamAddr)
-		if err == nil {
-			break
-		}
-		if n.ctx.Err() != nil {
-			return false
-		}
-		if time.Now().After(deadline) {
-			// Lost the bind race — someone else owns the address now.
-			n.noteHeard()
-			return false
-		}
-		n.sleep(20 * time.Millisecond)
-	}
-	if err := n.promote(ln); err != nil {
-		ln.Close()
-		n.logf("cluster: %s: promotion failed: %v", n.id(), err)
+	ln, err := n.bind(n.self.StreamAddr)
+	if err != nil {
+		// Lost the bind race — someone else owns the address now.
 		n.noteHeard()
+		return nil
+	}
+	return ln
+}
+
+// promote turns the warm standby into the shard primary on the stream
+// listener ln it won: close the standby journal, then bring up a primary
+// term on the same directory, reopened authoritatively (which compacts
+// and replays it) — recovery is the crash-restart path, so every
+// journaled stream comes back parked at its replicated watermark. A
+// promotion that fails rejoins the shard as a standby.
+func (n *Node) promote(standby *term, ln net.Listener) {
+	n.logf("cluster: %s promoting: primary silent for %v", n.id(), time.Since(n.lastHeard()).Round(time.Millisecond))
+	if err := standby.jrnl.Close(); err != nil {
+		n.logf("cluster: %s: closing standby journal: %v", n.id(), err)
+	}
+	if err := n.lead(mvPromote, ln); err != nil && n.ctx.Err() == nil {
+		n.logf("cluster: %s: promotion failed: %v", n.id(), err)
+		n.rejoin()
+	}
+}
+
+// demote stands a deposed primary down instead of split-braining: a
+// follower or ack arrived carrying a higher epoch, or the partition
+// simulation isolated it. The term is torn down crash-style (the journal
+// keeps exactly what fsync guaranteed; active client streams are severed
+// and will resume against the rightful primary) and the node rejoins the
+// shard as a standby: the ordinary election machinery then decides
+// whether it re-attaches to the new primary or — if nobody actually
+// promoted — wins the next election itself. The teardown and the rejoin
+// run on a goroutine the move counted. demote reports whether the node
+// was primary.
+func (n *Node) demote(reason string) bool {
+	t, ok := n.apply(mvDemote, nil)
+	if !ok {
 		return false
 	}
-	return true
-}
-
-// promote turns the warm standby into the shard primary: flush and
-// close the standby journal, re-open it authoritatively (which compacts
-// and replays it), build a server on top — recovery parks every
-// journaled stream at its replicated watermark — and take over the
-// shard's addresses.
-func (n *Node) promote(ln net.Listener) error {
-	n.logf("cluster: %s promoting: primary silent for %v", n.id(), time.Since(n.lastHeard()).Round(time.Millisecond))
-	n.mu.Lock()
-	standby := n.jrnl
-	n.jrnl = nil
-	n.mu.Unlock()
-	if standby != nil {
-		if err := standby.Close(); err != nil {
-			n.logf("cluster: %s: closing standby journal: %v", n.id(), err)
-		}
-	}
-	jrnl, err := journal.Open(n.cfg.Journal)
-	if err != nil {
-		return fmt.Errorf("re-opening journal: %w", err)
-	}
-	epoch, gate, err := n.beginEpoch(jrnl)
-	if err != nil {
-		jrnl.Close()
-		return err
-	}
-	srv, err := server.New(n.serverConfig(jrnl, epoch, gate))
-	if err != nil {
-		jrnl.Close()
-		return err
-	}
-	var replLn net.Listener
-	deadline := time.Now().Add(n.cfg.FailoverTimeout)
-	for {
-		replLn, err = n.listenTCP(n.self.ReplAddr)
-		if err == nil {
-			break
-		}
-		if n.ctx.Err() != nil || time.Now().After(deadline) {
-			srv.Kill()
-			return fmt.Errorf("replication listener: %w", err)
-		}
-		n.sleep(20 * time.Millisecond)
-	}
-	n.mu.Lock()
-	n.promotions++
-	n.lastPromotion = time.Now()
-	n.mu.Unlock()
-	n.adoptPrimary(srv, jrnl, ln, replLn, epoch, gate)
-	snap := srv.Snapshot()
-	n.logf("cluster: %s promoted to primary on %s at epoch %d (%d streams recovered, %d tombstones)",
-		n.id(), ln.Addr(), epoch, snap.Streams.Recovered, snap.Streams.RecoveredTombstones)
-	return nil
-}
-
-// demote is the reverse transition: a primary that has learned it was
-// deposed — a follower or ack arrived carrying a higher epoch, or the
-// partition simulation isolated it — stands down instead of
-// split-braining. The serving state is torn down crash-style (the
-// journal keeps exactly what fsync guaranteed; active client streams
-// are severed and will resume against the rightful primary), the
-// journal reopens as a warm standby, and the node rejoins the shard as
-// a follower: the ordinary election machinery then decides whether it
-// re-attaches to the new primary or — if nobody actually promoted —
-// wins the next election itself.
-func (n *Node) demote(reason string) {
-	n.mu.Lock()
-	if n.role != RolePrimary || n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.role = RoleFollower
-	srv := n.srv
-	n.srv = nil
-	n.jrnl = nil
-	replLn := n.replLn
-	n.streamLn, n.replLn = nil, nil
-	gate := n.quorum
-	n.quorum = nil
-	conns := make([]net.Conn, 0, len(n.followerConns))
-	for c := range n.followerConns {
-		conns = append(conns, c)
-	}
-	n.mu.Unlock()
-	atomic.AddInt64(&n.demotions, 1)
 	n.logf("cluster: %s demoting: %s", n.id(), reason)
-	if gate != nil {
-		gate.close()
-	}
-	if replLn != nil {
-		replLn.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if srv != nil {
-		srv.Kill() // closes the stream listener and client conns, abandons the journal
-	}
-	for n.ctx.Err() == nil {
-		jrnl, err := journal.Open(n.cfg.Journal)
-		if err == nil {
-			n.mu.Lock()
-			n.jrnl = jrnl
-			n.mu.Unlock()
-			break
-		}
-		n.logf("cluster: %s: reopening journal as standby: %v", n.id(), err)
-		if !n.sleep(n.cfg.DialTimeout / 4) {
-			return
-		}
-	}
-	if n.ctx.Err() != nil {
-		return
-	}
-	n.noteHeard() // fresh silence clock: give the rightful primary a full window
-	n.wg.Add(1)
-	go n.followLoop()
+	go func() {
+		defer n.wg.Done()
+		n.end(context.Background(), t, false)
+		n.rejoin()
+	}()
+	return true
 }
 
 // Partition simulates a network partition around this node: every
@@ -606,16 +650,16 @@ func (n *Node) Partition() {
 		return
 	}
 	n.logf("cluster: %s partitioned (simulated)", n.id())
-	n.mu.Lock()
-	role := n.role
-	replConn := n.replConn
-	n.mu.Unlock()
-	if role == RolePrimary {
-		n.demote("partitioned from the shard")
+	if n.demote("partitioned from the shard") {
 		return
 	}
-	if replConn != nil {
-		replConn.Close()
+	// A follower: sever its connection to the primary.
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if t := n.term; t != nil {
+		for c := range t.conns {
+			c.Close()
+		}
 	}
 }
 
@@ -627,15 +671,15 @@ func (n *Node) Heal() {
 	n.logf("cluster: %s partition healed", n.id())
 }
 
-// serverConfig injects the node's journal, fencing epoch, quorum gate
-// and, in a multi-shard fleet, the placement hooks into the configured
+// serverConfig injects the term's journal, fencing epoch, quorum gate
+// and, in a multi-shard fleet, the placement hook into the configured
 // server template.
-func (n *Node) serverConfig(jrnl *journal.Journal, epoch uint64, gate *quorumTracker) server.Config {
+func (n *Node) serverConfig(t *term) server.Config {
 	cfg := n.cfg.Server
-	cfg.Journal = jrnl
-	cfg.Epoch = epoch
-	if gate != nil {
-		cfg.Quorum = gate
+	cfg.Journal = t.jrnl
+	cfg.Epoch = t.epoch
+	if t.gate != nil {
+		cfg.Quorum = t.gate
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = n.cfg.Logf
@@ -654,105 +698,70 @@ func (n *Node) serverConfig(jrnl *journal.Journal, epoch uint64, gate *quorumTra
 			}
 			return addrs[owner], false
 		}
-		cfg.OwnsToken = func(token uint64) bool {
-			return ring.Owner(token) == shard
-		}
 	}
 	return cfg
 }
 
 // Shutdown stops the node gracefully: a primary drains its active
 // streams (journaling their final watermarks), a follower flushes and
-// closes its standby journal.
+// closes its standby journal. It returns once every goroutine the node
+// started has exited, a bring-up the stop refused included.
 func (n *Node) Shutdown(ctx context.Context) error {
-	n.cancel()
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return nil
-	}
-	n.stopped = true
-	srv, jrnl, replLn, replConn, gate := n.srv, n.jrnl, n.replLn, n.replConn, n.quorum
-	n.mu.Unlock()
-	if gate != nil {
-		gate.close()
-	}
-	if replLn != nil {
-		replLn.Close()
-	}
-	if replConn != nil {
-		replConn.Close()
-	}
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx) // closes the stream listener and the journal
-	} else if jrnl != nil {
-		err = jrnl.Close()
-	}
-	n.wg.Wait()
-	return err
+	return n.stop(ctx, true)
 }
 
 // Kill stops the node abruptly, crash-style: nothing is flushed beyond
 // what fsync already guaranteed, and the journal is abandoned exactly
 // as a dead process would leave it.
 func (n *Node) Kill() {
-	n.cancel()
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.stopped = true
-	srv, jrnl, streamLn, replLn, replConn, gate := n.srv, n.jrnl, n.streamLn, n.replLn, n.replConn, n.quorum
-	n.mu.Unlock()
-	if gate != nil {
-		gate.close()
-	}
-	if replLn != nil {
-		replLn.Close()
-	}
-	if replConn != nil {
-		replConn.Close()
-	}
-	if srv != nil {
-		srv.Kill() // closes the stream listener, abandons the journal
-	} else {
-		if streamLn != nil {
-			streamLn.Close()
-		}
-		if jrnl != nil {
-			jrnl.Abandon()
-		}
-	}
-	n.wg.Wait()
+	n.stop(context.Background(), false)
 }
 
-// Role reports the node's current role.
-func (n *Node) Role() Role {
+// stop is Shutdown (drain) and Kill: cancel the node's context, move to
+// stopped, end the term the node held and wait for its goroutines. A
+// second stop returns at once.
+func (n *Node) stop(ctx context.Context, drain bool) error {
+	n.cancel()
+	t, ok := n.apply(mvStop, nil)
+	if !ok {
+		return nil
+	}
+	var err error
+	if t != nil {
+		err = n.end(ctx, t, drain)
+	}
+	n.wg.Wait()
+	return err
+}
+
+// current returns the node's term: the installed one or, once the node
+// is stopped, the last one.
+func (n *Node) current() *term {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.role
+	return n.term
+}
+
+// Role reports the node's current role; a stopped node reports the
+// role it last held.
+func (n *Node) Role() Role {
+	return n.current().role()
 }
 
 // Server returns the stream server while the node is primary, nil
 // otherwise.
 func (n *Node) Server() *server.Server {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role != RolePrimary {
-		return nil
+	if t := n.current(); t != nil {
+		return t.srv
 	}
-	return n.srv
+	return nil
 }
 
 // StreamAddr reports the shard's stream address as actually bound
 // (resolving a ":0" config), or the configured one before any bind.
 func (n *Node) StreamAddr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.streamLn != nil {
-		return n.streamLn.Addr().String()
+	if t := n.current(); t != nil && t.ln != nil {
+		return t.ln.Addr().String()
 	}
 	return n.self.StreamAddr
 }
@@ -760,37 +769,29 @@ func (n *Node) StreamAddr() string {
 // Status assembles the cluster-level ops view.
 func (n *Node) Status() Status {
 	n.mu.Lock()
-	role := n.role
-	jrnl := n.jrnl
-	promotions := n.promotions
-	lastPromotion := n.lastPromotion
-	gate := n.quorum
-	n.mu.Unlock()
+	t := n.term
 	st := Status{
 		Shard:         n.cfg.Shard,
-		Role:          role,
+		Role:          t.role(),
 		Rank:          n.cfg.Rank,
-		Promotions:    promotions,
-		LastPromotion: lastPromotion,
+		Promotions:    n.promotions,
+		LastPromotion: n.lastPromotion,
 		Ring:          n.ring.Nodes(),
 	}
+	n.mu.Unlock()
 	st.Replication.Epoch = n.epoch.Load()
 	st.Replication.ReplicasConfigured = n.cfg.Replicas
 	st.Replication.QuorumConfigured = n.cfg.Quorum
 	st.Replication.DialRetries = atomic.LoadInt64(&n.dialRetries)
 	st.Replication.Demotions = atomic.LoadInt64(&n.demotions)
-	if role == RolePrimary {
+	if st.Role == RolePrimary {
 		st.Replication.Followers = atomic.LoadInt64(&n.followers)
 		st.Replication.FollowerDrops = atomic.LoadInt64(&n.followerDrops)
-		var published uint64
-		if jrnl != nil {
-			at := jrnl.FollowOffsets()
-			st.Replication.PublishedRecords = at.Records
-			st.Replication.PublishedBytes = at.Bytes
-			published = at.Records
-		}
-		if gate != nil {
-			qs := gate.status()
+		at := t.jrnl.FollowOffsets()
+		st.Replication.PublishedRecords = at.Records
+		st.Replication.PublishedBytes = at.Bytes
+		if t.gate != nil {
+			qs := t.gate.status()
 			st.Replication.ReplicasConnected = qs.Connected
 			st.Replication.QuorumDegraded = qs.Degraded
 			st.Replication.QuorumCommits = qs.QuorumCommits
@@ -800,18 +801,18 @@ func (n *Node) Status() Status {
 			st.Replication.AckLagRecords = make(map[string]uint64, len(qs.AckedSeq))
 			for name, acked := range qs.AckedSeq {
 				var lag uint64
-				if published > acked {
-					lag = published - acked
+				if at.Records > acked {
+					lag = at.Records - acked
 				}
 				st.Replication.AckLagRecords[name] = lag
 			}
 		}
 		return st
 	}
-	if jrnl != nil {
+	if t != nil {
 		// A follower's epoch is whatever its standby journal has
 		// witnessed — the fencing floor it would promote with.
-		st.Replication.Epoch = jrnl.Epoch()
+		st.Replication.Epoch = t.jrnl.Epoch()
 	}
 	n.repl.mu.Lock()
 	applied := n.repl.base + n.repl.applied
@@ -838,19 +839,17 @@ func (n *Node) Status() Status {
 // not ready (it must not receive hellos), a primary defers to its
 // server's own drain state.
 func (n *Node) Health() server.Health {
-	n.mu.Lock()
-	role, srv := n.role, n.srv
-	n.mu.Unlock()
-	if role != RolePrimary || srv == nil {
+	t := n.current()
+	if t.role() != RolePrimary {
 		return server.Health{Status: "not-ready", Reason: "follower", Role: string(RoleFollower)}
 	}
-	if gate := n.quorumGate(); gate != nil && gate.isDegraded() {
+	if t.gate != nil && t.gate.isDegraded() {
 		// Loud readiness flip: the primary is still admitting (local
 		// durability), but the configured replication quorum is not
 		// holding its records.
 		return server.Health{Status: "not-ready", Reason: "quorum-degraded", Role: string(RolePrimary)}
 	}
-	h := srv.Health()
+	h := t.srv.Health()
 	h.Role = string(RolePrimary)
 	return h
 }
@@ -908,12 +907,17 @@ func (n *Node) dialTCP(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 }
 
-// quorumGate returns the active quorum tracker, nil when gating is off
-// or the node is not primary.
-func (n *Node) quorumGate() *quorumTracker {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.quorum
+// bind listens on addr, retrying for up to FailoverTimeout while a
+// previous holder lets go of it, or until the node stops.
+func (n *Node) bind(addr string) (net.Listener, error) {
+	deadline := time.Now().Add(n.cfg.FailoverTimeout)
+	for {
+		ln, err := n.listenTCP(addr)
+		if err == nil || n.ctx.Err() != nil || time.Now().After(deadline) {
+			return ln, err
+		}
+		n.sleep(20 * time.Millisecond)
+	}
 }
 
 // Epoch reports the fencing term this node last served as primary
@@ -922,30 +926,6 @@ func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 
 // Demotions reports how many times this node stood down from primary.
 func (n *Node) Demotions() int64 { return atomic.LoadInt64(&n.demotions) }
-
-func (n *Node) trackFollowerConn(c net.Conn) {
-	n.mu.Lock()
-	n.followerConns[c] = struct{}{}
-	n.mu.Unlock()
-}
-
-func (n *Node) untrackFollowerConn(c net.Conn) {
-	n.mu.Lock()
-	delete(n.followerConns, c)
-	n.mu.Unlock()
-}
-
-func (n *Node) setReplConn(c net.Conn) {
-	n.mu.Lock()
-	n.replConn = c
-	n.mu.Unlock()
-}
-
-func (n *Node) standby() *journal.Journal {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.jrnl
-}
 
 // sleep waits for d or until the node stops; reports whether the full
 // wait elapsed.

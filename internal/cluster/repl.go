@@ -107,17 +107,19 @@ func writeReplFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // publishLoop is the primary's replication acceptor: one goroutine per
-// attached follower. It exits when the replication listener closes.
-func (n *Node) publishLoop(ln net.Listener, jrnl *journal.Journal) {
+// attached follower. It exits when the term's replication listener
+// closes.
+func (n *Node) publishLoop(t *term) {
+	defer n.wg.Done()
 	for {
-		conn, err := ln.Accept()
+		conn, err := t.replLn.Accept()
 		if err != nil {
 			return
 		}
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.serveFollower(conn, jrnl)
+			n.serveFollower(conn, t)
 		}()
 	}
 }
@@ -127,10 +129,9 @@ func (n *Node) publishLoop(ln net.Listener, jrnl *journal.Journal) {
 // reader goroutine feeds the follower's acks into the quorum tracker. A
 // write failure or feed overflow drops the follower; it reconnects and
 // resyncs from a fresh snapshot.
-func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
+func (n *Node) serveFollower(conn net.Conn, t *term) {
 	defer conn.Close()
-	n.trackFollowerConn(conn)
-	defer n.untrackFollowerConn(conn)
+	defer n.hold(t, conn)()
 	conn.SetReadDeadline(time.Now().Add(n.cfg.FailoverTimeout))
 	var magic [4]byte
 	if _, err := io.ReadFull(conn, magic[:]); err != nil || string(magic[:]) != string(replMagic) {
@@ -145,24 +146,23 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 	helloEpoch := binary.BigEndian.Uint64(payload[0:8])
 	rank := int(binary.BigEndian.Uint32(payload[8:12]))
 	name := string(payload[helloPrefix:])
-	myEpoch := n.epoch.Load()
-	if helloEpoch > myEpoch {
+	if helloEpoch > t.epoch {
 		// The follower's journal has witnessed a higher term than ours:
 		// another primary promoted while we thought we were serving.
 		// Refuse the attachment and stand down rather than split-brain.
 		n.logf("cluster: %s: follower %s carries epoch %d > our %d: we are deposed",
-			n.id(), name, helloEpoch, myEpoch)
-		go n.demote(fmt.Sprintf("follower %s at epoch %d", name, helloEpoch))
+			n.id(), name, helloEpoch, t.epoch)
+		n.demote(fmt.Sprintf("follower %s at epoch %d", name, helloEpoch))
 		return
 	}
 
-	snap, at, frames, cancel, err := jrnl.Follow(journal.DefaultFollowBuffer)
+	snap, at, frames, cancel, err := t.jrnl.Follow(journal.DefaultFollowBuffer)
 	if err != nil {
 		return
 	}
 	defer cancel()
 	pl := make([]byte, 0, cursorLen+len(snap))
-	pl = appendCursor(pl, myEpoch, at)
+	pl = appendCursor(pl, t.epoch, at)
 	pl = append(pl, snap...)
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverTimeout))
 	if err := writeReplFrame(conn, replSnapshot, pl); err != nil {
@@ -170,7 +170,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 	}
 	atomic.AddInt64(&n.followers, 1)
 	defer atomic.AddInt64(&n.followers, -1)
-	if q := n.quorumGate(); q != nil {
+	if q := t.gate; q != nil {
 		q.attach(name, rank)
 		defer q.detach(name)
 	}
@@ -182,7 +182,9 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 	// (this function's deferred Close unblocks it).
 	conn.SetReadDeadline(time.Time{})
 	ackDone := make(chan struct{})
+	n.wg.Add(1)
 	go func() {
+		defer n.wg.Done()
 		defer close(ackDone)
 		br := bufio.NewReaderSize(conn, 4<<10)
 		for {
@@ -196,13 +198,13 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 			}
 			ackEpoch := binary.BigEndian.Uint64(payload[0:8])
 			ackSeq := binary.BigEndian.Uint64(payload[8:16])
-			if ackEpoch > myEpoch {
+			if ackEpoch > t.epoch {
 				n.logf("cluster: %s: follower %s acked at epoch %d > our %d: we are deposed",
-					n.id(), name, ackEpoch, myEpoch)
-				go n.demote(fmt.Sprintf("ack from %s at epoch %d", name, ackEpoch))
+					n.id(), name, ackEpoch, t.epoch)
+				n.demote(fmt.Sprintf("ack from %s at epoch %d", name, ackEpoch))
 				return
 			}
-			if q := n.quorumGate(); q != nil {
+			if q := t.gate; q != nil {
 				q.ack(name, ackSeq)
 			}
 		}
@@ -222,7 +224,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 				n.logf("cluster: %s: follower %s dropped from the feed (lagged or journal closed)", n.id(), name)
 				return
 			}
-			buf = appendCursor(buf[:0], myEpoch, jrnl.FollowOffsets())
+			buf = appendCursor(buf[:0], t.epoch, t.jrnl.FollowOffsets())
 			buf = append(buf, rec...)
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverTimeout))
 			if err := writeReplFrame(conn, replRecord, buf); err != nil {
@@ -230,7 +232,7 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 				return
 			}
 		case <-tick.C:
-			buf = appendCursor(buf[:0], myEpoch, jrnl.FollowOffsets())
+			buf = appendCursor(buf[:0], t.epoch, t.jrnl.FollowOffsets())
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverTimeout))
 			if err := writeReplFrame(conn, replHeartbeat, buf); err != nil {
 				atomic.AddInt64(&n.followerDrops, 1)
@@ -245,13 +247,13 @@ func (n *Node) serveFollower(conn net.Conn, jrnl *journal.Journal) {
 }
 
 // followLoop is the follower's life: stay attached to the shard's
-// primary, replay its feed into the standby journal, and — when the
-// primary goes silent past FailoverTimeout — try to promote. Reconnect
-// attempts back off with the transport's jittered exponential schedule
-// (a refused connect during a primary restart is routine, not
+// primary, replay its feed into the standby term's journal, and — when
+// the primary goes silent past FailoverTimeout — try to promote.
+// Reconnect attempts back off with the transport's jittered exponential
+// schedule (a refused connect during a primary restart is routine, not
 // permanent); a successful attachment resets the schedule. It returns
-// when the node is stopped or has become the primary.
-func (n *Node) followLoop() {
+// when the node is stopped or the standby is given up to a promotion.
+func (n *Node) followLoop(t *term) {
 	defer n.wg.Done()
 	n.noteHeard()
 	backoff := transport.Backoff{
@@ -263,9 +265,9 @@ func (n *Node) followLoop() {
 		conn, err := n.dialTCP(n.self.ReplAddr)
 		if err == nil {
 			attempt = 0
-			n.setReplConn(conn)
-			err = n.streamFromPrimary(conn)
-			n.setReplConn(nil)
+			release := n.hold(t, conn)
+			err = n.streamFromPrimary(conn, t.jrnl)
+			release()
 			conn.Close()
 			if n.ctx.Err() == nil {
 				n.logf("cluster: %s: replication stream ended: %v", n.id(), err)
@@ -277,7 +279,8 @@ func (n *Node) followLoop() {
 			return
 		}
 		if time.Since(n.lastHeard()) >= n.cfg.FailoverTimeout {
-			if n.tryPromote() {
+			if ln := n.elect(); ln != nil {
+				n.promote(t, ln)
 				return
 			}
 		}
@@ -292,11 +295,7 @@ func (n *Node) followLoop() {
 // liveness clock on every frame. A cursor whose epoch is below the
 // standby journal's own is a deposed primary: disconnect rather than
 // regress onto revoked authority.
-func (n *Node) streamFromPrimary(conn net.Conn) error {
-	jrnl := n.standby()
-	if jrnl == nil {
-		return fmt.Errorf("cluster: no standby journal")
-	}
+func (n *Node) streamFromPrimary(conn net.Conn, jrnl *journal.Journal) error {
 	hello := make([]byte, 0, helloPrefix+len(n.id()))
 	hello = binary.BigEndian.AppendUint64(hello, jrnl.Epoch())
 	hello = binary.BigEndian.AppendUint32(hello, uint32(n.cfg.Rank))

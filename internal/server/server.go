@@ -139,12 +139,10 @@ type Config struct {
 	// server does not own is answered with a transport.Redirect naming
 	// addr instead of a verdict, so in a sharded fleet every shard can
 	// be dialed and the hash ring decides placement. Nonce-less hellos
-	// (no dedup key) are always treated as local.
+	// (no dedup key) are always treated as local. Freshly issued resume
+	// tokens are drawn until Route reports them local, so a resume
+	// routes home by the same rule that routed the hello.
 	Route func(key uint64) (addr string, local bool)
-	// OwnsToken, when set, filters freshly issued resume tokens so they
-	// hash to this shard on the placement ring: resumes then route home
-	// by the same rule that routed the hello.
-	OwnsToken func(token uint64) bool
 	// Integrity is the prefix-hash mode this server requires in every
 	// hello (default IntegrityFNV). A hello declaring any other mode is
 	// rejected as malformed. IntegrityHMAC requires IntegrityKey.
@@ -887,8 +885,10 @@ func (s *Server) newTokenLocked() uint64 {
 		// Rejection-sample until the token hashes to this shard on the
 		// placement ring, so a later resume routes straight home
 		// (expected draws = shard count).
-		if s.cfg.OwnsToken != nil && !s.cfg.OwnsToken(tok) {
-			continue
+		if s.cfg.Route != nil {
+			if _, local := s.cfg.Route(tok); !local {
+				continue
+			}
 		}
 		return tok
 	}
