@@ -100,13 +100,18 @@ journal:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal/
 
 # The exactly-once protocol property harness: every handshake message
-# class dropped and corrupted, on both sides of the wire — single
-# faults, curated compound schedules, and seeded random compound
-# schedules — across 8 fixed seeds. No double reservation, no byte
-# divergence, no spurious rejection.
+# class dropped and corrupted, and each verdict's write reset, on both
+# sides of the wire — single faults, curated compound schedules, and
+# seeded random compound schedules — across 8 fixed seeds. No double
+# reservation, no byte divergence, no spurious rejection. Then the
+# handshake pins: one reservation per nonce (also for a hello repeated
+# while its admission commits), a rolled-back admission counted once,
+# resumes racing a finish, a cancel while a reattach holds its claim,
+# Serve on a stopped server, and a parked stream kept across Shutdown.
+PROTOCOL_TESTS = TestProtocolExactlyOnce|TestProtocolRandomizedCompound|TestHelloNonceReservesOnce|TestDupHelloDuringAdmissionCommit|TestRolledBackAdmissionCountedOnce|TestResumeRacingFinish|TestCancelWhileClaimedClosesReattach|TestServeAfterStopReleasesListener|TestShutdownKeepsParkedStreamRecoverable
 protocol:
-	$(REQUIRE_TESTS) 'TestProtocolExactlyOnce|TestProtocolRandomizedCompound' ./internal/server/
-	$(GO) test -race -v -run 'TestProtocolExactlyOnce|TestProtocolRandomizedCompound' ./internal/server/
+	$(REQUIRE_TESTS) '$(PROTOCOL_TESTS)' ./internal/server/
+	$(GO) test -race -v -run '$(PROTOCOL_TESTS)' -count=1 ./internal/server/
 
 # Regenerate every figure of the paper's evaluation (plus extensions)
 # into results/ as CSV, with console summaries.

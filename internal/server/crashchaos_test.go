@@ -268,6 +268,88 @@ func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []by
 	}
 }
 
+// TestShutdownKeepsParkedStreamRecoverable: a graceful Shutdown closes
+// the listener first, so no sender can reach a parked stream during the
+// drain. The stream stops waiting at once instead of waiting out its
+// resume window, counts as failed in the stopping generation, and stays
+// journaled: the next generation recovers it parked, and the sender's
+// resume completes it byte-exact.
+func TestShutdownKeepsParkedStreamRecoverable(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 27))
+	dir := t.TempDir()
+	cfg := Config{
+		LinkRate:     2 * kit.hello.PeakRate,
+		ReadTimeout:  5 * time.Second,
+		ResumeWindow: 5 * time.Second,
+	}
+	gen1, addr := startGeneration(t, cfg, dir, "")
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := kit.hello
+	hello.Nonce = 0x5A1E
+	fw := transport.NewFrameWriter(conn)
+	if err := fw.WriteHello(hello); err != nil {
+		t.Fatal(err)
+	}
+	v, err := transport.NewFrameReader(conn).ReadVerdictTimeout(10 * time.Second)
+	if err != nil || !v.IsAdmitted() || v.ResumeToken == 0 {
+		t.Fatalf("admission verdict %+v, %v", v, err)
+	}
+	const head = 9
+	sendPictures(t, fw, kit, 0, head)
+	waitFor(t, "head pictures accepted", func() bool {
+		p := gen1.srv.Snapshot().PerStream
+		return len(p) == 1 && p[0].Pictures == head
+	})
+	conn.Close()
+	waitFor(t, "the stream to park", func() bool { return gen1.srv.Snapshot().Streams.Parked == 1 })
+
+	start := time.Now()
+	gen1.shutdown(t)
+	if took := time.Since(start); took > cfg.ResumeWindow/2 {
+		t.Errorf("shutdown took %v with one parked stream (resume window %v)", took, cfg.ResumeWindow)
+	}
+	if s := gen1.srv.Snapshot(); s.Streams.Failed != 1 || s.Streams.Active != 0 || s.Faults.ResumeExpired != 0 {
+		t.Errorf("stopping generation: failed %d, active %d, resume_expired %d; want 1, 0, 0",
+			s.Streams.Failed, s.Streams.Active, s.Faults.ResumeExpired)
+	}
+
+	gen2, _ := startGeneration(t, cfg, dir, addr)
+	defer gen2.shutdown(t)
+	if s := gen2.srv.Snapshot().Streams; s.Recovered != 1 || s.Parked != 1 {
+		t.Fatalf("next generation recovered %d streams, %d parked; want the parked stream", s.Recovered, s.Parked)
+	}
+	conn2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	fw2, fr2 := transport.NewFrameWriter(conn2), transport.NewFrameReader(conn2)
+	if err := fw2.WriteResume(transport.StreamResume{Token: v.ResumeToken}); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := fr2.ReadVerdictTimeout(10 * time.Second)
+	if err != nil || !v2.IsAdmitted() || v2.NextIndex != head || v2.PrefixFNV != payloadFNV(kit.payloads[:head]) {
+		t.Fatalf("resume verdict %+v, %v; want admitted at picture %d with the head's hash", v2, err, head)
+	}
+	sendPictures(t, fw2, kit, head, kit.tr.Len())
+	if err := fw2.WriteEnd(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr2.ReadMessageTimeout(10 * time.Second); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("completion ack: %v", err)
+	}
+	waitFor(t, "completion", func() bool {
+		s := gen2.srv.Snapshot()
+		return s.Streams.Completed == 1 && s.Streams.Active == 0
+	})
+	checkSoakEnd(t, gen2.srv, 0, kit)
+}
+
 // TestCrashRecoveryAlreadyComplete: the completion is journaled before
 // the ack leaves, so a sender that finished just before the crash and
 // resumes against the restarted server gets a verifiable

@@ -118,7 +118,8 @@ func TestTombstoneLedgerKeepsTTLThroughLull(t *testing.T) {
 }
 
 // TestHelloNonceReservesOnce pins the guard against a second
-// reservation: the nonce map, read under the server mutex in admit.
+// reservation: the nonce map, read once under the server mutex in admit,
+// in the critical section that reserves.
 func TestHelloNonceReservesOnce(t *testing.T) {
 	kit := makeClient(t, testTrace(t, 54))
 	kit.hello.Nonce = 0x5EED5EED
@@ -127,9 +128,8 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 	t.Run("concurrent-duplicates", func(t *testing.T) {
 		const clients = 16
 		// Room for every client: only the nonce can stop a second
-		// reservation. The hellos go straight into admit at once, as if
-		// all 16 had passed handleHello's probe before any was admitted
-		// (over TCP the probe reattaches most of them before admit).
+		// reservation. The hellos go through admit's one decision at
+		// once.
 		srv, _ := startServer(t, Config{LinkRate: clients * peak})
 		start := make(chan struct{})
 		streams := make([]*stream, clients)
@@ -144,8 +144,8 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 				defer wg.Done()
 				hello := kit.hello
 				<-start
-				streams[c], verdicts[c], _ = srv.admit(conn,
-					transport.NewFrameReader(conn), transport.NewFrameWriter(conn), &hello)
+				o := srv.admit(wire{conn, transport.NewFrameReader(conn), transport.NewFrameWriter(conn)}, &hello, nil)
+				streams[c], verdicts[c] = o.st, transport.Verdict{Code: o.code}
 			}()
 		}
 		close(start)
@@ -256,6 +256,67 @@ func TestRolledBackAdmissionCountedOnce(t *testing.T) {
 		t.Errorf("a rolled-back hello and its admitted retry: admitted %d, rejected_busy %d; want 1 and 1",
 			snap.Streams.Admitted, snap.Streams.RejectedBusy)
 	}
+}
+
+// TestDupHelloDuringAdmissionCommit: a hello retransmitted while its
+// first copy's admission is still inside the journal fsync is answered
+// busy, and the first copy's connection is left alone: the admission
+// commits and its verdict arrives there. The sender, retrying with the
+// same nonce until it is admitted, reattaches to that one admission and
+// streams the whole trace. Nothing is admitted twice and nothing fails.
+func TestDupHelloDuringAdmissionCommit(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 27))
+	kit.hello.Nonce = 0xD0B1E
+	// Sync 1 is Open's snapshot; sync 2 is the first admission's batch.
+	faulty := journal.NewFaultFS(journal.NewMemFS(), journal.FaultConfig{})
+	held, release := faulty.HoldSync(2)
+	defer release()
+	j, err := journal.Open(journal.Config{FS: faulty, FlushInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{
+		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
+	})
+
+	// Hello A: its admission waits in the held fsync.
+	first, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if err := transport.NewFrameWriter(first).WriteHello(kit.hello); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the admission never reached its fsync")
+	}
+	// The same hello on a second connection.
+	dup, _, v := kit.handshake(t, addr)
+	dup.Close()
+	if v.Code != transport.RejectedBusy {
+		t.Errorf("hello retransmitted during its admission's fsync: verdict %v, want %v", v.Code, transport.RejectedBusy)
+	}
+	release()
+	if v, err := transport.NewFrameReader(first).ReadVerdictTimeout(10 * time.Second); err != nil {
+		t.Errorf("first hello's connection: %v; want its admission's verdict", err)
+	} else if !v.IsAdmitted() {
+		t.Errorf("first hello: verdict %v, want %v", v.Code, transport.Admitted)
+	}
+
+	// The sender gives up on that connection and retries.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := resumableClient(kit, addr, 1).Stream(ctx, kit.payloads); err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+	waitFor(t, "the stream to finish", func() bool {
+		s := srv.Snapshot()
+		return s.Streams.Completed+s.Streams.Failed >= 1 && s.Streams.Active == 0
+	})
+	checkSoakEnd(t, srv, 1, kit)
 }
 
 // gatedWriter is an egress sink whose writes block until release is

@@ -278,7 +278,7 @@ func TestCancelWhileClaimedClosesReattach(t *testing.T) {
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		srv.run(st, nil)
+		srv.run(st)
 	}()
 	stateIs := func(want state) bool {
 		srv.mu.Lock()
@@ -293,7 +293,8 @@ func TestCancelWhileClaimedClosesReattach(t *testing.T) {
 	reattached := make(chan struct{})
 	go func() {
 		defer close(reattached)
-		srv.reattach(wire{conn: conn, fr: transport.NewFrameReader(conn), fw: transport.NewFrameWriter(conn)}, st, st.token, 0)
+		w := wire{conn: conn, fr: transport.NewFrameReader(conn), fw: transport.NewFrameWriter(conn)}
+		srv.answer(w, srv.admit(w, &transport.StreamResume{Token: st.token}, nil))
 	}()
 	waitFor(t, "the reattach to claim the stream", func() bool { return stateIs(claimed) })
 	srv.cancel()

@@ -24,7 +24,7 @@ type StreamCounts struct {
 	// stream is admitted once.
 	Admitted int64 `json:"admitted"`
 	// Rejected sums the three reasons; each rejection is counted once,
-	// as its verdict is built.
+	// by the answer that writes its verdict.
 	Rejected          int64 `json:"rejected"`
 	RejectedCapacity  int64 `json:"rejected_capacity"`
 	RejectedMalformed int64 `json:"rejected_malformed"`

@@ -24,7 +24,7 @@ func protocolSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// protoScenario drops or corrupts exactly one handshake message class
+// protoScenario drops, corrupts or resets one handshake message class
 // via targeted OpFaults: client-side writes (hello, resume) through a
 // faultnet.Dialer, server-side writes (admission verdict, resume
 // verdict, completion ack) through a faultnet.Listener. Connection and
@@ -68,6 +68,12 @@ var protoScenarios = []protoScenario{
 		serverOps: []faultnet.OpFault{{Conn: 1, Op: 1, Write: true, Action: faultnet.ActDrop}}},
 	{name: "corrupt-verdict", wantDeduped: true,
 		serverOps: []faultnet.OpFault{{Conn: 1, Op: 1, Write: true, Action: faultnet.ActCorrupt}}},
+	// The admission verdict's write is reset: the server learns that the
+	// sender never heard it. The stream parks as after any fault, and the
+	// redialed hello reattaches to it by nonce instead of admitting the
+	// client twice.
+	{name: "reset-verdict", wantDeduped: true,
+		serverOps: []faultnet.OpFault{{Conn: 1, Op: 1, Write: true, Action: faultnet.ActReset}}},
 
 	// A mid-stream reset forces a resume, whose request or verdict is
 	// then lost or corrupted; the retry must reattach without replaying
@@ -82,6 +88,11 @@ var protoScenarios = []protoScenario{
 	{name: "corrupt-resume-verdict", minResumes: 1,
 		clientOps: []faultnet.OpFault{midStreamReset},
 		serverOps: []faultnet.OpFault{{Conn: 2, Op: 1, Write: true, Action: faultnet.ActCorrupt}}},
+	// The resume verdict's write is reset: the reattach releases its
+	// claim, and the sender's next resume finds the stream parked again.
+	{name: "reset-resume-verdict", minResumes: 1,
+		clientOps: []faultnet.OpFault{midStreamReset},
+		serverOps: []faultnet.OpFault{{Conn: 2, Op: 1, Write: true, Action: faultnet.ActReset}}},
 
 	// The completion ack vanishes or arrives corrupted: the server
 	// finished and tombstoned the stream; the client's resume must get
@@ -125,11 +136,11 @@ var protoScenarios = []protoScenario{
 // TestProtocolExactlyOnce is the deterministic protocol property
 // harness: for every handshake message class (hello, admission verdict,
 // resume request, resume verdict, completion ack) and both failure
-// modes (dropped, corrupted), across fixed seeds, the session protocol
-// must stay exactly-once — the stream completes, the server admits
-// exactly one session (no double reservation), the accepted bytes match
-// the sender's (no divergence), and the client never sees a terminal
-// rejection (no spurious failure).
+// modes (dropped, corrupted), plus a reset write of each verdict,
+// across fixed seeds, the session protocol must stay exactly-once — the
+// stream completes, the server admits exactly one session (no double
+// reservation), the accepted bytes match the sender's (no divergence),
+// and the client never sees a terminal rejection (no spurious failure).
 func TestProtocolExactlyOnce(t *testing.T) {
 	for _, sc := range protoScenarios {
 		for _, seed := range protocolSeeds(t) {

@@ -209,6 +209,9 @@ type Server struct {
 	nextID     uint64
 	ln         net.Listener
 	closed     bool
+	// stopped is closed with closed set: no sender can reach a parked
+	// stream any more, so its wait ends (stream.awaitResume).
+	stopped chan struct{}
 
 	// journal is cfg.Journal (nil disables durability).
 	journal *journal.Journal
@@ -280,6 +283,7 @@ func New(cfg Config) (*Server, error) {
 		streams:       map[uint64]*stream{},
 		resumable:     map[uint64]*stream{},
 		nonces:        map[uint64]*stream{},
+		stopped:       make(chan struct{}),
 		worstHeadroom: math.Inf(1),
 	}
 	s.egress = newLink(s.cfg.Egress, s.cfg.WriteTimeout)
@@ -302,11 +306,13 @@ func New(cfg Config) (*Server, error) {
 // Serve accepts stream sessions on ln until the listener is closed
 // (normally by Shutdown). Each connection is handled on its own
 // goroutine pair: ingest (read, smooth, enqueue) and egress (pace onto
-// the shared link).
+// the shared link). On a server that Shutdown or Kill already stopped,
+// Serve closes ln and returns an error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		ln.Close()
 		return errors.New("server: already shut down")
 	}
 	s.ln = ln
@@ -341,12 +347,13 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the server: it stops accepting sessions and waits for
-// active streams to finish. If ctx expires first, remaining streams are
-// cancelled and their connections closed, and ctx's error is returned.
+// active streams to finish. A parked stream, whose sender can no longer
+// reach it, ends at once and stays journaled for the next generation. If
+// ctx expires first, remaining streams are cancelled and their
+// connections closed, and ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
+	ln := s.stopLocked()
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
@@ -388,8 +395,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // the next generation recovers is exactly what was durable.
 func (s *Server) Kill() {
 	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
+	ln := s.stopLocked()
 	streams := make([]*stream, 0, len(s.streams))
 	for _, st := range s.streams {
 		streams = append(streams, st)
@@ -406,6 +412,17 @@ func (s *Server) Kill() {
 		st.closeConn()
 	}
 	s.wg.Wait()
+}
+
+// stopLocked closes the server to new sessions and ends every parked
+// stream's wait. It returns the listener Serve took, for the caller to
+// close once s.mu is released. Caller holds s.mu.
+func (s *Server) stopLocked() net.Listener {
+	if !s.closed {
+		s.closed = true
+		close(s.stopped)
+	}
+	return s.ln
 }
 
 // recoverFromJournal replays the journal's recovered state into the
@@ -459,7 +476,7 @@ func (s *Server) recoverFromJournal() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.run(st, nil)
+			s.run(st)
 		}()
 	}
 	// Entomb in expiry order: the ledger sweeps expired tombstones off
@@ -523,8 +540,8 @@ func (s *Server) commitCompletion(ctx context.Context, st *stream) {
 	}
 }
 
-// handle runs one connection: the first message decides whether it is a
-// new session (StreamHello) or a reconnect (StreamResume). One
+// handle runs one connection. Its first message, a hello or a resume, is
+// decided once (admit) and the decision carried out once (answer). One
 // FrameReader/FrameWriter pair owns each direction for the connection's
 // whole life — the frame sequence counters span handshake and stream.
 func (s *Server) handle(conn net.Conn) {
@@ -534,245 +551,225 @@ func (s *Server) handle(conn net.Conn) {
 	w.fw.MaxPayload = s.cfg.MaxPictureBytes
 
 	msg, err := w.fr.ReadMessageTimeout(s.cfg.ReadTimeout)
-	if err != nil {
-		s.rejectConn(w, transport.RejectedMalformed, err)
-		return
+	s.answer(w, s.admit(w, msg, err))
+}
+
+// outcome is the handshake decision for one connection: a redirect to
+// the shard at addr; the connection handed to st, a fresh admission or a
+// claimed reattach, under an Admitted verdict; an AlreadyComplete
+// verdict; or a refusal under code, for cause.
+type outcome struct {
+	code  transport.VerdictCode
+	avail float64 // admission headroom, read where the decision was made
+	// token, next and prefix are the resume point an Admitted or
+	// AlreadyComplete verdict carries.
+	token  uint64
+	next   int
+	prefix uint64
+	st     *stream
+	fresh  bool // st was admitted for this connection, which runs it
+	dedup  bool // the hello retransmits st's: its verdict was lost
+	addr   string
+	// stale is the connection of a stream a refused reattach found still
+	// streaming, its ingest most likely blocked on a dead peer: answer
+	// closes it so the stream parks for the sender's next attempt.
+	stale net.Conn
+	cause error
+}
+
+// admit decides a connection's first message, msg, or the error reading
+// it met. A session key another shard owns is redirected. Otherwise the
+// key is looked up once, under s.mu, with everything the answer depends
+// on: a resume token finds its stream or its tombstone, and a hello
+// nonce the live stream a retransmitted hello belongs to. A found stream
+// is claimed in the same critical section and a fresh one reserved and
+// registered there, so the decision makes no I/O and copies of one hello
+// racing each other reserve once. A draining server hands no connection
+// a stream. A fresh admission is made durable before admit returns, or
+// rolled back as busy.
+func (s *Server) admit(w wire, msg any, err error) outcome {
+	hello, _ := msg.(*transport.StreamHello)
+	resume, _ := msg.(*transport.StreamResume)
+	var key uint64
+	switch {
+	case hello != nil:
+		key = hello.Nonce
+	case resume != nil:
+		key = resume.Token
+	case err == nil:
+		err = fmt.Errorf("server: expected hello or resume, got %T", msg)
 	}
-	switch m := msg.(type) {
-	case *transport.StreamHello:
-		s.handleHello(w, m)
-	case *transport.StreamResume:
-		s.handleResume(w, m)
+	// Resume tokens are never zero; a nonce-less hello is always local.
+	if key != 0 && s.cfg.Route != nil {
+		if addr, local := s.cfg.Route(key); !local {
+			return outcome{addr: addr, cause: fmt.Errorf("key %016x not owned by this shard", key)}
+		}
+	}
+	var st *stream // the stream the connection would go to
+	fresh := hello != nil && err == nil
+	if fresh {
+		st, err = s.newAdmission(w, hello)
+	}
+
+	var o outcome
+	s.mu.Lock()
+	switch {
+	case err != nil:
+		st, o.code, o.cause = nil, transport.RejectedMalformed, err
+	case resume != nil:
+		if st = s.resumable[resume.Token]; st != nil {
+			break
+		}
+		if tomb, ok := s.tombstones.lookup(resume.Token, time.Now()); ok {
+			o.code, o.token, o.next, o.prefix = transport.AlreadyComplete, resume.Token, tomb.pictures, tomb.fnv
+		} else {
+			o.code, o.cause = transport.RejectedMalformed, errors.New("server: resume with unknown token")
+		}
 	default:
-		s.rejectConn(w, transport.RejectedMalformed,
-			fmt.Errorf("server: expected hello or resume, got %T", msg))
-	}
-}
-
-// redirectIfRemote answers a handshake whose session key another shard
-// owns with that shard's address (best effort) and closes the
-// connection. It reports whether the connection was redirected.
-func (s *Server) redirectIfRemote(w wire, key uint64) bool {
-	if s.cfg.Route == nil {
-		return false
-	}
-	addr, local := s.cfg.Route(key)
-	if local {
-		return false
-	}
-	s.mu.Lock()
-	s.counts.Redirected++
-	s.mu.Unlock()
-	w.fw.WriteRedirect(transport.Redirect{Addr: addr, Epoch: s.cfg.Epoch})
-	w.conn.Close()
-	s.cfg.Logf("smoothd: %s redirected to %s (key %016x not owned by this shard)",
-		w.conn.RemoteAddr(), addr, key)
-	return true
-}
-
-// rejectConn answers a doomed connection with a verdict (best effort)
-// and closes it.
-func (s *Server) rejectConn(w wire, code transport.VerdictCode, cause error) {
-	w.fw.WriteVerdict(s.reject(code))
-	w.conn.Close()
-	s.cfg.Logf("smoothd: %s %s: %v", w.conn.RemoteAddr(), code, cause)
-}
-
-// reject counts one rejection under its code and returns the verdict
-// that reports it, carrying the headroom admission has left.
-func (s *Server) reject(code transport.VerdictCode) transport.Verdict {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch code {
-	case transport.RejectedCapacity:
-		s.counts.RejectedCapacity++
-	case transport.RejectedMalformed:
-		s.counts.RejectedMalformed++
-	case transport.RejectedBusy:
-		s.counts.RejectedBusy++
-	}
-	return transport.Verdict{Code: code, Available: s.admission.Available(), Epoch: s.cfg.Epoch}
-}
-
-// handleHello runs a new session from admission to completion. A hello
-// whose nonce matches a live stream is a retransmission — the sender's
-// copy of our admission verdict was lost in flight and it redialed — so
-// instead of reserving a second session we reattach the connection to
-// the existing one, exactly as a resume would.
-func (s *Server) handleHello(w wire, hello *transport.StreamHello) {
-	if hello.Nonce != 0 && s.redirectIfRemote(w, hello.Nonce) {
-		return
-	}
-	if hello.Nonce != 0 {
-		s.mu.Lock()
-		prior := s.nonces[hello.Nonce]
-		dup := prior != nil && prior.hello == *hello
-		if dup {
+		switch prior := s.nonces[hello.Nonce]; { // nonce 0 is never registered
+		case prior == nil:
+		case prior.hello != *hello:
+			st, o.code, o.cause = nil, transport.RejectedMalformed,
+				fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce)
+		default:
 			s.counts.HelloDeduped++
-		}
-		avail := s.admission.Available()
-		s.mu.Unlock()
-		if dup {
-			s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", prior.id, w.conn.RemoteAddr())
-			s.reattach(w, prior, prior.token, avail)
-			return
-		}
-		if prior != nil {
-			s.rejectConn(w, transport.RejectedMalformed,
-				fmt.Errorf("server: hello nonce %016x reused with different parameters", hello.Nonce))
-			return
+			st, fresh, o.dedup = prior, false, true
 		}
 	}
-	st, verdict, err := s.admit(w.conn, w.fr, w.fw, hello)
-	if werr := w.fw.WriteVerdict(verdict); werr != nil && err == nil {
-		err = werr
+	if st != nil {
+		switch {
+		case s.closed:
+			o.code, o.cause = transport.RejectedBusy, errors.New("server: draining")
+		case !fresh:
+			// A claim has nothing to run once s.mu is released.
+			if made, _ := s.applyLocked(st, move{ev: evClaim}); !made {
+				o.code, o.cause = transport.RejectedBusy, fmt.Errorf("server: stream %d not yet accepting a reattach", st.id)
+				if st.state == streaming {
+					o.stale = st.w.conn
+				}
+			}
+		case s.cfg.MaxStreams > 0 && int64(s.cfg.MaxStreams) <= s.admission.Active():
+			o.code, o.cause = transport.RejectedBusy, errors.New("server: at stream limit")
+		case !s.admission.Admit(st.hello.PeakRate):
+			o.code, o.cause = transport.RejectedCapacity, fmt.Errorf("server: peak %.0f bps exceeds available %.0f bps",
+				st.hello.PeakRate, s.admission.Available())
+		default:
+			if s.cfg.ResumeWindow > 0 {
+				st.token = s.newTokenLocked()
+			}
+			s.registerLocked(st)
+		}
+		if o.cause == nil {
+			// A claim freezes the watermark: ingest waits for the adopt.
+			o.st, o.fresh, o.code, o.token = st, fresh, transport.Admitted, st.token
+			o.next, o.prefix = st.resumePoint()
+		}
 	}
-	if st == nil {
-		w.conn.Close()
-		s.cfg.Logf("smoothd: %s %s: %v", w.conn.RemoteAddr(), verdict.Code, err)
-		return
-	}
-	s.run(st, err)
-}
-
-// handleResume hands a reconnecting sender's connection to its parked
-// stream. An unknown token is checked against the completion tombstones
-// first: a sender that finished but lost the completion ack gets an
-// AlreadyComplete verdict carrying the final hash, not a rejection.
-func (s *Server) handleResume(w wire, m *transport.StreamResume) {
-	if s.redirectIfRemote(w, m.Token) {
-		return
-	}
-	s.mu.Lock()
-	st := s.resumable[m.Token]
-	var tomb tombstone
-	entombed := false
-	if st == nil {
-		tomb, entombed = s.tombstones.lookup(m.Token, time.Now())
-	}
-	if entombed {
-		s.counts.AlreadyComplete++
-	}
-	closed := s.closed
-	avail := s.admission.Available()
+	o.avail = s.admission.Available()
 	s.mu.Unlock()
-	if entombed {
-		w.fw.WriteVerdict(transport.Verdict{
-			Code: transport.AlreadyComplete, Available: avail,
-			ResumeToken: m.Token, NextIndex: tomb.pictures, PrefixFNV: tomb.fnv,
-			Epoch: s.cfg.Epoch,
-		})
-		w.conn.Close()
-		s.cfg.Logf("smoothd: resume from %s answered already-complete (%d pictures, fnv %016x)",
-			w.conn.RemoteAddr(), tomb.pictures, tomb.fnv)
-		return
+
+	if o.fresh {
+		if err := s.commitAdmission(o.st); err != nil {
+			// Rolled back while admitting: counted busy, not admitted.
+			s.mu.Lock()
+			s.dropLocked(o.st)
+			o = outcome{code: transport.RejectedBusy, avail: s.admission.Available(), cause: err}
+			s.mu.Unlock()
+		} else {
+			s.apply(o.st, move{ev: evAdmit})
+		}
 	}
-	if st == nil || closed {
-		s.rejectConn(w, transport.RejectedMalformed,
-			fmt.Errorf("server: resume with unknown token"))
-		return
-	}
-	s.reattach(w, st, m.Token, avail)
+	return o
 }
 
-// reattach hands a reconnecting sender's connection (resume by token or
-// hello retransmission matched by nonce) to its parked stream; avail is
-// the headroom the caller read with the stream. The claim move
-// serializes competing reconnects; the verdict carrying the replay point
-// and the accepted-prefix hash is written before the adopt move hands
-// the connection over.
-func (s *Server) reattach(w wire, st *stream, token uint64, avail float64) {
-	if !s.apply(st, move{ev: evClaim}) {
-		// The stream has not parked yet — most likely its ingest loop is
-		// still blocked on the dead connection. Close that connection to
-		// expedite fault detection; the sender's backoff retry will find
-		// the stream parked.
-		st.closeConn()
-		s.rejectConn(w, transport.RejectedBusy,
-			fmt.Errorf("server: stream %d not yet accepting resume", st.id))
-		return
-	}
-	// The claim freezes the watermark: ingest waits for the adopt, so the
-	// resume point cannot move under us.
-	next, prefix := st.resumePoint()
-	if err := w.fw.WriteVerdict(transport.Verdict{
-		Code: transport.Admitted, Available: avail,
-		ResumeToken: token, NextIndex: next, PrefixFNV: prefix,
-		Epoch: s.cfg.Epoch,
-	}); err != nil {
-		// Could not deliver the replay point; reopen the slot for the
-		// sender's next attempt.
-		s.apply(st, move{ev: evRelease})
-		w.conn.Close()
-		return
-	}
-	if !s.apply(st, move{ev: evAdopt, w: w}) {
-		// The window lapsed, or the stream ended, while the verdict was
-		// on its way.
-		w.conn.Close()
-	}
-}
-
-// admit validates the hello and takes the admission decision. A nil
-// stream means the connection ends after the verdict.
-func (s *Server) admit(conn net.Conn, fr *transport.FrameReader, fw *transport.FrameWriter, hello *transport.StreamHello) (*stream, transport.Verdict, error) {
+// newAdmission validates a hello and builds the stream it would admit on
+// w, Session included. Nothing is reserved or registered yet.
+func (s *Server) newAdmission(w wire, hello *transport.StreamHello) (*stream, error) {
 	if hello.Integrity != s.cfg.Integrity {
-		return nil, s.reject(transport.RejectedMalformed),
-			fmt.Errorf("server: hello integrity mode %s, this server requires %s",
-				hello.Integrity, s.cfg.Integrity)
+		return nil, fmt.Errorf("server: hello integrity mode %s, this server requires %s",
+			hello.Integrity, s.cfg.Integrity)
 	}
 	ph, err := transport.NewPrefixHash(hello.Integrity, s.cfg.IntegrityKey)
 	if err != nil {
-		return nil, s.reject(transport.RejectedMalformed), err
+		return nil, err
 	}
+	st := newStream(w, *hello, ph, 0, &s.pool)
+	st.sess, err = s.newSession(st)
+	return st, err
+}
 
-	st := newStream(wire{conn, fr, fw}, *hello, ph, 0, &s.pool)
-	sess, err := s.newSession(st)
-	if err != nil {
-		return nil, s.reject(transport.RejectedMalformed), err
+// answer carries out a handshake outcome on w's connection; it is the one
+// place a handshake is answered. Every verdict carries the server's epoch
+// and the headroom admit read. A fresh stream then runs on this
+// goroutine, and a claimed one adopts the connection, waking its parked
+// ingest. A verdict that cannot be written leaves the stream as any
+// connection fault does: parked for the sender's redial when it holds a
+// resume token, failed when it does not. An outcome that hands over no
+// stream is counted before its answer leaves, so a sender never reads a
+// snapshot that misses it; the connection is then closed.
+func (s *Server) answer(w wire, o outcome) {
+	v := transport.Verdict{
+		Code: o.code, Available: o.avail, Epoch: s.cfg.Epoch,
+		ResumeToken: o.token, NextIndex: o.next, PrefixFNV: o.prefix,
 	}
-	st.sess = sess
-
+	remote := w.conn.RemoteAddr()
+	if o.st != nil {
+		err := w.fw.WriteVerdict(v)
+		switch {
+		case o.fresh:
+			if err != nil {
+				// Ingest's first read meets the closed connection, and parks
+				// or fails the stream by the rule it applies to any fault.
+				w.conn.Close()
+			}
+			s.run(o.st)
+		case err != nil:
+			s.apply(o.st, move{ev: evRelease})
+			w.conn.Close()
+		default:
+			if o.dedup {
+				s.cfg.Logf("smoothd: stream %d hello deduplicated by nonce from %s", o.st.id, remote)
+			}
+			if !s.apply(o.st, move{ev: evAdopt, w: w}) {
+				// The window lapsed, or the stream ended, while the verdict
+				// was on its way.
+				w.conn.Close()
+			}
+		}
+		return
+	}
 	s.mu.Lock()
-	if s.closed || (s.cfg.MaxStreams > 0 && int64(s.cfg.MaxStreams) <= s.admission.Active()) {
-		s.mu.Unlock()
-		return nil, s.reject(transport.RejectedBusy), errors.New("server: at stream limit or shutting down")
+	switch {
+	case o.addr != "":
+		s.counts.Redirected++
+	case o.code == transport.AlreadyComplete:
+		s.counts.AlreadyComplete++
+	case o.code == transport.RejectedCapacity:
+		s.counts.RejectedCapacity++
+	case o.code == transport.RejectedMalformed:
+		s.counts.RejectedMalformed++
+	case o.code == transport.RejectedBusy:
+		s.counts.RejectedBusy++
 	}
-	if hello.Nonce != 0 && s.nonces[hello.Nonce] != nil {
-		// A duplicate hello that raced this one past handleHello's probe
-		// and was admitted first. This check, under the same lock as the
-		// reservation below, is the guard against reserving twice. Busy
-		// sends the sender back around; its retry finds the registered
-		// nonce and reattaches.
-		s.mu.Unlock()
-		return nil, s.reject(transport.RejectedBusy),
-			fmt.Errorf("server: hello nonce %016x already holds a reservation", hello.Nonce)
-	}
-	if !s.admission.Admit(hello.PeakRate) {
-		avail := s.admission.Available()
-		s.mu.Unlock()
-		return nil, s.reject(transport.RejectedCapacity),
-			fmt.Errorf("server: peak %.0f bps exceeds available %.0f bps", hello.PeakRate, avail)
-	}
-	if s.cfg.ResumeWindow > 0 {
-		st.token = s.newTokenLocked()
-	}
-	s.registerLocked(st)
-	avail := s.admission.Available()
 	s.mu.Unlock()
-	if err := s.commitAdmission(st); err != nil {
-		// Rolled back while admitting: counted busy, not admitted.
-		s.mu.Lock()
-		s.dropLocked(st)
-		s.mu.Unlock()
-		return nil, s.reject(transport.RejectedBusy), err
+	if o.addr != "" {
+		w.fw.WriteRedirect(transport.Redirect{Addr: o.addr, Epoch: s.cfg.Epoch})
+	} else {
+		w.fw.WriteVerdict(v)
 	}
-	s.apply(st, move{ev: evAdmit})
-	_, prefix := st.resumePoint() // empty hash: nothing accepted yet
-	return st, transport.Verdict{
-		Code: transport.Admitted, Available: avail, ResumeToken: st.token, PrefixFNV: prefix,
-		Epoch: s.cfg.Epoch,
-	}, nil
+	w.conn.Close()
+	if o.stale != nil {
+		o.stale.Close()
+	}
+	switch {
+	case o.addr != "":
+		s.cfg.Logf("smoothd: %s redirected to %s (%v)", remote, o.addr, o.cause)
+	case o.code == transport.AlreadyComplete:
+		s.cfg.Logf("smoothd: resume from %s answered already-complete (%d pictures, fnv %016x)",
+			remote, o.next, o.prefix)
+	default:
+		s.cfg.Logf("smoothd: %s %s: %v", remote, o.code, o.cause)
+	}
 }
 
 // newSession builds the smoothing Session for st's remaining pictures,
@@ -895,18 +892,11 @@ func (s *Server) newTokenLocked() uint64 {
 }
 
 // run drives an admitted stream to its end: ingest on this goroutine,
-// egress on a second, then finish. admitErr carries a verdict-write
-// failure from handleHello.
-func (s *Server) run(st *stream, admitErr error) {
-	err := admitErr
-	if err != nil {
-		close(st.queue)
-	} else {
-		egressDone := make(chan error, 1)
-		go func() { egressDone <- st.runEgress(s.ctx, s.egress, s.cfg.Clock, s.cfg.TimeScale) }()
-		err = cmp.Or(st.runIngest(s.ctx, s), <-egressDone) // ingest's error first
-	}
-	s.finish(st, err)
+// egress on a second, then finish.
+func (s *Server) run(st *stream) {
+	egressDone := make(chan error, 1)
+	go func() { egressDone <- st.runEgress(s.ctx, s.egress, s.cfg.Clock, s.cfg.TimeScale) }()
+	s.finish(st, cmp.Or(st.runIngest(s.ctx, s), <-egressDone)) // ingest's error first
 	st.closeConn()
 }
 
@@ -949,12 +939,13 @@ func (s *Server) finish(st *stream, err error) {
 	}
 	s.mu.Unlock()
 	after()
-	if err != nil && s.journal != nil && st.token != 0 && s.ctx.Err() == nil {
+	if err != nil && s.journal != nil && st.token != 0 && s.ctx.Err() == nil && !errors.Is(err, errStopped) {
 		// A terminal failure releases the reservation, so the journal
 		// must forget the stream too — otherwise the next generation
 		// would rehydrate a reservation nobody holds. Streams ended by
-		// shutdown cancellation are deliberately NOT expired: they stay
-		// journaled so the next generation recovers them parked.
+		// the server stopping (cancelled, or parked when it stopped) are
+		// deliberately NOT expired: they stay journaled so the next
+		// generation recovers them parked.
 		if _, jerr := s.journal.Expired(st.token, st.hello.Nonce, reason); jerr != nil {
 			s.cfg.Logf("smoothd: stream %d expiry journal write failed: %v", st.id, jerr)
 		}

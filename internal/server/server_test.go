@@ -701,3 +701,34 @@ func TestShutdownForceCancelsStalledStreams(t *testing.T) {
 		t.Fatalf("forced drain outcome %+v", snap.Streams)
 	}
 }
+
+// TestServeAfterStopReleasesListener: Serve on a server that Kill or
+// Shutdown already stopped refuses to serve and closes the listener it
+// was handed, so the address is free for the next server.
+func TestServeAfterStopReleasesListener(t *testing.T) {
+	for name, stop := range map[string]func(*Server){
+		"kill":     (*Server).Kill,
+		"shutdown": func(s *Server) { s.Shutdown(context.Background()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, err := New(Config{LinkRate: 1e7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop(srv)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			if err := srv.Serve(ln); err == nil {
+				t.Error("Serve on a stopped server returned nil")
+			}
+			again, err := net.Listen("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatalf("address still bound after Serve returned: %v", err)
+			}
+			again.Close()
+		})
+	}
+}

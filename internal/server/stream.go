@@ -24,6 +24,10 @@ type item struct {
 // never redialed within the resume window.
 var errRecoveredUnresumed = errors.New("server: recovered stream never resumed")
 
+// errStopped ends a parked stream when the server stops: no sender can
+// reach it, and it stays journaled for the next generation.
+var errStopped = errors.New("server: stopped with the stream parked")
+
 // errRateNotFinite fails a stream whose policy decided a picture at a
 // rate that is not finite (the kernel passes a policy's NaN through).
 // Egress cannot pace such a picture and its delay is unbounded, so the
@@ -351,7 +355,7 @@ func (st *stream) park(ctx context.Context, s *Server, err error) bool {
 // awaitResume waits out a parked stream's resume window with its
 // reservation held. It returns nil once a reattach has adopted the
 // stream, and otherwise the error that ends it: the window lapsed,
-// reporting cause, or the server is shutting down.
+// reporting cause, the server stopped (errStopped), or it was cancelled.
 func (st *stream) awaitResume(ctx context.Context, s *Server, cause error) error {
 	st.mu.Lock()
 	wake := st.wake
@@ -363,6 +367,8 @@ func (st *stream) awaitResume(ctx context.Context, s *Server, cause error) error
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-s.stopped:
+		return errStopped
 	case <-timer.C:
 	}
 	err := fmt.Errorf("server: no resume within %v: %w", s.cfg.ResumeWindow, cause)
