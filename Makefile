@@ -107,11 +107,16 @@ journal:
 # handshake pins: one reservation per nonce (also for a hello repeated
 # while its admission commits), a rolled-back admission counted once,
 # resumes racing a finish, a cancel while a reattach holds its claim,
-# Serve on a stopped server, and a parked stream kept across Shutdown.
-PROTOCOL_TESTS = TestProtocolExactlyOnce|TestProtocolRandomizedCompound|TestHelloNonceReservesOnce|TestDupHelloDuringAdmissionCommit|TestRolledBackAdmissionCountedOnce|TestResumeRacingFinish|TestCancelWhileClaimedClosesReattach|TestServeAfterStopReleasesListener|TestShutdownKeepsParkedStreamRecoverable
+# Serve on a stopped server, a parked stream kept across Shutdown, and a
+# rate frame mid-stream failing its stream. Last, the client's half:
+# ResumableSender against a scripted server, one row per reply.
+PROTOCOL_TESTS = TestProtocolExactlyOnce|TestProtocolRandomizedCompound|TestHelloNonceReservesOnce|TestDupHelloDuringAdmissionCommit|TestRolledBackAdmissionCountedOnce|TestResumeRacingFinish|TestCancelWhileClaimedClosesReattach|TestServeAfterStopReleasesListener|TestShutdownKeepsParkedStreamRecoverable|TestRateFrameMidStreamFailsStream
+CLIENT_PROTOCOL_TESTS = TestResumableSenderAnswers
 protocol:
 	$(REQUIRE_TESTS) '$(PROTOCOL_TESTS)' ./internal/server/
+	$(REQUIRE_TESTS) '$(CLIENT_PROTOCOL_TESTS)' ./internal/transport/
 	$(GO) test -race -v -run '$(PROTOCOL_TESTS)' -count=1 ./internal/server/
+	$(GO) test -race -v -run '$(CLIENT_PROTOCOL_TESTS)' -count=1 ./internal/transport/
 
 # Regenerate every figure of the paper's evaluation (plus extensions)
 # into results/ as CSV, with console summaries.

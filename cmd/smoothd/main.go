@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		readTimeout  = fs.Duration("read-timeout", 30*time.Second, "per-message read deadline")
 		writeTimeout = fs.Duration("write-timeout", 30*time.Second, "per-write deadline for verdicts and deadline-capable egress sinks")
 		resumeWindow = fs.Duration("resume-window", 10*time.Second, "how long a disconnected stream may reconnect and resume (0 = disabled)")
-		maxPicture   = fs.Int("max-picture-bytes", 0, "declared picture payload size cap (0 = default 4 MiB)")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "graceful drain limit on shutdown")
 		timescale    = fs.Float64("timescale", 1, "egress pacing speed multiplier (1 = real time)")
 		journalDir   = fs.String("journal-dir", "", "session journal directory: admissions, watermarks, and completions survive a crash-restart (empty = no journal)")
@@ -88,17 +87,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logf = nil
 	}
 	scfg := server.Config{
-		LinkRate:        *capacity,
-		Policy:          policy,
-		MaxStreams:      *maxStreams,
-		ReadTimeout:     *readTimeout,
-		WriteTimeout:    *writeTimeout,
-		ResumeWindow:    *resumeWindow,
-		MaxPictureBytes: *maxPicture,
-		TimeScale:       *timescale,
-		Integrity:       mode,
-		IntegrityKey:    key,
-		Logf:            logf,
+		LinkRate:     *capacity,
+		Policy:       policy,
+		MaxStreams:   *maxStreams,
+		ReadTimeout:  *readTimeout,
+		WriteTimeout: *writeTimeout,
+		ResumeWindow: *resumeWindow,
+		TimeScale:    *timescale,
+		Integrity:    mode,
+		IntegrityKey: key,
+		Logf:         logf,
 	}
 	jcfg := journal.Config{Dir: *journalDir, Logf: logf}
 	if *clusterRole != "" {

@@ -75,15 +75,10 @@ func TestRunServesAndDrains(t *testing.T) {
 	addr := waitAddr(t, out, streamAddrRe)
 	opsAddr := waitAddr(t, out, opsAddrRe)
 
-	// One full client session on the direct sender: declare the peak of
-	// the bytes sent under the daemon's policy, await the verdict, pace
-	// the schedule.
+	// One full client session: declare the peak of the bytes sent under
+	// the daemon's policy, then upload each picture whole at its encoder
+	// arrival, as ResumableSender does, and await the completion ack.
 	tr, err := mpegsmooth.Driving1(36, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mpegsmooth.Config{K: 1, H: tr.GOP.N, D: 0.2}
-	sched, err := mpegsmooth.Smooth(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,26 +86,20 @@ func TestRunServesAndDrains(t *testing.T) {
 	for i, s := range tr.Sizes {
 		payloads[i] = make([]byte, int((s+7)/8))
 	}
-	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D, Pictures: tr.Len()}
+	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
 	if hello.PeakRate, err = transport.WirePeak(hello, mpegsmooth.MovingAveragePolicy{}, payloads); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	rs := &mpegsmooth.ResumableSender{
+		Sender: mpegsmooth.Sender{TimeScale: 200},
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		Hello: hello,
 	}
-	defer conn.Close()
-	fw := mpegsmooth.NewFrameWriter(conn)
-	if err := fw.WriteHello(hello); err != nil {
-		t.Fatal(err)
-	}
-	v, err := mpegsmooth.NewFrameReader(conn).ReadVerdict()
-	if err != nil || !v.IsAdmitted() {
-		t.Fatalf("admission: %+v, %v", v, err)
-	}
-	sender := &mpegsmooth.Sender{TimeScale: 200}
-	if err := sender.Send(ctx, fw, sched, payloads); err != nil {
-		t.Fatal(err)
+	if res, err := rs.Stream(ctx, payloads); err != nil || !res.Verdict.IsAdmitted() {
+		t.Fatalf("admission: %+v, %v", res.Verdict, err)
 	}
 
 	// The ops endpoint on its ephemeral port answers while serving.

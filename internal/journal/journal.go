@@ -602,11 +602,13 @@ func Open(cfg Config) (*Journal, error) {
 	if err := j.replay(); err != nil {
 		return nil, err
 	}
-	j.recovered = j.state.clone()
 	// Startup compaction: everything live goes into one fresh segment,
 	// and the (possibly torn, possibly duplicated) history is deleted.
+	// State is what the compaction kept, so no tombstone it dropped as
+	// expired reaches recovery.
 	j.mu.Lock()
 	err = j.rotateLocked()
+	j.recovered = j.state.clone()
 	j.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -677,8 +679,8 @@ func (j *Journal) replay() error {
 	return nil
 }
 
-// State returns the state recovered at Open — what the server rebuilds
-// its ledgers from.
+// State returns the state recovered at Open, as its startup compaction
+// left it — what the server rebuilds its ledgers from.
 func (j *Journal) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()

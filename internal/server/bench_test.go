@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mpegsmooth/internal/journal"
-	"mpegsmooth/internal/transport"
 )
 
 // benchIngest pushes 8 concurrent streams through the full admission +
@@ -43,8 +42,7 @@ func benchIngest(b *testing.B, j *journal.Journal) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				v, err := kit.streamWith(context.Background(), addr,
-					transport.Sender{TimeScale: 1e6, Chunk: 64 << 10}, nil)
+				v, err := kit.streamWith(context.Background(), addr, 1e6, nil)
 				if err != nil {
 					b.Error(err)
 				} else if !v.IsAdmitted() {

@@ -350,6 +350,51 @@ func TestShutdownKeepsParkedStreamRecoverable(t *testing.T) {
 	checkSoakEnd(t, gen2.srv, 0, kit)
 }
 
+// TestRecoverySkipsDeadTombstones: a journal holding 200 tombstones past
+// their expiry and one whose hash state is malformed costs server.New no
+// fsync. Recovery journals no expiry for them, and recovered_tombstones
+// counts only the live tombstone.
+func TestRecoverySkipsDeadTombstones(t *testing.T) {
+	fs := journal.NewMemFS()
+	j, err := journal.Open(journal.Config{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := make([]byte, 8)
+	expired, live := time.Now().Add(-time.Minute), time.Now().Add(time.Hour)
+	tombs := []journal.TombstoneRecord{
+		{Token: 201, Nonce: 201, Pictures: 9, HashState: sum[:4], Expires: live},
+		{Token: 202, Nonce: 202, Pictures: 9, HashState: sum, Expires: live},
+	}
+	for tok := uint64(1); tok <= 200; tok++ {
+		tombs = append(tombs, journal.TombstoneRecord{Token: tok, Nonce: tok, Pictures: 9, HashState: sum, Expires: expired})
+	}
+	for _, tb := range tombs {
+		if _, err := j.Completed(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if j, err = journal.Open(journal.Config{FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	before := j.Stats().Fsyncs
+	srv, err := New(Config{LinkRate: 1e7, ResumeWindow: time.Second, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	if got := j.Stats().Fsyncs; got != before {
+		t.Errorf("server.New cost %d fsyncs, want 0", got-before)
+	}
+	if got := srv.Snapshot().Streams.RecoveredTombstones; got != 1 {
+		t.Errorf("recovered_tombstones %d, want 1", got)
+	}
+}
+
 // TestCrashRecoveryAlreadyComplete: the completion is journaled before
 // the ack leaves, so a sender that finished just before the crash and
 // resumes against the restarted server gets a verifiable

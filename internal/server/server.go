@@ -100,10 +100,6 @@ type Config struct {
 	// its token. Zero disables resumption: a connection fault fails the
 	// stream immediately.
 	ResumeWindow time.Duration
-	// MaxPictureBytes caps the payload size a frame may declare before
-	// the server allocates for it (default
-	// transport.DefaultMaxPictureBytes).
-	MaxPictureBytes int
 	// TimeScale compresses egress pacing, like transport.Sender: wall
 	// durations are schedule durations divided by TimeScale (default 1).
 	TimeScale float64
@@ -163,9 +159,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = cfg.ReadTimeout
-	}
-	if cfg.MaxPictureBytes <= 0 {
-		cfg.MaxPictureBytes = transport.DefaultMaxPictureBytes
 	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
@@ -429,8 +422,8 @@ func (s *Server) stopLocked() net.Listener {
 // session table: live streams come back parked (session rebuilt at
 // the journaled watermark, prefix hash restored, reservation
 // rehydrated) with a goroutine waiting out the resume window; unexpired
-// tombstones come back answerable. Records that no longer fit this
-// generation's configuration are expired in the journal rather than
+// tombstones come back answerable. Stream records that no longer fit
+// this generation's configuration are expired in the journal rather than
 // resurrected wrong.
 func (s *Server) recoverFromJournal() {
 	state := s.journal.State()
@@ -480,14 +473,15 @@ func (s *Server) recoverFromJournal() {
 		}()
 	}
 	// Entomb in expiry order: the ledger sweeps expired tombstones off
-	// the front of its insertion order.
+	// the front of its insertion order. An expired tombstone, or one whose
+	// hash state is malformed, answers nothing and is skipped without a
+	// journal record: compaction drops it once it has expired, as Open's
+	// did for every tombstone expired by then.
 	var tombs []*journal.TombstoneRecord
-	for token, tb := range state.Tombstones {
-		if now.After(tb.Expires) || len(tb.HashState) < 8 {
-			expire(token, tb.Nonce, journal.ExpireTombstone, "tombstone (expired)")
-			continue
+	for _, tb := range state.Tombstones {
+		if !now.After(tb.Expires) && len(tb.HashState) >= 8 {
+			tombs = append(tombs, tb)
 		}
-		tombs = append(tombs, tb)
 	}
 	slices.SortFunc(tombs, func(a, b *journal.TombstoneRecord) int { return a.Expires.Compare(b.Expires) })
 	s.mu.Lock()
@@ -546,9 +540,7 @@ func (s *Server) commitCompletion(ctx context.Context, st *stream) {
 // whole life — the frame sequence counters span handshake and stream.
 func (s *Server) handle(conn net.Conn) {
 	w := wire{conn: conn, fr: transport.NewFrameReaderBuffered(conn), fw: transport.NewFrameWriter(conn)}
-	w.fr.MaxPayload = s.cfg.MaxPictureBytes
 	w.fw.WriteTimeout = s.cfg.WriteTimeout
-	w.fw.MaxPayload = s.cfg.MaxPictureBytes
 
 	msg, err := w.fr.ReadMessageTimeout(s.cfg.ReadTimeout)
 	s.answer(w, s.admit(w, msg, err))

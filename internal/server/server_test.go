@@ -35,44 +35,39 @@ func testTrace(t testing.TB, pictures int) *trace.Trace {
 // clientKit is everything a test client needs to stream one trace.
 type clientKit struct {
 	tr       *trace.Trace
-	cfg      core.Config
-	sched    *core.Schedule
 	payloads [][]byte
 	hello    transport.StreamHello
 }
 
 func makeClient(t testing.TB, tr *trace.Trace) *clientKit {
 	t.Helper()
-	cfg := core.Config{K: 1, H: tr.GOP.N, D: 0.2}
-	sched, err := core.Smooth(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	payloads := make([][]byte, tr.Len())
 	for i, s := range tr.Sizes {
 		payloads[i] = make([]byte, int((s+7)/8))
 		rng.Read(payloads[i])
 	}
-	hello := transport.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: cfg.K, D: cfg.D, Pictures: tr.Len()}
+	hello := transport.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
+	var err error
 	if hello.PeakRate, err = transport.WirePeak(hello, nil, payloads); err != nil {
 		t.Fatal(err)
 	}
-	return &clientKit{tr: tr, cfg: cfg, sched: sched, payloads: payloads, hello: hello}
+	return &clientKit{tr: tr, payloads: payloads, hello: hello}
 }
 
-// stream dials, declares, and — when admitted — paces the whole trace.
+// stream dials, declares, and — when admitted — uploads the whole trace.
 func (c *clientKit) stream(ctx context.Context, addr string) (transport.Verdict, error) {
-	return c.streamWith(ctx, addr, transport.Sender{TimeScale: soakTimeScale}, nil)
+	return c.streamWith(ctx, addr, soakTimeScale, nil)
 }
 
-// streamWith is stream with an explicit sender configuration; the
-// benchmarks collapse client-side pacing entirely (TimeScale 1e6,
-// picture-sized chunks) so they time the server machinery, not the
-// schedule clock or the load generator's syscall count. When admitted,
-// it calls gate (if set) after reading the verdict and streams only
-// once gate returns.
-func (c *clientKit) streamWith(ctx context.Context, addr string, sender transport.Sender, gate func()) (transport.Verdict, error) {
+// streamWith is stream with schedule time running scale times faster
+// than the wall clock; the benchmarks collapse client-side pacing
+// entirely (scale 1e6) so they time the server machinery, not the
+// schedule clock. Like ResumableSender, it uploads each picture whole
+// at its encoder arrival and sends no rate frame: the server smooths.
+// When admitted, it calls gate (if set) after reading the verdict and
+// streams only once gate returns.
+func (c *clientKit) streamWith(ctx context.Context, addr string, scale float64, gate func()) (transport.Verdict, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return transport.Verdict{}, err
@@ -90,7 +85,19 @@ func (c *clientKit) streamWith(ctx context.Context, addr string, sender transpor
 	if gate != nil {
 		gate()
 	}
-	if err := sender.Send(ctx, fw, c.sched, c.payloads); err != nil {
+	p := transport.NewPacer(nil, scale, 0, 0)
+	for i, payload := range c.payloads {
+		if err := p.Wait(ctx, float64(i)*c.tr.Tau); err != nil {
+			return v, err
+		}
+		if err := fw.WritePictureHeader(i, c.tr.TypeOf(i), payload); err != nil {
+			return v, err
+		}
+		if err := fw.WriteChunk(payload); err != nil {
+			return v, err
+		}
+	}
+	if err := fw.WriteEnd(); err != nil {
 		return v, err
 	}
 	// Wait for the completion ack so the server's final write never races
@@ -202,6 +209,112 @@ func TestSingleStreamEndToEnd(t *testing.T) {
 	// the server smooths.
 	if ss.SessionPeak > ss.DeclaredPeak {
 		t.Fatalf("session peak %.0f above declared %.0f", ss.SessionPeak, ss.DeclaredPeak)
+	}
+}
+
+// TestUnderDeclaredStreamCountsItsOwnViolations: a sender declaring 0.7×
+// the peak of the bytes it sends is admitted beside an honest one on a
+// link sized to the two declarations. Neither sends a rate frame; the
+// server polices its own decisions. The under-declared stream's
+// peak_violations is the number of pictures the server decides above
+// its declaration, and the honest stream reads 0.
+func TestUnderDeclaredStreamCountsItsOwnViolations(t *testing.T) {
+	honest := makeClient(t, testTrace(t, 54))
+	under := *honest
+	under.hello.PeakRate *= 0.7
+	srv, addr := startServer(t, Config{LinkRate: honest.hello.PeakRate + under.hello.PeakRate})
+
+	// On a declared-length stream the server's decisions are the offline
+	// schedule of the 8·len(p) bits it smooths per picture.
+	sizes := make([]int64, len(honest.payloads))
+	for i, p := range honest.payloads {
+		sizes[i] = int64(len(p)) * 8
+	}
+	sched, err := core.Smooth(&trace.Trace{Tau: honest.tr.Tau, GOP: honest.tr.GOP, Sizes: sizes},
+		core.Config{K: honest.hello.K, H: honest.tr.GOP.N, D: honest.hello.D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	above := 0
+	for _, r := range sched.Rates {
+		if r > under.hello.PeakRate*(1+1e-9) {
+			above++
+		}
+	}
+	if above == 0 {
+		t.Fatal("no decision above the under-declared peak: the test shows nothing")
+	}
+	t.Logf("%d of %d decisions above 0.7× the wire peak", above, len(sched.Rates))
+
+	var wg sync.WaitGroup
+	for i, kit := range []*clientKit{honest, &under} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := resumableClient(kit, addr, int64(i+1)).Stream(t.Context(), kit.payloads); err != nil {
+				t.Errorf("stream declaring %.0f bit/s: %v", kit.hello.PeakRate, err)
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "both streams complete", func() bool { return srv.Snapshot().Streams.Completed == 2 })
+	fin := srv.FinishedStreams()
+	if len(fin) != 2 {
+		t.Fatalf("%d finished snapshots, want 2", len(fin))
+	}
+	for _, ss := range fin {
+		want := 0
+		if ss.DeclaredPeak == under.hello.PeakRate {
+			want = above
+		}
+		if ss.PeakViolations != want {
+			t.Errorf("stream declaring %.0f bit/s (session peak %.0f): %d peak violations, want %d",
+				ss.DeclaredPeak, ss.SessionPeak, ss.PeakViolations, want)
+		}
+	}
+}
+
+// TestRateFrameMidStreamFailsStream: the server decides every rate
+// itself, so a rate frame after the handshake is an unexpected message,
+// like a second hello. It fails the stream at once, even one holding a
+// resume token, and releases its reservation.
+func TestRateFrameMidStreamFailsStream(t *testing.T) {
+	kit := makeClient(t, testTrace(t, 27))
+	var (
+		mu     sync.Mutex
+		failed []string
+	)
+	srv, addr := startServer(t, Config{
+		LinkRate:     2 * kit.hello.PeakRate,
+		ResumeWindow: 10 * time.Second,
+		Logf: func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "failed") {
+				mu.Lock()
+				failed = append(failed, line)
+				mu.Unlock()
+			}
+		},
+	})
+	conn, fw, v := kit.handshake(t, addr)
+	defer conn.Close()
+	if !v.IsAdmitted() || v.ResumeToken == 0 {
+		t.Fatalf("verdict %+v", v)
+	}
+	sendPictures(t, fw, kit, 0, 3)
+	if err := fw.WriteRate(transport.RateNotification{Index: 3, Rate: kit.hello.PeakRate}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the stream fails", func() bool {
+		s := srv.Snapshot()
+		return s.Streams.Failed == 1 && s.Streams.Active == 0
+	})
+	if snap := srv.Snapshot(); snap.Streams.Parked != 0 || snap.ReservedPeak != 0 {
+		t.Errorf("after the rate frame: %d parked, %.0f bit/s reserved; want 0, 0", snap.Streams.Parked, snap.ReservedPeak)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(failed) != 1 || !strings.Contains(failed[0], "unexpected *transport.RateNotification") {
+		t.Errorf("failure lines %q, want one naming the rate frame", failed)
 	}
 }
 
@@ -489,12 +602,16 @@ func TestNaNPolicyFailsStream(t *testing.T) {
 		err    error
 	}
 	done := make(chan sampled, 1)
+	seen := make(chan struct{}) // closed by the first sample with the stream active
 	go func() {
 		var got sampled
 		for {
 			snap := srv.Snapshot()
 			if _, err := json.Marshal(snap); err != nil && got.err == nil {
 				got.err = err
+			}
+			if got.active == 0 && len(snap.PerStream) > 0 {
+				close(seen)
 			}
 			got.active += len(snap.PerStream)
 			select {
@@ -506,7 +623,15 @@ func TestNaNPolicyFailsStream(t *testing.T) {
 		}
 	}()
 	// The server cuts the sender off mid-stream; its error is expected.
-	if v, _ := kit.stream(t.Context(), addr); !v.IsAdmitted() {
+	// The first picture, which the server fails on, goes once a sample
+	// has seen the stream active.
+	v, _ := kit.streamWith(t.Context(), addr, soakTimeScale, func() {
+		select {
+		case <-seen:
+		case <-time.After(10 * time.Second):
+		}
+	})
+	if !v.IsAdmitted() {
 		t.Fatalf("verdict %+v", v)
 	}
 	waitFor(t, "the NaN stream ends", func() bool { return srv.Snapshot().Streams.Active == 0 })
@@ -558,7 +683,7 @@ func TestSoakConcurrentClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			held := false
-			v, err := kit.streamWith(t.Context(), addr, transport.Sender{TimeScale: soakTimeScale}, func() {
+			v, err := kit.streamWith(t.Context(), addr, soakTimeScale, func() {
 				held = true
 				verdicts.Done()
 				verdicts.Wait()

@@ -191,7 +191,8 @@ func (st *stream) closeSession() ([]core.Decision, error) {
 	return decs, st.note(decs)
 }
 
-// note records the decisions' delay and rate, and refuses a decision
+// note records the decisions' delay and rate, counts each decision above
+// the stream's reservation as a peak violation, and refuses a decision
 // whose rate is not finite before egress could pace it: it returns
 // errRateNotFinite, and the stream fails. It must run under st.mu.
 func (st *stream) note(decs []core.Decision) error {
@@ -204,6 +205,9 @@ func (st *stream) note(decs []core.Decision) error {
 		}
 		if d.Rate > st.peak {
 			st.peak = d.Rate
+		}
+		if d.Rate > st.hello.PeakRate*(1+1e-9) {
+			st.peakViolations++
 		}
 	}
 	return nil
@@ -291,48 +295,35 @@ func (st *stream) runIngest(ctx context.Context, s *Server) error {
 		case err != nil:
 			return err
 		}
-		switch m := msg.(type) {
-		case *transport.RateNotification:
-			// The sender's own declared rates are informational here (the
-			// server re-decides), but a declaration above the admitted
-			// peak breaks the traffic contract — count it, as a Policer
-			// parameterized at the declared peak would.
-			if m.Rate > st.hello.PeakRate*(1+1e-9) {
-				st.mu.Lock()
-				st.peakViolations++
-				st.mu.Unlock()
-			}
-		case *transport.PictureFrame:
+		m, ok := msg.(*transport.PictureFrame)
+		if !ok {
+			// A hello, a resume or a rate frame: the server decides every
+			// rate itself, and a session has one handshake.
+			return fmt.Errorf("server: unexpected %T mid-stream", msg)
+		}
+		st.mu.Lock()
+		exp := st.expected
+		st.mu.Unlock()
+		if m.Index < exp {
+			// Replay of a picture we already accepted (the sender's
+			// resume point trailed our watermark): drop, don't re-smooth.
 			st.mu.Lock()
-			exp := st.expected
+			st.faults.DuplicatesDropped++
 			st.mu.Unlock()
-			if m.Index < exp {
-				// Replay of a picture we already accepted (the sender's
-				// resume point trailed our watermark): drop, don't re-smooth.
-				st.mu.Lock()
-				st.faults.DuplicatesDropped++
-				st.mu.Unlock()
-				st.pool.Put(m.Payload)
-				continue
-			}
-			if m.Index > exp {
-				return fmt.Errorf("server: picture %d out of order (expected %d)", m.Index, exp)
-			}
-			pending = append(pending, m.Payload)
-			decs, err := st.push(m.Payload, m.CRC)
-			if err != nil {
-				return err
-			}
-			s.journalWatermark(st)
-			if err := enqueue(decs); err != nil {
-				return err
-			}
-		case *transport.StreamHello:
-			return fmt.Errorf("server: duplicate hello mid-stream")
-		case *transport.StreamResume:
-			return fmt.Errorf("server: resume request mid-stream")
-		default:
-			return fmt.Errorf("server: unexpected message %T", msg)
+			st.pool.Put(m.Payload)
+			continue
+		}
+		if m.Index > exp {
+			return fmt.Errorf("server: picture %d out of order (expected %d)", m.Index, exp)
+		}
+		pending = append(pending, m.Payload)
+		decs, err := st.push(m.Payload, m.CRC)
+		if err != nil {
+			return err
+		}
+		s.journalWatermark(st)
+		if err := enqueue(decs); err != nil {
+			return err
 		}
 	}
 }
@@ -439,8 +430,11 @@ type StreamSnapshot struct {
 	// arrive while one departs; without one every decision waits for
 	// its lookahead window, and it is H−1.
 	MaxUndecided int `json:"max_undecided_pictures"`
-	// PeakViolations counts sender rate declarations above the admitted
-	// peak — traffic-contract breaches a Policer would tag.
+	// PeakViolations counts the decisions this server made above the
+	// declared peak: pictures egress sends faster than the reservation
+	// admits, whoever the sender is. A sender that declares the peak of
+	// the bytes it sends (transport.WirePeak) under the server's policy
+	// reads 0.
 	PeakViolations int `json:"peak_violations"`
 	// Resumes counts accepted reconnects (faults.resumed); Parked
 	// reports a stream in the parked or claimed state: disconnected and

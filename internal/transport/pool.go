@@ -17,16 +17,16 @@ import (
 // buffer of slack.
 const (
 	minClassShift = 12
-	maxClassShift = 24 // MaxPictureBytes == 1<<maxClassShift
+	maxClassShift = 22 // MaxPictureBytes == 1<<maxClassShift
 	numClasses    = maxClassShift - minClassShift + 1
 )
 
 // classIdleBytes bounds the idle bytes one size class retains: a class
-// keeps at most classIdleBytes/size buffers, and at least one, so 1,024
-// idle 4 KiB buffers, 64 of 64 KiB, one of 4 MiB and up. A whole pool
-// then holds at most 11 × 4 MiB + 8 MiB + 16 MiB = 68 MiB idle, whatever
-// its streams' number. Beyond the bound Put drops the buffer for the
-// collector, so a burst of large pictures cannot pin memory forever.
+// keeps at most classIdleBytes/size buffers, so 1,024 idle 4 KiB
+// buffers, 64 of 64 KiB and one of 4 MiB. A whole pool then holds at
+// most 11 × 4 MiB = 44 MiB idle, whatever its streams' number. Beyond
+// the bound Put drops the buffer for the collector, so a burst of large
+// pictures cannot pin memory forever.
 const classIdleBytes = 4 << 20
 
 // BufferPool recycles picture payload buffers in power-of-two size
@@ -81,7 +81,7 @@ func (p *BufferPool) Put(b []byte) {
 		return
 	}
 	p.mu.Lock()
-	if len(p.free[c]) < max(1, classIdleBytes>>(minClassShift+c)) {
+	if len(p.free[c]) < classIdleBytes>>(minClassShift+c) {
 		p.free[c] = append(p.free[c], b[:0])
 	}
 	p.mu.Unlock()

@@ -63,9 +63,6 @@ type Receiver struct {
 	// takes effect only when the connection supports read deadlines
 	// (net.Conn does).
 	ReadTimeout time.Duration
-	// MaxPictureBytes caps the payload size the receiver will accept
-	// (default transport.DefaultMaxPictureBytes).
-	MaxPictureBytes int
 }
 
 // Receive drains a sender's stream until the end marker, recording
@@ -77,7 +74,6 @@ func (rc *Receiver) Receive(ctx context.Context, conn io.Reader) (*Report, error
 	report := &Report{}
 	currentRate := 0.0
 	fr := NewFrameReaderBuffered(conn)
-	fr.MaxPayload = rc.MaxPictureBytes
 	for {
 		if err := ctx.Err(); err != nil {
 			return report, err

@@ -84,7 +84,8 @@ type ResumeEvent struct {
 
 // StreamResult summarizes a resumable stream session.
 type StreamResult struct {
-	// Verdict is the admission answer to the initial hello.
+	// Verdict is the last verdict a hello drew (a resume's are not kept):
+	// the admission, or the refusal that ended or delayed it.
 	Verdict Verdict
 	// Resumes counts accepted StreamResume handshakes.
 	Resumes int
@@ -185,297 +186,290 @@ func WirePeak(h StreamHello, policy core.Policy, payloads [][]byte) (float64, er
 // server rejects the stream, a fault is terminal, or MaxAttempts
 // consecutive reconnects fail.
 func (rs *ResumableSender) Stream(ctx context.Context, payloads [][]byte) (StreamResult, error) {
-	result := StreamResult{Faults: map[FaultClass]int{}}
+	l := &sendLoop{rs: rs, payloads: payloads, hello: rs.Hello,
+		maxAttempts: rs.MaxAttempts, hsTimeout: rs.HandshakeTimeout,
+		result: StreamResult{Faults: map[FaultClass]int{}}}
 	if rs.Dial == nil {
-		return result, fmt.Errorf("transport: ResumableSender needs a Dial function")
+		return l.result, fmt.Errorf("transport: ResumableSender needs a Dial function")
 	}
-	maxAttempts := rs.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 8
+	if l.maxAttempts <= 0 {
+		l.maxAttempts = 8
 	}
-	hsTimeout := rs.HandshakeTimeout
-	if hsTimeout <= 0 {
-		hsTimeout = 10 * time.Second
+	if l.hsTimeout <= 0 {
+		l.hsTimeout = 10 * time.Second
 	}
 	// The pacer's clock also times the backoff; each connection anchors
-	// a fresh pacer below.
-	pacer := NewPacer(rs.Sender.Clock, rs.Sender.TimeScale, rs.Sender.Chunk, 0)
-	var rng *rand.Rand
+	// a fresh pacer at its replay point.
+	l.pacer = NewPacer(rs.Sender.Clock, rs.Sender.TimeScale, rs.Sender.Chunk, 0)
 	if rs.Seed != 0 {
-		rng = rand.New(rand.NewSource(rs.Seed))
+		l.rng = rand.New(rand.NewSource(rs.Seed))
 	} else {
-		rng = rand.New(rand.NewSource(rand.Int63()))
+		l.rng = rand.New(rand.NewSource(rand.Int63()))
 	}
 	// One nonce for the stream's whole life: every hello retry repeats
 	// it, so a redial after a lost verdict reattaches to the existing
 	// reservation instead of double-reserving.
-	hello := rs.Hello
-	if hello.Nonce == 0 {
-		hello.Nonce = newNonce(rng)
+	if l.hello.Nonce == 0 {
+		l.hello.Nonce = newNonce(l.rng)
 	}
 	if rs.Integrity != IntegrityFNV {
-		hello.Integrity = rs.Integrity
+		l.hello.Integrity = rs.Integrity
 	}
-	// Validate the negotiated mode/key pair once; prefix() below then
-	// cannot fail.
-	if _, err := NewPrefixHash(hello.Integrity, rs.Key); err != nil {
-		return result, err
+	// Validate the negotiated mode/key pair once; prefix then cannot fail.
+	if _, err := NewPrefixHash(l.hello.Integrity, rs.Key); err != nil {
+		return l.result, err
 	}
-	prefix := func(n int) uint64 {
-		sum, _ := PrefixSum(hello.Integrity, rs.Key, payloads, n)
-		return sum
-	}
-
-	var (
-		token     uint64
-		next      int
-		attempt   int    // consecutive failures
-		addr      string // redirect target; empty = rs.Dial
-		redirects int    // consecutive redirects without a verdict
-		epochSeen uint64 // highest fencing epoch any verdict/redirect carried
-	)
-	// maxRedirects bounds a redirect chain: a correctly configured fleet
-	// redirects at most once (every shard routes a key identically), so
-	// a longer chain means the fleet's rings disagree.
-	const maxRedirects = 8
-	fail := func(err error) (FaultClass, error) {
-		class := ClassifyFault(err)
-		result.Faults[class]++
-		attempt++
-		if rs.OnEvent != nil {
-			rs.OnEvent(ResumeEvent{Attempt: attempt, Class: class, Err: err})
-		}
-		if !class.Retryable() {
-			return class, fmt.Errorf("transport: terminal stream fault (%s): %w", class, err)
-		}
-		if attempt >= maxAttempts {
-			return class, fmt.Errorf("transport: stream abandoned after %d attempts (last %s): %w", attempt, class, err)
-		}
-		if serr := pacer.Clock.Sleep(ctx, rs.Backoff.Delay(attempt, rng)); serr != nil {
-			return class, serr
-		}
-		return class, nil
-	}
-
 	for {
 		if err := ctx.Err(); err != nil {
-			return result, err
+			return l.result, err
 		}
-		var (
-			conn net.Conn
-			err  error
-		)
-		if addr != "" {
-			conn, err = rs.DialAddr(ctx, addr)
-		} else {
-			conn, err = rs.Dial(ctx)
-		}
-		if err != nil {
-			if _, ferr := fail(err); ferr != nil {
-				return result, ferr
-			}
+		err := l.connect(ctx)
+		var ref refusal
+		switch {
+		case err == nil:
+			return l.result, nil
+		case errors.Is(err, errRedirected):
 			continue
+		case errors.As(err, &ref):
+			return l.result, ref.error
 		}
-		w := NewFrameWriter(conn)
-		w.WriteTimeout = rs.Sender.WriteTimeout
-		r := NewFrameReader(conn)
-
-		var v Verdict
-		if token == 0 {
-			err = w.WriteHello(hello)
-		} else {
-			err = w.WriteResume(StreamResume{Token: token})
-		}
-		if err == nil {
-			var msg any
-			msg, err = r.ReadMessageTimeout(hsTimeout)
-			if err == nil {
-				switch m := msg.(type) {
-				case *Verdict:
-					v = *m
-				case *Redirect:
-					// Another shard owns this stream's key. Follow the
-					// redirect — outside the failure/backoff accounting,
-					// since the fleet is answering correctly — but bound the
-					// chain so disagreeing rings cannot bounce us forever.
-					conn.Close()
-					if m.Epoch > 0 && m.Epoch < epochSeen {
-						// A deposed primary's routing opinion is as stale as
-						// its verdicts: ignore it and retry.
-						if _, ferr := fail(fmt.Errorf("%w: redirect epoch %d below %d", ErrStaleEpoch, m.Epoch, epochSeen)); ferr != nil {
-							return result, ferr
-						}
-						continue
-					}
-					if m.Epoch > epochSeen {
-						epochSeen = m.Epoch
-					}
-					if rs.DialAddr == nil {
-						return result, fmt.Errorf("transport: server redirected stream to %s but no DialAddr is configured", m.Addr)
-					}
-					result.Redirects++
-					redirects++
-					if redirects > maxRedirects {
-						return result, fmt.Errorf("transport: redirect chain exceeded %d hops (last to %s)", maxRedirects, m.Addr)
-					}
-					addr = m.Addr
-					if rs.OnEvent != nil {
-						rs.OnEvent(ResumeEvent{Attempt: attempt, Redirected: true, RedirectAddr: m.Addr})
-					}
-					continue
-				default:
-					err = fmt.Errorf("%w: expected verdict, got %T", ErrCorrupt, msg)
-				}
-			}
-		}
-		if err != nil {
-			conn.Close()
-			if _, ferr := fail(err); ferr != nil {
-				return result, ferr
-			}
-			continue
-		}
-		// Epoch fencing: a verdict stamped below the highest epoch we have
-		// seen comes from a deposed primary that does not yet know it was
-		// replaced. Acting on it — replaying pictures, accepting a
-		// rejection — would trust authority the cluster already revoked,
-		// so treat it as a transient fault and retry toward the new
-		// primary instead.
-		if v.Epoch > 0 && v.Epoch < epochSeen {
-			conn.Close()
-			if _, ferr := fail(fmt.Errorf("%w: verdict epoch %d below %d", ErrStaleEpoch, v.Epoch, epochSeen)); ferr != nil {
-				return result, ferr
-			}
-			continue
-		}
-		if v.Epoch > epochSeen {
-			epochSeen = v.Epoch
-		}
-		redirects = 0
-		if v.Code == AlreadyComplete {
-			// The server finished this stream and tombstoned the token;
-			// only the completion ack was lost. Verify the tombstone's
-			// final hash against our own bytes before calling it success —
-			// a mismatch means both ends "completed" different streams.
-			conn.Close()
-			if want := prefix(len(payloads)); v.PrefixFNV != want {
-				result.Faults[FaultOther]++
-				return result, fmt.Errorf("transport: already-complete verdict hash %016x, ours %016x: %w",
-					v.PrefixFNV, want, ErrDiverged)
-			}
-			result.AlreadyComplete = true
-			if rs.OnEvent != nil {
-				rs.OnEvent(ResumeEvent{Attempt: attempt, Resumed: true,
-					NextIndex: len(payloads), AlreadyComplete: true})
-			}
-			return result, nil
-		}
-		if !v.IsAdmitted() {
-			conn.Close()
-			// A busy verdict on a resume — or on a redialed hello whose
-			// nonce matched a live stream — means the server has not yet
-			// detected our old connection's death and parked the stream:
-			// the reconnect raced the fault. A busy fresh hello means the
-			// server is at its stream limit or draining. All are
-			// transient; back off and retry, bounded by MaxAttempts.
-			if v.Code == RejectedBusy {
-				if token == 0 {
-					result.Verdict = v
-				}
-				if _, ferr := fail(ErrResumeBusy); ferr != nil {
-					return result, ferr
-				}
-				continue
-			}
-			// A malformed rejection answers a message the server could not
-			// parse. We validated our hello before writing and our token is
-			// server-issued, so the likeliest cause is in-flight corruption
-			// of the request itself — retryable, bounded by MaxAttempts. (A
-			// genuinely unknown token exhausts the attempts and fails.)
-			if v.Code == RejectedMalformed {
-				if _, ferr := fail(fmt.Errorf("transport: server rejected handshake as malformed (likely corrupted in flight): %w", ErrCorrupt)); ferr != nil {
-					return result, ferr
-				}
-				continue
-			}
-			if token == 0 {
-				result.Verdict = v
-			}
-			return result, fmt.Errorf("transport: stream %s by server (%.0f bps available)", v.Code, v.Available)
-		}
-		resumed := token != 0
-		if token == 0 {
-			result.Verdict = v
-			token = v.ResumeToken
-		}
-		// NextIndex is the server's accept watermark: zero on a fresh
-		// admission, the replay point on a resume, and possibly nonzero on
-		// a hello verdict too when the nonce reattached us to a session a
-		// lost verdict orphaned. Cross-check the server's prefix hash
-		// against our own bytes before (re)playing anything.
-		next = v.NextIndex
-		if next > len(payloads) {
-			conn.Close()
-			result.Faults[FaultOther]++
-			return result, fmt.Errorf("transport: server watermark %d beyond stream length %d: %w",
-				next, len(payloads), ErrDiverged)
-		}
-		if want := prefix(next); v.PrefixFNV != want {
-			conn.Close()
-			result.Faults[FaultOther]++
-			return result, fmt.Errorf("transport: server prefix tag %016x at picture %d, ours %016x: %w",
-				v.PrefixFNV, next, want, ErrDiverged)
-		}
-		if resumed {
-			result.Resumes++
-			if rs.OnEvent != nil {
-				rs.OnEvent(ResumeEvent{Attempt: attempt, Resumed: true, NextIndex: next})
-			}
-		}
-		attempt = 0
-
-		// Upload picture i at its encoder arrival i·τ, on a clock that
-		// puts the replay point at the current instant.
-		pacer = NewPacer(pacer.Clock, pacer.Scale, pacer.Chunk, float64(next)*hello.Tau)
-		for i := next; i < len(payloads) && err == nil; i++ {
-			if err = pacer.Wait(ctx, float64(i)*hello.Tau); err == nil {
-				err = w.WritePictureHeader(i, hello.GOP.TypeOf(i), payloads[i])
-			}
-			if err == nil {
-				err = pacer.Pace(ctx, float64(i)*hello.Tau, math.Inf(1), payloads[i], w.WriteChunk)
-			}
-		}
-		if err == nil {
-			err = w.WriteEnd()
-		}
-		if err == nil {
-			// Wait for the completion ack (the server's end marker echo):
-			// success means every picture was accepted, not merely that our
-			// last write landed in a socket buffer. A missing ack is an
-			// ordinary fault — the resume replays nothing and re-acks.
-			_, aerr := r.ReadMessageTimeout(hsTimeout)
-			if errors.Is(aerr, ErrClosed) {
-				conn.Close()
-				return result, nil
-			}
-			if aerr == nil {
-				aerr = fmt.Errorf("transport: unexpected frame instead of completion ack")
-			}
-			err = fmt.Errorf("transport: awaiting completion ack: %w", aerr)
-		}
-		conn.Close()
-		// Without a resume token the server cannot replay-deduplicate;
-		// reconnecting would double-deliver, so the fault is terminal.
-		if token == 0 {
-			class := ClassifyFault(err)
-			result.Faults[class]++
-			if rs.OnEvent != nil {
-				rs.OnEvent(ResumeEvent{Attempt: attempt + 1, Class: class, Err: err})
-			}
-			return result, fmt.Errorf("transport: stream fault (%s) with no resume token: %w", class, err)
-		}
-		if _, ferr := fail(err); ferr != nil {
-			return result, ferr
+		if err := l.fail(ctx, err); err != nil {
+			return l.result, err
 		}
 	}
+}
+
+// maxRedirects bounds a redirect chain: a correctly configured fleet
+// redirects at most once (every shard routes a key identically), so a
+// longer chain means the fleet's rings disagree.
+const maxRedirects = 8
+
+// errRedirected ends a connection whose reply was a redirect the loop
+// follows: the fleet answered correctly, so it is no fault and costs no
+// backoff.
+var errRedirected = errors.New("transport: redirected")
+
+// refusal ends the stream without a fault: a rejection no retry can
+// turn around, or a redirect the loop cannot follow.
+type refusal struct{ error }
+
+// sendLoop is one Stream call's state across its connections.
+type sendLoop struct {
+	rs          *ResumableSender
+	payloads    [][]byte
+	hello       StreamHello // Hello with the nonce and integrity mode fixed
+	pacer       *Pacer      // the defaults every connection's pacer takes
+	rng         *rand.Rand
+	maxAttempts int
+	hsTimeout   time.Duration
+
+	admitted  bool   // a hello was admitted
+	token     uint64 // its resume token; 0 when the server issued none
+	attempt   int    // consecutive failures
+	addr      string // redirect target; empty = rs.Dial
+	redirects int    // consecutive redirects without a verdict
+	epoch     uint64 // highest fencing epoch any verdict or redirect carried
+	result    StreamResult
+}
+
+// connect runs one connection: it writes the hello, or the resume once a
+// hello was admitted, has decide answer the first reply, uploads from
+// the replay point decide returns, and awaits the completion ack. It
+// closes the connection in one place.
+func (l *sendLoop) connect(ctx context.Context) error {
+	var (
+		conn net.Conn
+		err  error
+	)
+	if l.addr != "" {
+		conn, err = l.rs.DialAddr(ctx, l.addr)
+	} else {
+		conn, err = l.rs.Dial(ctx)
+	}
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	w := NewFrameWriter(conn)
+	w.WriteTimeout = l.rs.Sender.WriteTimeout
+	r := NewFrameReader(conn)
+	if l.token == 0 {
+		err = w.WriteHello(l.hello)
+	} else {
+		err = w.WriteResume(StreamResume{Token: l.token})
+	}
+	var msg any
+	if err == nil {
+		msg, err = r.ReadMessageTimeout(l.hsTimeout)
+	}
+	if err != nil {
+		return err
+	}
+	next, done, err := l.decide(msg)
+	if done || err != nil {
+		return err
+	}
+	// Upload picture i at its encoder arrival i·τ, on a clock that puts
+	// the replay point at the current instant.
+	tau := l.hello.Tau
+	p := NewPacer(l.pacer.Clock, l.pacer.Scale, l.pacer.Chunk, float64(next)*tau)
+	for i := next; i < len(l.payloads) && err == nil; i++ {
+		if err = p.Wait(ctx, float64(i)*tau); err == nil {
+			err = w.WritePictureHeader(i, l.hello.GOP.TypeOf(i), l.payloads[i])
+		}
+		if err == nil {
+			err = p.Pace(ctx, float64(i)*tau, math.Inf(1), l.payloads[i], w.WriteChunk)
+		}
+	}
+	if err == nil {
+		err = w.WriteEnd()
+	}
+	if err != nil {
+		return err
+	}
+	// Wait for the completion ack (the server's end marker echo): success
+	// means every picture was accepted, not merely that our last write
+	// landed in a socket buffer. A missing ack is an ordinary fault — the
+	// resume replays nothing and re-acks.
+	if _, err = r.ReadMessageTimeout(l.hsTimeout); errors.Is(err, ErrClosed) {
+		return nil
+	}
+	if err == nil {
+		err = fmt.Errorf("transport: unexpected frame instead of completion ack")
+	}
+	return fmt.Errorf("transport: awaiting completion ack: %w", err)
+}
+
+// decide answers a connection's first reply. It returns the picture to
+// upload from, or done when the server already holds the whole stream;
+// otherwise the error that ends the connection: errRedirected, a
+// refusal, or a fault for fail.
+func (l *sendLoop) decide(msg any) (next int, done bool, err error) {
+	var epoch uint64
+	switch m := msg.(type) {
+	case *Verdict:
+		epoch = m.Epoch
+	case *Redirect:
+		epoch = m.Epoch
+	default:
+		return 0, false, fmt.Errorf("%w: expected verdict, got %T", ErrCorrupt, msg)
+	}
+	// Epoch fencing: a reply stamped below the highest epoch seen comes
+	// from a deposed primary that does not yet know it was replaced.
+	// Acting on it — following its routing, replaying pictures, accepting
+	// a rejection — would trust authority the cluster already revoked, so
+	// it is a transient fault, retried toward the new primary.
+	if epoch > 0 && epoch < l.epoch {
+		return 0, false, fmt.Errorf("%w: %T epoch %d below %d", ErrStaleEpoch, msg, epoch, l.epoch)
+	}
+	l.epoch = max(l.epoch, epoch)
+	v, ok := msg.(*Verdict)
+	if !ok {
+		return 0, false, l.follow(msg.(*Redirect))
+	}
+	l.redirects = 0
+	if l.token == 0 {
+		l.result.Verdict = *v
+	}
+	switch v.Code {
+	case Admitted:
+		next = v.NextIndex
+	case AlreadyComplete:
+		// The server finished this stream and tombstoned the token; only
+		// the completion ack was lost. Its hash must cover our whole
+		// stream, or both ends "completed" different streams.
+		next = len(l.payloads)
+	case RejectedBusy:
+		// On a resume, or on a redialed hello whose nonce matched a live
+		// stream, the server has not yet detected our old connection's
+		// death and parked the stream: the reconnect raced the fault. On
+		// a fresh hello the server is at its stream limit or draining.
+		return 0, false, ErrResumeBusy
+	case RejectedMalformed:
+		// We validated our hello and our token is server-issued, so the
+		// likeliest cause is the request's corruption in flight. (A truly
+		// unknown token exhausts the attempts.)
+		return 0, false, fmt.Errorf("transport: server rejected handshake as malformed (likely corrupted in flight): %w", ErrCorrupt)
+	default:
+		return 0, false, refusal{fmt.Errorf("transport: stream %s by server (%.0f bps available)", v.Code, v.Available)}
+	}
+	// NextIndex is the server's accept watermark: zero on a fresh
+	// admission, the replay point on a resume, and possibly nonzero on a
+	// hello verdict too when the nonce reattached us to a session a lost
+	// verdict orphaned. Check the server's prefix tag against our own
+	// bytes before (re)playing anything.
+	if next > len(l.payloads) {
+		return 0, false, fmt.Errorf("transport: server watermark %d beyond stream length %d: %w",
+			next, len(l.payloads), ErrDiverged)
+	}
+	if want := l.prefix(next); v.PrefixFNV != want {
+		return 0, false, fmt.Errorf("transport: server prefix tag %016x at picture %d, ours %016x: %w",
+			v.PrefixFNV, next, want, ErrDiverged)
+	}
+	if v.Code == AlreadyComplete {
+		l.result.AlreadyComplete = true
+		l.event(ResumeEvent{Resumed: true, NextIndex: next, AlreadyComplete: true})
+		return next, true, nil
+	}
+	if !l.admitted {
+		l.admitted, l.token = true, v.ResumeToken
+	} else {
+		l.result.Resumes++
+		l.event(ResumeEvent{Resumed: true, NextIndex: next})
+	}
+	l.attempt = 0
+	return next, false, nil
+}
+
+// follow takes a redirect to the shard that owns this stream's key. It
+// stays outside the failure accounting, but the chain is bounded so
+// disagreeing rings cannot bounce the stream forever.
+func (l *sendLoop) follow(rd *Redirect) error {
+	if l.rs.DialAddr == nil {
+		return refusal{fmt.Errorf("transport: server redirected stream to %s but no DialAddr is configured", rd.Addr)}
+	}
+	l.result.Redirects++
+	if l.redirects++; l.redirects > maxRedirects {
+		return refusal{fmt.Errorf("transport: redirect chain exceeded %d hops (last to %s)", maxRedirects, rd.Addr)}
+	}
+	l.addr = rd.Addr
+	l.event(ResumeEvent{Redirected: true, RedirectAddr: rd.Addr})
+	return errRedirected
+}
+
+// fail accounts for one fault: it counts the fault's class and reports
+// it to OnEvent, then backs off for the next attempt unless the fault
+// ends the stream. It does when a hello was admitted without a resume
+// token (the server cannot deduplicate a replay, so a redial would
+// deliver twice), when the fault is not retryable, and when it is the
+// MaxAttempts-th in a row.
+func (l *sendLoop) fail(ctx context.Context, err error) error {
+	class := ClassifyFault(err)
+	l.result.Faults[class]++
+	l.attempt++
+	l.event(ResumeEvent{Class: class, Err: err})
+	switch {
+	case l.admitted && l.token == 0:
+		return fmt.Errorf("transport: stream fault (%s) with no resume token: %w", class, err)
+	case !class.Retryable():
+		return fmt.Errorf("transport: terminal stream fault (%s): %w", class, err)
+	case l.attempt >= l.maxAttempts:
+		return fmt.Errorf("transport: stream abandoned after %d attempts (last %s): %w", l.attempt, class, err)
+	}
+	return l.pacer.Clock.Sleep(ctx, l.rs.Backoff.Delay(l.attempt, l.rng))
+}
+
+// event reports ev, stamped with the consecutive-failure count, to
+// OnEvent.
+func (l *sendLoop) event(ev ResumeEvent) {
+	if l.rs.OnEvent != nil {
+		ev.Attempt = l.attempt
+		l.rs.OnEvent(ev)
+	}
+}
+
+// prefix is the integrity tag of the stream's first n payloads.
+func (l *sendLoop) prefix(n int) uint64 {
+	sum, _ := PrefixSum(l.hello.Integrity, l.rs.Key, l.payloads, n)
+	return sum
 }

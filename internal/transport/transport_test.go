@@ -135,7 +135,7 @@ func TestWireValidation(t *testing.T) {
 	if err := w.WritePictureHeader(0, mpeg.TypeI, nil); err == nil {
 		t.Error("zero size should fail")
 	}
-	if err := w.WritePictureHeader(0, mpeg.TypeI, make([]byte, DefaultMaxPictureBytes+1)); err == nil {
+	if err := w.WritePictureHeader(0, mpeg.TypeI, make([]byte, MaxPictureBytes+1)); err == nil {
 		t.Error("oversize picture should fail")
 	}
 	// Unknown kind byte.

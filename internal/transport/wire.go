@@ -76,14 +76,11 @@ func bodyLen(kind byte) (int, bool) {
 // every other kind.
 const maxRedirectAddr = 128
 
-// MaxPictureBytes is the absolute wire-level bound on a picture payload;
-// no cap may exceed it, and a peer announcing more is malformed.
-const MaxPictureBytes = 16 << 20
-
-// DefaultMaxPictureBytes is the default payload-size sanity cap (the
-// largest legal picture in this codec is far smaller). A corrupted or
-// malicious header announcing more is rejected before any allocation.
-const DefaultMaxPictureBytes = 4 << 20
+// MaxPictureBytes bounds a picture payload on the wire (the largest
+// legal picture in this codec is far smaller). A writer refuses to
+// frame more, and a reader rejects a header announcing more as corrupt
+// before any allocation.
+const MaxPictureBytes = 4 << 20
 
 // ErrClosed reports an orderly end-of-stream message.
 var ErrClosed = errors.New("transport: stream closed by sender")
@@ -300,9 +297,6 @@ type FrameWriter struct {
 	// 9/8 of it, the deadline being re-armed lazily (see Deadline),
 	// mirroring Receiver.ReadTimeout.
 	WriteTimeout time.Duration
-	// MaxPayload caps the picture payload size this writer will frame
-	// (default DefaultMaxPictureBytes, never above MaxPictureBytes).
-	MaxPayload int
 	// scratch is the reused frame-encoding buffer: every body is fixed
 	// and small, and a frame is fully written before the next one is
 	// encoded, so one buffer serves the writer's whole session.
@@ -321,13 +315,6 @@ type FrameWriter struct {
 // SetWriteDeadline (net.Conn does), WriteTimeout can bound each write.
 func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{w: w, dl: WriteDeadline(w)}
-}
-
-func (fw *FrameWriter) maxPayload() int {
-	if fw.MaxPayload > 0 && fw.MaxPayload <= MaxPictureBytes {
-		return fw.MaxPayload
-	}
-	return DefaultMaxPictureBytes
 }
 
 // arm covers the next write with the write deadline, when one is
@@ -466,8 +453,8 @@ func (fw *FrameWriter) WritePictureHeader(index int, t mpeg.PictureType, payload
 	if index < 0 || index > math.MaxInt32 {
 		return fmt.Errorf("transport: picture index %d out of range", index)
 	}
-	if len(payload) == 0 || len(payload) > fw.maxPayload() {
-		return fmt.Errorf("transport: picture size %d out of range (cap %d)", len(payload), fw.maxPayload())
+	if len(payload) == 0 || len(payload) > MaxPictureBytes {
+		return fmt.Errorf("transport: picture size %d out of range (cap %d)", len(payload), MaxPictureBytes)
 	}
 	var body [13]byte
 	binary.BigEndian.PutUint32(body[0:4], uint32(index))
@@ -507,10 +494,6 @@ type FrameReader struct {
 	r   io.Reader
 	dl  Deadline
 	seq uint32
-	// MaxPayload caps the declared picture payload size this reader
-	// will allocate for (default DefaultMaxPictureBytes, never above
-	// MaxPictureBytes). A frame announcing more is corrupt.
-	MaxPayload int
 	// Pool, when set, opts the reader into allocation-free decoding:
 	// picture payloads come from the pool (the consumer calls Put once
 	// it is done with a payload), and the *PictureFrame and
@@ -550,13 +533,6 @@ const frameReadBufSize = 32 << 10
 // from conn once it is handed here.
 func NewFrameReaderBuffered(conn io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReaderSize(conn, frameReadBufSize), dl: readDeadline(conn)}
-}
-
-func (fr *FrameReader) maxPayload() int {
-	if fr.MaxPayload > 0 && fr.MaxPayload <= MaxPictureBytes {
-		return fr.MaxPayload
-	}
-	return DefaultMaxPictureBytes
 }
 
 // ReadMessage reads and verifies the next message. It returns a
@@ -683,9 +659,9 @@ func (fr *FrameReader) decode(kind byte, body []byte) (any, error) {
 			return nil, err
 		}
 		size := binary.BigEndian.Uint32(body[5:9])
-		if size == 0 || int64(size) > int64(fr.maxPayload()) {
+		if size == 0 || size > MaxPictureBytes {
 			return nil, fmt.Errorf("%w: peer announced picture of %d bytes (cap %d)",
-				ErrCorrupt, size, fr.maxPayload())
+				ErrCorrupt, size, MaxPictureBytes)
 		}
 		ty := mpeg.PictureType(body[4])
 		if ty > mpeg.TypeB {

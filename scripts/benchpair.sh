@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Usage: scripts/benchpair.sh BASE [CHANGE] --workload W --pairs N --seed S [--seconds T] [--trace 0|1]
+#        scripts/benchpair.sh --log FILE
 #
 # Runs the benchmark on two revisions in alternating pairs and compares
 # them. BASE and CHANGE are any git tree-ish (CHANGE defaults to HEAD);
@@ -16,12 +17,18 @@
 # the change's median is worse than the base's by more than the metric's
 # bound, and `gain` if the change wins at least 9/10 of the pairs and
 # the medians differ by more than the base's q1–q3 spread (bench/README).
+# A worse median reads `unresolved` instead of `regressed` when the
+# base's q1–q3 spread is wider than the bound (relative to the base
+# median), unless every change run is worse than every base run: the
+# base's own noise then covers the difference, and more pairs decide.
 # T defaults to BENCHMARK.json's run_seconds; --trace 1 adds the
-# per-layer metrics of traced runs.
+# per-layer metrics of traced runs. --log summarizes a kept log again
+# without running anything.
 set -euo pipefail
 
 usage() {
 	echo "usage: $0 BASE [CHANGE] --workload W --pairs N --seed S [--seconds T] [--trace 0|1]" >&2
+	echo "       $0 --log FILE" >&2
 	exit 2
 }
 
@@ -30,9 +37,10 @@ cd "$root"
 spec=BENCHMARK.json
 
 revs=()
-workload= pairs= seed= seconds= trace=0
+workload= pairs= seed= seconds= trace=0 log=
 while [ $# -gt 0 ]; do
 	case $1 in
+	--log) log=${2:?}; shift 2 ;;
 	--workload) workload=${2:?}; shift 2 ;;
 	--pairs) pairs=${2:?}; shift 2 ;;
 	--seed) seed=${2:?}; shift 2 ;;
@@ -42,61 +50,65 @@ while [ $# -gt 0 ]; do
 	*) revs+=("$1"); shift ;;
 	esac
 done
-[ ${#revs[@]} -ge 1 ] && [ ${#revs[@]} -le 2 ] || usage
-[ -n "$workload" ] && [ -n "$pairs" ] && [ -n "$seed" ] || usage
-[ "$pairs" -ge 1 ] && [ "$seed" -ge 0 ] || usage
-[ -n "$seconds" ] || seconds=$(jq -r '.run_seconds' "$spec")
+if [ -n "$log" ]; then
+	[ ${#revs[@]} -eq 0 ] || usage
+else
+	[ ${#revs[@]} -ge 1 ] && [ ${#revs[@]} -le 2 ] || usage
+	[ -n "$workload" ] && [ -n "$pairs" ] && [ -n "$seed" ] || usage
+	[ "$pairs" -ge 1 ] && [ "$seed" -ge 0 ] || usage
+	[ -n "$seconds" ] || seconds=$(jq -r '.run_seconds' "$spec")
 
-# export REV prints the export directory of REV's tree, creating it once.
-pairdir=$root/.bench_build/pair
-export_rev() {
-	local tree dir
-	tree=$(git rev-parse --verify --quiet "$1^{tree}") || { echo "benchpair: no revision $1" >&2; exit 2; }
-	dir=$pairdir/${tree:0:12}
-	if [ ! -d "$dir" ]; then
-		rm -rf "$dir.tmp"
-		mkdir -p "$dir.tmp/.bench_build" "$pairdir/gocache"
-		git archive "$tree" | tar -x -C "$dir.tmp"
-		# run.sh puts its build cache at .bench_build/gocache in the copy.
-		ln -s "$pairdir/gocache" "$dir.tmp/.bench_build/gocache"
-		mv "$dir.tmp" "$dir"
-	fi
-	echo "$dir"
-}
-base_dir=$(export_rev "${revs[0]}")
-change_dir=$(export_rev "${revs[1]:-HEAD}")
-log=$pairdir/$workload-$(basename "$base_dir")-$(basename "$change_dir").jsonl
-: >"$log"
+	# export REV prints the export directory of REV's tree, creating it once.
+	pairdir=$root/.bench_build/pair
+	export_rev() {
+		local tree dir
+		tree=$(git rev-parse --verify --quiet "$1^{tree}") || { echo "benchpair: no revision $1" >&2; exit 2; }
+		dir=$pairdir/${tree:0:12}
+		if [ ! -d "$dir" ]; then
+			rm -rf "$dir.tmp"
+			mkdir -p "$dir.tmp/.bench_build" "$pairdir/gocache"
+			git archive "$tree" | tar -x -C "$dir.tmp"
+			# run.sh puts its build cache at .bench_build/gocache in the copy.
+			ln -s "$pairdir/gocache" "$dir.tmp/.bench_build/gocache"
+			mv "$dir.tmp" "$dir"
+		fi
+		echo "$dir"
+	}
+	base_dir=$(export_rev "${revs[0]}")
+	change_dir=$(export_rev "${revs[1]:-HEAD}")
+	log=$pairdir/$workload-$(basename "$base_dir")-$(basename "$change_dir").jsonl
+	: >"$log"
 
-# run SIDE DIR PAIR SEED appends one run's JSON line to the log, or a
-# null result when the run printed none (it could not be measured).
-run() {
-	local out json
-	out=$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$4" --seconds "$seconds" --trace "$trace" 2>&1) || true
-	json=$(grep '^{' <<<"$out" | tail -n 1) || true
-	if [ -z "$json" ]; then
-		echo "benchpair: $1 pair $3 seed $4 printed no result:" >&2
-		tail -n 5 <<<"$out" >&2
-		json=null
-	fi
-	jq -c --arg side "$1" --argjson pair "$3" --argjson seed "$4" \
-		'{side: $side, pair: $pair, seed: $seed, result: .}' <<<"$json" >>"$log"
-	echo "pair $3 seed $4 $1: $(jq -c '[.correct, .attempted, .failed, .metrics.latency_p50_ms.value]' <<<"$json")" >&2
-}
+	# run SIDE DIR PAIR SEED appends one run's JSON line to the log, or a
+	# null result when the run printed none (it could not be measured).
+	run() {
+		local out json
+		out=$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$4" --seconds "$seconds" --trace "$trace" 2>&1) || true
+		json=$(grep '^{' <<<"$out" | tail -n 1) || true
+		if [ -z "$json" ]; then
+			echo "benchpair: $1 pair $3 seed $4 printed no result:" >&2
+			tail -n 5 <<<"$out" >&2
+			json=null
+		fi
+		jq -c --arg side "$1" --argjson pair "$3" --argjson seed "$4" \
+			'{side: $side, pair: $pair, seed: $seed, result: .}' <<<"$json" >>"$log"
+		echo "pair $3 seed $4 $1: $(jq -c '[.correct, .attempted, .failed, .metrics.latency_p50_ms.value]' <<<"$json")" >&2
+	}
 
-for ((i = 0; i < pairs; i++)); do
-	s=$((seed + i))
-	if ((i % 2 == 0)); then
-		run base "$base_dir" "$i" "$s"
-		run change "$change_dir" "$i" "$s"
-	else
-		run change "$change_dir" "$i" "$s"
-		run base "$base_dir" "$i" "$s"
-	fi
-done
+	for ((i = 0; i < pairs; i++)); do
+		s=$((seed + i))
+		if ((i % 2 == 0)); then
+			run base "$base_dir" "$i" "$s"
+			run change "$change_dir" "$i" "$s"
+		else
+			run change "$change_dir" "$i" "$s"
+			run base "$base_dir" "$i" "$s"
+		fi
+	done
 
-echo "workload $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), ${seconds}s, trace $trace"
-echo "base   ${revs[0]} ($(basename "$base_dir")), change ${revs[1]:-HEAD} ($(basename "$change_dir"))"
+	echo "workload $workload, $pairs pairs, seeds $seed..$((seed + pairs - 1)), ${seconds}s, trace $trace"
+	echo "base   ${revs[0]} ($(basename "$base_dir")), change ${revs[1]:-HEAD} ($(basename "$change_dir"))"
+fi
 echo "runs   $log"
 jq -r '.side as $s | if .result == null then "\($s) 0 0 1"
 	else "\($s) \(.result.attempted) \(.result.failed) \(if .result.correct then 0 else 1 end)" end' "$log" |
@@ -125,7 +137,7 @@ jq -rs --slurpfile spec "$spec" '
 	function sort(v, n,   i, j, t) {
 		for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
 	}
-	function report(   i, bm, b1, b3, cm, c1, c3, worse, spread, verdict) {
+	function report(   i, bm, b1, b3, cm, c1, c3, worse, apart, spread, verdict) {
 		if (name == "") return
 		sort(b, n); sort(c, n)
 		bm = quant(b, n, 0.5); b1 = quant(b, n, 0.25); b3 = quant(b, n, 0.75)
@@ -134,8 +146,9 @@ jq -rs --slurpfile spec "$spec" '
 		if (bound != "-") {
 			verdict = "ok"
 			worse = better == "lower" ? cm > bm * (1 + bound) : cm < bm * (1 - bound)
+			apart = better == "lower" ? c[1] > b[n] : c[n] < b[1]
 			spread = b3 - b1
-			if (worse) verdict = "regressed"
+			if (worse) verdict = spread > bound * (bm < 0 ? -bm : bm) && !apart ? "unresolved" : "regressed"
 			else if (wins * 10 >= 9 * n && (better == "lower" ? bm - cm : cm - bm) > spread) verdict = "gain"
 		}
 		printf "%-34s base %10.4g (%.4g–%.4g)  change %10.4g (%.4g–%.4g)  %+6.1f%%  wins %d/%d  %s\n",
