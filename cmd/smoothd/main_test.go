@@ -3,9 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -15,6 +12,7 @@ import (
 	"time"
 
 	"mpegsmooth"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
@@ -78,54 +76,29 @@ func TestRunServesAndDrains(t *testing.T) {
 	// One full client session: declare the peak of the bytes sent under
 	// the daemon's policy, then upload each picture whole at its encoder
 	// arrival, as ResumableSender does, and await the completion ack.
-	tr, err := mpegsmooth.Driving1(36, 1)
-	if err != nil {
+	kit := soaktest.NewKit(t, 36)
+	var err error
+	if kit.Hello.PeakRate, err = transport.WirePeak(kit.Hello, mpegsmooth.MovingAveragePolicy{}, kit.Payloads); err != nil {
 		t.Fatal(err)
 	}
-	payloads := make([][]byte, tr.Len())
-	for i, s := range tr.Sizes {
-		payloads[i] = make([]byte, int((s+7)/8))
-	}
-	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
-	if hello.PeakRate, err = transport.WirePeak(hello, mpegsmooth.MovingAveragePolicy{}, payloads); err != nil {
-		t.Fatal(err)
-	}
-	rs := &mpegsmooth.ResumableSender{
-		Sender: mpegsmooth.Sender{TimeScale: 200},
-		Dial: func(ctx context.Context) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		},
-		Hello: hello,
-	}
-	if res, err := rs.Stream(ctx, payloads); err != nil || !res.Verdict.IsAdmitted() {
+	res, err := kit.Resumable(addr, 1).Stream(ctx, kit.Payloads)
+	if err != nil || !res.Verdict.IsAdmitted() {
 		t.Fatalf("admission: %+v, %v", res.Verdict, err)
 	}
 
-	// The ops endpoint on its ephemeral port answers while serving.
-	waitStats := func(substr string) string {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		var last string
-		for time.Now().Before(deadline) {
-			resp, err := http.Get("http://" + opsAddr + "/stats")
-			if err == nil {
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				last = string(body)
-				if strings.Contains(last, substr) {
-					return last
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
+	// The ops endpoint on its ephemeral port answers while serving, and
+	// the run ends through the one check.
+	var st soaktest.Stats
+	soaktest.WaitFor(t, "/stats to show the stream drained", func() bool {
+		doc, err := stats(opsAddr)
+		if err != nil {
+			return false
 		}
-		t.Fatalf("/stats never contained %q; last:\n%s", substr, last)
-		return ""
-	}
-	stats := waitStats(`"completed": 1`)
-	if !strings.Contains(stats, `"admitted": 1`) {
-		t.Fatalf("stats missing admitted count:\n%s", stats)
-	}
+		st = soaktest.Read(t, doc, nil)
+		return st.Streams.Completed == 1 && st.Streams.Active == 0
+	})
+	st.Finished = []soaktest.Stream{soaktest.Tombstone(t, addr, res.Verdict.ResumeToken)}
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{st}})
 
 	cancel()
 	select {
@@ -192,29 +165,9 @@ func TestRunJournalAndHMACFlags(t *testing.T) {
 		t.Fatalf("first boot's journal line missing:\n%s", out1.String())
 	}
 
-	tr, err := mpegsmooth.Driving1(36, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads := make([][]byte, tr.Len())
-	for i, s := range tr.Sizes {
-		payloads[i] = make([]byte, int((s+7)/8))
-	}
-	hello := mpegsmooth.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
-	if hello.PeakRate, err = transport.WirePeak(hello, nil, payloads); err != nil {
-		t.Fatal(err)
-	}
-	rs := &mpegsmooth.ResumableSender{
-		Sender: mpegsmooth.Sender{TimeScale: 200},
-		Dial: func(ctx context.Context) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		},
-		Hello:     hello,
-		Integrity: mpegsmooth.IntegrityHMAC,
-		Key:       []byte("cli-shared-secret"),
-	}
-	res, err := rs.Stream(context.Background(), payloads)
+	kit := soaktest.NewKit(t, 36)
+	kit.Hello.Integrity, kit.Key = mpegsmooth.IntegrityHMAC, []byte("cli-shared-secret")
+	res, err := kit.Resumable(addr, 1).Stream(context.Background(), kit.Payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +181,9 @@ func TestRunJournalAndHMACFlags(t *testing.T) {
 	if !strings.Contains(out2.String(), "recovered 0 parked stream(s), 1 completion tombstone(s)") {
 		t.Fatalf("restart did not recover the tombstone:\n%s", out2.String())
 	}
-	conn, err := net.Dial("tcp", addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := mpegsmooth.NewFrameWriter(conn).WriteResume(mpegsmooth.StreamResume{Token: res.Verdict.ResumeToken}); err != nil {
-		t.Fatal(err)
-	}
-	v, err := mpegsmooth.NewFrameReader(conn).ReadVerdict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Code != mpegsmooth.StreamAlreadyComplete || v.NextIndex != tr.Len() {
-		t.Fatalf("post-restart resume verdict %+v, want already-complete at %d", v, tr.Len())
+	n := kit.Trace.Len()
+	if got := soaktest.Tombstone(t, addr2, res.Verdict.ResumeToken); got.Pictures != n || got.PayloadFNV != kit.Tag(n) {
+		t.Fatalf("post-restart tombstone %+v, want %d pictures tagged %016x", got, n, kit.Tag(n))
 	}
 	stop(cancel2, done2)
 }

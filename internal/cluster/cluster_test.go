@@ -5,106 +5,48 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"math/rand"
-	"net"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/server"
-	"mpegsmooth/internal/trace"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
-// soakTimeScale compresses schedule time so multi-second schedules
-// replay in milliseconds (same convention as the server tests).
-const soakTimeScale = 200
-
-func testTrace(t testing.TB, pictures int) *trace.Trace {
+// stats is srv as soaktest.Check reads it.
+func stats(t testing.TB, srv *server.Server) soaktest.Stats {
 	t.Helper()
-	tr, err := trace.Driving1(pictures, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return soaktest.Read(t, srv.Snapshot(), srv.FinishedStreams())
 }
 
-// clientKit is everything a test client needs to stream one trace.
-type clientKit struct {
-	tr       *trace.Trace
-	payloads [][]byte
-	hello    transport.StreamHello
-}
-
-func makeClient(t testing.TB, tr *trace.Trace) *clientKit {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	payloads := make([][]byte, tr.Len())
-	for i, s := range tr.Sizes {
-		payloads[i] = make([]byte, int((s+7)/8))
-		rng.Read(payloads[i])
-	}
-	hello := transport.StreamHello{Tau: tr.Tau, GOP: tr.GOP, K: 1, D: 0.2, Pictures: tr.Len()}
-	peak, err := transport.WirePeak(hello, nil, payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello.PeakRate = peak
-	return &clientKit{tr: tr, payloads: payloads, hello: hello}
-}
-
-// resumableClient builds the reconnect-and-resume sender every cluster
-// test drives: it dials the shard's stream address and follows redirect
-// verdicts to other shards.
-func resumableClient(kit *clientKit, addr string, seed int64) *transport.ResumableSender {
-	dial := func(ctx context.Context, target string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", target)
-	}
-	return &transport.ResumableSender{
-		Sender:      transport.Sender{TimeScale: soakTimeScale, Chunk: 512, WriteTimeout: 5 * time.Second},
-		Dial:        func(ctx context.Context) (net.Conn, error) { return dial(ctx, addr) },
-		DialAddr:    dial,
-		Hello:       kit.hello,
-		Backoff:     transport.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond},
-		MaxAttempts: 25,
-		Seed:        seed,
-	}
-}
-
-func waitFor(t testing.TB, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+// report describes each node for a wait that timed out: its role,
+// epoch, promotions, demotions, resyncs, dial retries, and how long ago
+// it last heard from a primary.
+func report(nodes ...*Node) func() string {
+	return func() string {
+		lines := make([]string, len(nodes))
+		for i, n := range nodes {
+			st := n.Status()
+			heard := "never"
+			if at := n.heard.Load(); at != 0 {
+				heard = time.Since(time.Unix(0, at)).Round(time.Millisecond).String() + " ago"
+			}
+			lines[i] = fmt.Sprintf("rank %d: %s, epoch %d, %d promotions, %d demotions, %d resyncs, %d dial retries, last heard %s",
+				st.Rank, st.Role, st.Replication.Epoch, st.Promotions, st.Replication.Demotions,
+				st.Replication.Resyncs, st.Replication.DialRetries, heard)
 		}
-		time.Sleep(2 * time.Millisecond)
+		return strings.Join(lines, "\n")
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
-// freeAddrs reserves n distinct loopback addresses by binding and
-// releasing them; the cluster under test re-binds them by name.
-func freeAddrs(t testing.TB, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
+// opsGet serves one GET of path from n's ops endpoint.
+func opsGet(n *Node, path string) (code int, body string) {
+	rec := httptest.NewRecorder()
+	n.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	return rec.Code, rec.Body.String()
 }
 
 // startNode builds and starts a node, failing the test on error and
@@ -126,6 +68,16 @@ func startNode(t testing.TB, cfg Config) *Node {
 	return n
 }
 
+// nodeConfig is the config of shard's node of the given rank on peers:
+// it serves scfg, journals to dir, flushing every 5 ms, and runs the
+// fast timings.
+func nodeConfig(shard string, rank int, peers []Peer, scfg server.Config, dir string) Config {
+	cfg := Config{Shard: shard, Rank: rank, Peers: peers, Server: scfg,
+		Journal: journal.Config{Dir: dir, FlushInterval: 5 * time.Millisecond}}
+	fastTimings(&cfg)
+	return cfg
+}
+
 // fastTimings are the tightened failure-detection knobs every test
 // uses so failover lands in milliseconds, not seconds.
 func fastTimings(cfg *Config) {
@@ -140,31 +92,25 @@ func fastTimings(cfg *Config) {
 // back to zero — while the ops surface reports role, lag, and readiness
 // correctly on both nodes (the healthz/stats satellite).
 func TestFollowerWarmStandby(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 54))
-	addrs := freeAddrs(t, 2)
+	kit := soaktest.NewKit(t, 54)
+	addrs := soaktest.FreeAddrs(t, 2)
 	peers := []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}}
-	scfg := server.Config{LinkRate: 2 * kit.hello.PeakRate, TimeScale: soakTimeScale, ResumeWindow: 10 * time.Second}
+	scfg := server.Config{LinkRate: 2 * kit.Hello.PeakRate, TimeScale: soaktest.TimeScale, ResumeWindow: 10 * time.Second}
 
-	pcfg := Config{Shard: "alpha", Rank: 0, Peers: peers, Server: scfg,
-		Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-	fastTimings(&pcfg)
-	primary := startNode(t, pcfg)
+	primary := startNode(t, nodeConfig("alpha", 0, peers, scfg, t.TempDir()))
 
-	fcfg := Config{Shard: "alpha", Rank: 1, Peers: peers, Server: scfg,
-		Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-	fastTimings(&fcfg)
-	follower := startNode(t, fcfg)
+	follower := startNode(t, nodeConfig("alpha", 1, peers, scfg, t.TempDir()))
 
-	waitFor(t, "follower attached", func() bool {
+	soaktest.WaitFor(t, "follower attached", func() bool {
 		return follower.Status().Replication.Connected
 	})
 
-	rs := resumableClient(kit, primary.StreamAddr(), 1)
-	if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
+	rs := kit.Resumable(primary.StreamAddr(), 1)
+	if _, err := rs.Stream(context.Background(), kit.Payloads); err != nil {
 		t.Fatalf("stream through primary: %v", err)
 	}
 
-	waitFor(t, "follower caught up", func() bool {
+	soaktest.WaitFor(t, "follower caught up", func() bool {
 		st := follower.Status().Replication
 		return st.AppliedAdmits >= 1 && st.LagRecords == 0 && st.Heartbeats >= 1
 	})
@@ -178,20 +124,15 @@ func TestFollowerWarmStandby(t *testing.T) {
 
 	// Readiness: the primary answers ok/primary, the follower 503 with a
 	// machine-readable reason — liveness says ok on both.
-	get := func(n *Node, path string) (int, string) {
-		rec := httptest.NewRecorder()
-		n.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec.Code, rec.Body.String()
-	}
-	if code, body := get(primary, "/healthz"); code != 200 || !strings.Contains(body, `"role":"primary"`) {
+	if code, body := opsGet(primary, "/healthz"); code != 200 || !strings.Contains(body, `"role":"primary"`) {
 		t.Errorf("primary /healthz = %d %q", code, body)
 	}
-	if code, body := get(follower, "/healthz"); code != 503 ||
+	if code, body := opsGet(follower, "/healthz"); code != 503 ||
 		!strings.Contains(body, `"status":"not-ready"`) || !strings.Contains(body, `"reason":"follower"`) {
 		t.Errorf("follower /healthz = %d %q, want 503 not-ready/follower", code, body)
 	}
 	for _, n := range []*Node{primary, follower} {
-		if code, body := get(n, "/livez"); code != 200 || body != "ok\n" {
+		if code, body := opsGet(n, "/livez"); code != 200 || body != "ok\n" {
 			t.Errorf("/livez = %d %q", code, body)
 		}
 	}
@@ -200,7 +141,7 @@ func TestFollowerWarmStandby(t *testing.T) {
 	// gauges and role under "cluster"; the primary embeds the server
 	// snapshot alongside.
 	var doc map[string]json.RawMessage
-	_, body := get(follower, "/stats")
+	_, body := opsGet(follower, "/stats")
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("follower /stats is not JSON: %v", err)
 	}
@@ -227,7 +168,7 @@ func TestFollowerWarmStandby(t *testing.T) {
 			t.Errorf("follower /stats replication section lacks %q", key)
 		}
 	}
-	_, body = get(primary, "/stats")
+	_, body = opsGet(primary, "/stats")
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("primary /stats is not JSON: %v", err)
 	}
@@ -255,20 +196,17 @@ func TestFollowerWarmStandby(t *testing.T) {
 // and every stream completes on its owning shard with no admission on
 // the wrong one.
 func TestShardedRedirect(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 54))
-	addrs := freeAddrs(t, 4)
+	kit := soaktest.NewKit(t, 54)
+	addrs := soaktest.FreeAddrs(t, 4)
 	peers := []Peer{
 		{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]},
 		{Name: "beta", StreamAddr: addrs[2], ReplAddr: addrs[3]},
 	}
 	const clients = 8
-	scfg := server.Config{LinkRate: float64(clients+1) * kit.hello.PeakRate, TimeScale: soakTimeScale}
+	scfg := server.Config{LinkRate: float64(clients+1) * kit.Hello.PeakRate, TimeScale: soaktest.TimeScale}
 	nodes := make([]*Node, len(peers))
 	for i, p := range peers {
-		cfg := Config{Shard: p.Name, Rank: 0, Peers: peers, Server: scfg,
-			Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-		fastTimings(&cfg)
-		nodes[i] = startNode(t, cfg)
+		nodes[i] = startNode(t, nodeConfig(p.Name, 0, peers, scfg, t.TempDir()))
 	}
 
 	// Crypto-random hello nonces made placement probabilistic: about one
@@ -286,48 +224,25 @@ func TestShardedRedirect(t *testing.T) {
 		}
 	}
 
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		redirects int
-		failures  []error
-		tokens    = make([]uint64, clients)
-	)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs := resumableClient(kit, nodes[0].StreamAddr(), int64(i)+1)
-			rs.Hello.Nonce = nonces[i]
-			res, err := rs.Stream(context.Background(), kit.payloads)
-			mu.Lock()
-			defer mu.Unlock()
-			redirects += res.Redirects
-			tokens[i] = res.Verdict.ResumeToken
-			if err != nil {
-				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
+	tally := soaktest.StartSoak(t, kit, clients, func(i int) *transport.ResumableSender {
+		rs := kit.Resumable(nodes[0].StreamAddr(), int64(i)+1)
+		rs.Hello.Nonce = nonces[i]
+		return rs
+	}).Wait()
+	redirects := 0
+	for _, r := range tally.Results {
+		redirects += r.Redirects
 	}
 	if redirects == 0 {
 		t.Error("no client was redirected — sharded placement never engaged")
 	}
-	var admitted, redirected int64
+	// Each shard admitted exactly the clients whose nonces it owns.
+	var redirected int64
 	for i, n := range nodes {
-		snap := n.Server().Snapshot()
-		admitted += snap.Streams.Admitted
-		redirected += snap.Streams.Redirected
-		t.Logf("shard %s: %d admitted, %d redirected", peers[i].Name, snap.Streams.Admitted, snap.Streams.Redirected)
-	}
-	if admitted != clients {
-		t.Errorf("admitted %d across the fleet for %d clients", admitted, clients)
+		srv := n.Server()
+		soaktest.WaitFor(t, "shard "+peers[i].Name+" drained", func() bool { return srv.Snapshot().Streams.Active == 0 })
+		soaktest.Check(t, soaktest.End{Kit: kit, Clients: owned[peers[i].Name], Servers: []soaktest.Stats{stats(t, srv)}})
+		redirected += srv.Snapshot().Streams.Redirected
 	}
 	if redirected == 0 {
 		t.Error("no server counted a redirect")
@@ -335,9 +250,9 @@ func TestShardedRedirect(t *testing.T) {
 	// Token homing: every resume token was issued by the shard that owns
 	// the client's nonce and hashes to that shard, so a resume routes
 	// straight home.
-	for i, tok := range tokens {
-		if got, want := ring.Owner(tok), ring.Owner(nonces[i]); got != want {
-			t.Errorf("client %d: resume token %016x is owned by %s, its nonce by %s", i, tok, got, want)
+	for i, r := range tally.Results {
+		if got, want := ring.Owner(r.Verdict.ResumeToken), ring.Owner(nonces[i]); got != want {
+			t.Errorf("client %d: resume token %016x is owned by %s, its nonce by %s", i, r.Verdict.ResumeToken, got, want)
 		}
 	}
 	// Determinism: both shards computed the same ring.

@@ -11,6 +11,7 @@ import (
 
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/server"
+	"mpegsmooth/internal/soaktest"
 )
 
 // openFS counts the segment files its journals hold open, so a test can
@@ -44,15 +45,12 @@ func (f *openFile) Close() error {
 // its nth fsync, and counts the node's open segment files in open.
 func heldNode(t *testing.T, rank, nth int, open *atomic.Int64) (n *Node, streamAddr string, held <-chan struct{}, release func()) {
 	t.Helper()
-	addrs := freeAddrs(t, 2)
+	addrs := soaktest.FreeAddrs(t, 2)
 	ffs := journal.NewFaultFS(journal.NewMemFS(), journal.FaultConfig{})
 	held, release = ffs.HoldSync(nth)
 	t.Cleanup(release)
-	cfg := Config{Shard: "alpha", Rank: rank, Seed: 5,
-		Peers:   []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}},
-		Server:  server.Config{LinkRate: 1e7},
-		Journal: journal.Config{FS: openFS{FS: ffs, open: open}, FlushInterval: 5 * time.Millisecond}}
-	fastTimings(&cfg)
+	cfg := nodeConfig("alpha", rank, []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}}, server.Config{LinkRate: 1e7}, "")
+	cfg.Seed, cfg.Journal.FS = 5, openFS{FS: ffs, open: open}
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -12,6 +11,8 @@ import (
 
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/server"
+	"mpegsmooth/internal/soaktest"
+	"mpegsmooth/internal/transport"
 )
 
 // quorumTrio is the multi-follower chain under test: one primary
@@ -26,15 +27,15 @@ type quorumTrio struct {
 
 func startQuorumTrio(t testing.TB, scfg server.Config, seed int64) *quorumTrio {
 	t.Helper()
-	addrs := freeAddrs(t, 2)
+	addrs := soaktest.FreeAddrs(t, 2)
 	peers := []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}}
 	trio := &quorumTrio{}
 	for rank := 0; rank < 3; rank++ {
 		dir := t.TempDir()
-		cfg := Config{Shard: "alpha", Rank: rank, Peers: peers, Server: scfg,
-			Replicas: 2, Quorum: 2, Seed: seed*10 + int64(rank) + 1,
-			Journal: journal.Config{Dir: dir, FlushInterval: 5 * time.Millisecond}}
-		fastTimings(&cfg)
+		cfg := nodeConfig("alpha", rank, peers, scfg, dir)
+		cfg.Replicas = 2
+		cfg.Quorum = 2
+		cfg.Seed = seed*10 + int64(rank) + 1
 		trio.nodes = append(trio.nodes, startNode(t, cfg))
 		trio.dirs = append(trio.dirs, dir)
 	}
@@ -42,10 +43,10 @@ func startQuorumTrio(t testing.TB, scfg server.Config, seed int64) *quorumTrio {
 	// The gate starts degraded (no followers yet); every test must see
 	// the quorum actually form before disrupting anything, or the
 	// guarantee under test is not yet in force.
-	waitFor(t, "quorum formed", func() bool {
+	soaktest.WaitFor(t, "quorum formed", func() bool {
 		st := trio.nodes[0].Status().Replication
 		return st.ReplicasConnected == 2 && !st.QuorumDegraded
-	})
+	}, report(trio.nodes...))
 	return trio
 }
 
@@ -58,76 +59,42 @@ const (
 
 // runQuorumChaos drives `clients` resumable streams through a quorum-2
 // trio, disrupts it mid-stream per the schedule, and requires every
-// client to finish byte-exact with exactly one admission each, zero
-// acknowledged-then-forgotten records, and zero leaked reservations.
+// client to finish, ending through soaktest.Check.
 //
 // The kill-primary schedule deliberately does NOT wait for the
 // followers to catch up before the kill — and destroys the dead
 // primary's journal directory. Recovery must come entirely from the
 // quorum guarantee: any admission verdict a client holds was acked by
 // rank 1 before it was released, so rank 1's replica alone must carry
-// every acknowledged session. The exactly-one-admission assertion below
-// is the acknowledged-then-forgotten check: a forgotten admission would
-// force a re-admission on the survivor and overshoot the total.
+// every acknowledged session. The check's one-admission-per-client
+// promise is the acknowledged-then-forgotten check: a forgotten
+// admission would force a re-admission on the survivor and overshoot
+// the total.
 func runQuorumChaos(t *testing.T, seed int64, clients int, schedule string) {
-	kit := makeClient(t, testTrace(t, 240))
+	kit := soaktest.NewKit(t, 240)
 	scfg := server.Config{
-		LinkRate:     float64(clients+1) * kit.hello.PeakRate,
+		LinkRate:     float64(clients+1) * kit.Hello.PeakRate,
 		ReadTimeout:  2 * time.Second,
 		ResumeWindow: 30 * time.Second,
 		TimeScale:    crashTimeScale,
 	}
 	trio := startQuorumTrio(t, scfg, seed)
+	nodes := report(trio.nodes...)
 	epoch0 := trio.nodes[0].Epoch()
 	if epoch0 == 0 {
 		t.Fatal("primary serving without a fencing epoch")
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		resumes  int
-		already  int
-		failures []error
-	)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs := resumableClient(kit, trio.addr, seed*100+int64(i)+1)
-			rs.Sender.TimeScale = crashTimeScale
-			rs.MaxAttempts = 60
-			res, err := rs.Stream(ctx, kit.payloads)
-			mu.Lock()
-			defer mu.Unlock()
-			resumes += res.Resumes
-			if res.AlreadyComplete {
-				already++
-			}
-			if err != nil {
-				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
-			}
-		}(i)
-	}
+	soak := soaktest.StartSoak(t, kit, clients, func(i int) *transport.ResumableSender {
+		rs := kit.Resumable(trio.addr, seed*100+int64(i)+1)
+		rs.Sender.TimeScale = crashTimeScale
+		rs.MaxAttempts = 60
+		return rs
+	})
 
 	// Gate the disruption: every client holds a delivered (quorum-acked)
-	// admission verdict and at least one accepted picture, so it lands
-	// mid-stream with no admission fsync in flight.
-	waitFor(t, "all clients underway", func() bool {
-		s := trio.nodes[0].Server().Snapshot()
-		if s.Streams.Admitted != int64(clients) || len(s.PerStream) != clients {
-			return false
-		}
-		for _, ss := range s.PerStream {
-			if ss.Pictures < 1 {
-				return false
-			}
-		}
-		return true
-	})
-	primarySnap := trio.nodes[0].Server().Snapshot()
+	// admission verdict and at least one accepted picture.
+	primary := trio.nodes[0].Server()
+	soak.Underway(func() soaktest.Stats { return stats(t, primary) }, nodes)
 
 	switch schedule {
 	case schedKillPrimary:
@@ -152,74 +119,48 @@ func runQuorumChaos(t *testing.T, seed int64, clients int, schedule string) {
 	default:
 		t.Fatalf("unknown schedule %q", schedule)
 	}
+	tally := soak.Wait()
 
-	wg.Wait()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-
+	end := soaktest.End{Kit: kit, Clients: clients, AlreadyComplete: tally.AlreadyComplete}
 	var survivor *Node
 	if schedule == schedKillFollower {
-		survivor = trio.nodes[0]
+		survivor, end.JournalDir = trio.nodes[0], trio.dirs[0]
 		if survivor.Role() != RolePrimary {
 			t.Fatal("primary lost its role when a follower died")
 		}
 	} else {
-		if resumes < 1 {
+		if tally.Resumes < 1 {
 			t.Fatal("no client resumed — the disruption never landed mid-stream")
 		}
 		// Rank 1 must be the promotion winner: it is the rank the quorum
 		// guarantee deposited every acknowledged record on.
-		waitFor(t, "rank 1 promoted", func() bool {
+		soaktest.WaitFor(t, "rank 1 promoted", func() bool {
 			return trio.nodes[1].Role() == RolePrimary
-		})
-		survivor = trio.nodes[1]
+		}, nodes)
+		survivor, end.JournalDir = trio.nodes[1], trio.dirs[1]
+		end.Servers = append(end.Servers, stats(t, primary))
 	}
 	promoted := survivor.Server()
 	if promoted == nil {
 		t.Fatal("surviving primary has no server")
 	}
-	waitFor(t, "surviving server drained", func() bool {
+	soaktest.WaitFor(t, "surviving server drained", func() bool {
 		s := promoted.Snapshot()
 		return s.Streams.Active == 0 && s.Streams.Parked == 0
-	})
+	}, nodes)
+	end.Servers = append(end.Servers, stats(t, promoted))
 
-	final := promoted.Snapshot()
 	if schedule == schedKillFollower {
-		if final.Streams.Admitted != int64(clients) {
-			t.Errorf("admitted %d sessions for %d clients", final.Streams.Admitted, clients)
-		}
-		if final.Streams.Completed+int64(already) < int64(clients) {
-			t.Errorf("completions %d + already-complete %d < %d clients", final.Streams.Completed, already, clients)
-		}
 		if st := survivor.Status().Replication; st.QuorumCommits == 0 {
 			t.Error("no quorum commit after the follower kill — durability never rode rank 2")
 		}
 	} else {
-		// Exactly one admission per client across the promotion — the
-		// zero-acknowledged-then-forgotten assertion.
-		if total := primarySnap.Streams.Admitted + final.Streams.Admitted; total != int64(clients) {
-			t.Errorf("admitted %d sessions across the failover for %d clients (primary %d + promoted %d)",
-				total, clients, primarySnap.Streams.Admitted, final.Streams.Admitted)
-		}
-		if final.Streams.Recovered < 1 {
+		if promoted.Snapshot().Streams.Recovered < 1 {
 			t.Error("the promoted follower recovered no stream from its replica — failover was cold")
-		}
-		completed := primarySnap.Streams.Completed + final.Streams.Completed
-		if completed+int64(already) < int64(clients) {
-			t.Errorf("completions %d + already-complete %d < %d clients", completed, already, clients)
 		}
 		if survivor.Epoch() <= epoch0 {
 			t.Errorf("promoted epoch %d did not advance past the deposed primary's %d", survivor.Epoch(), epoch0)
 		}
-	}
-	// Zero leaked reservations on the survivor.
-	if final.ReservedPeak != 0 || final.AvailablePeak != final.CapacityBPS {
-		t.Errorf("reservations leaked: reserved %v, available %v, capacity %v",
-			final.ReservedPeak, final.AvailablePeak, final.CapacityBPS)
 	}
 
 	if schedule == schedPartitionHeal {
@@ -230,46 +171,36 @@ func runQuorumChaos(t *testing.T, seed int64, clients int, schedule string) {
 		// ...and after the heal it rejoins the shard as a follower of
 		// the new primary, adopting the higher epoch via resync.
 		trio.nodes[0].Heal()
-		waitFor(t, "deposed primary re-attached as follower", func() bool {
+		soaktest.WaitFor(t, "deposed primary re-attached as follower", func() bool {
 			st := trio.nodes[0].Status()
 			return st.Role == RoleFollower && st.Replication.Connected
-		})
-		waitFor(t, "deposed primary adopted the new epoch", func() bool {
+		}, nodes)
+		soaktest.WaitFor(t, "deposed primary adopted the new epoch", func() bool {
 			return trio.nodes[0].Status().Replication.Epoch >= survivor.Epoch()
-		})
+		}, nodes)
 	}
 
 	// The surviving primary's quorum re-forms from the remaining
 	// followers, and readiness flips back with it.
-	waitFor(t, "quorum re-formed on the survivor", func() bool {
+	soaktest.WaitFor(t, "quorum re-formed on the survivor", func() bool {
 		st := survivor.Status().Replication
 		return st.ReplicasConnected >= 1 && !st.QuorumDegraded
-	})
-	rec := httptest.NewRecorder()
-	survivor.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"role":"primary"`) {
-		t.Errorf("survivor /healthz = %d %q, want 200 primary", rec.Code, rec.Body.String())
+	}, nodes)
+	if code, body := opsGet(survivor, "/healthz"); code != 200 || !strings.Contains(body, `"role":"primary"`) {
+		t.Errorf("survivor /healthz = %d %q, want 200 primary", code, body)
 	}
 
-	// Durable ledger agreement: with every client finished, no journaled
-	// stream (reservation) survives on the surviving primary's disk.
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer shutCancel()
-	survivorDir := trio.dirs[1]
-	if schedule == schedKillFollower {
-		survivorDir = trio.dirs[0]
-	}
 	if err := survivor.Shutdown(shutCtx); err != nil {
 		t.Fatalf("shutting down the surviving primary: %v", err)
 	}
-	j, err := journal.Open(journal.Config{Dir: survivorDir, FlushInterval: -1})
+	soaktest.Check(t, end)
+	j, err := journal.Open(journal.Config{Dir: end.JournalDir, FlushInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if n := len(j.State().Streams); n != 0 {
-		t.Errorf("%d streams still journaled on the survivor after every client finished", n)
-	}
 	if e := j.Epoch(); e == 0 {
 		t.Error("survivor journal carries no fencing epoch")
 	}
@@ -328,13 +259,13 @@ func TestQuorumPartitionHeal(t *testing.T) {
 // epoch, and the degrade counters — and /healthz flips loudly to
 // not-ready/quorum-degraded when the followers fall away.
 func TestQuorumStatsSurface(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 54))
-	scfg := server.Config{LinkRate: 2 * kit.hello.PeakRate, TimeScale: soakTimeScale, ResumeWindow: 10 * time.Second}
+	kit := soaktest.NewKit(t, 54)
+	scfg := server.Config{LinkRate: 2 * kit.Hello.PeakRate, TimeScale: soaktest.TimeScale, ResumeWindow: 10 * time.Second}
 	trio := startQuorumTrio(t, scfg, 77)
 	primary := trio.nodes[0]
 
-	rs := resumableClient(kit, trio.addr, 1)
-	if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
+	rs := kit.Resumable(trio.addr, 1)
+	if _, err := rs.Stream(context.Background(), kit.Payloads); err != nil {
 		t.Fatalf("stream through quorum primary: %v", err)
 	}
 
@@ -348,7 +279,7 @@ func TestQuorumStatsSurface(t *testing.T) {
 	if len(st.AckLagRecords) != 2 {
 		t.Errorf("ack lag gauge has %d followers, want 2: %v", len(st.AckLagRecords), st.AckLagRecords)
 	}
-	waitFor(t, "acked cursors caught up", func() bool {
+	soaktest.WaitFor(t, "acked cursors caught up", func() bool {
 		for _, lag := range primary.Status().Replication.AckLagRecords {
 			if lag != 0 {
 				return false
@@ -359,12 +290,7 @@ func TestQuorumStatsSurface(t *testing.T) {
 
 	// JSON shape: every quorum gauge is a stable key under
 	// cluster.replication, asserted the same way as the lag gauges.
-	get := func(n *Node, path string) (int, string) {
-		rec := httptest.NewRecorder()
-		n.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec.Code, rec.Body.String()
-	}
-	_, body := get(primary, "/stats")
+	_, body := opsGet(primary, "/stats")
 	for _, key := range []string{
 		`"epoch"`, `"replicas_configured"`, `"replicas_connected"`, `"quorum_configured"`,
 		`"quorum_degraded"`, `"quorum_commits"`, `"local_commits"`, `"quorum_degraded_events"`,
@@ -374,7 +300,7 @@ func TestQuorumStatsSurface(t *testing.T) {
 			t.Errorf("primary /stats lacks %s", key)
 		}
 	}
-	if code, body := get(primary, "/healthz"); code != 200 {
+	if code, body := opsGet(primary, "/healthz"); code != 200 {
 		t.Errorf("primary /healthz = %d %q with the quorum formed", code, body)
 	}
 
@@ -382,17 +308,17 @@ func TestQuorumStatsSurface(t *testing.T) {
 	// still admitting on local durability, but loudly not-ready.
 	trio.nodes[1].Kill()
 	trio.nodes[2].Kill()
-	waitFor(t, "quorum degraded after follower loss", func() bool {
+	soaktest.WaitFor(t, "quorum degraded after follower loss", func() bool {
 		return primary.Status().Replication.QuorumDegraded
 	})
-	if code, body := get(primary, "/healthz"); code != 503 ||
+	if code, body := opsGet(primary, "/healthz"); code != 503 ||
 		!strings.Contains(body, `"reason":"quorum-degraded"`) {
 		t.Errorf("degraded primary /healthz = %d %q, want 503 quorum-degraded", code, body)
 	}
 	// No wedge: a client admitted under the degraded gate still streams
 	// to completion on local commits.
-	rs = resumableClient(kit, trio.addr, 2)
-	if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
+	rs = kit.Resumable(trio.addr, 2)
+	if _, err := rs.Stream(context.Background(), kit.Payloads); err != nil {
 		t.Fatalf("stream through degraded primary: %v", err)
 	}
 	st = primary.Status().Replication
@@ -407,21 +333,19 @@ func TestQuorumStatsSurface(t *testing.T) {
 // measured against a live follower chain.
 func benchClusterIngest(b *testing.B, quorum int) {
 	const streams = 4
-	kit := makeClient(b, testTrace(b, 54))
-	addrs := freeAddrs(b, 2)
+	kit := soaktest.NewKit(b, 54)
+	addrs := soaktest.FreeAddrs(b, 2)
 	peers := []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}}
-	scfg := server.Config{LinkRate: float64(streams+1) * kit.hello.PeakRate, TimeScale: 1e6, ResumeWindow: 10 * time.Second}
-	pcfg := Config{Shard: "alpha", Rank: 0, Peers: peers, Server: scfg,
-		Replicas: 1, Quorum: quorum, Seed: 1,
-		Journal: journal.Config{Dir: b.TempDir(), FlushInterval: time.Millisecond}}
-	fastTimings(&pcfg)
-	primary := startNode(b, pcfg)
-	fcfg := Config{Shard: "alpha", Rank: 1, Peers: peers, Server: scfg,
-		Replicas: 1, Quorum: quorum, Seed: 2,
-		Journal: journal.Config{Dir: b.TempDir(), FlushInterval: time.Millisecond}}
-	fastTimings(&fcfg)
-	follower := startNode(b, fcfg)
-	waitFor(b, "follower attached", func() bool {
+	scfg := server.Config{LinkRate: float64(streams+1) * kit.Hello.PeakRate, TimeScale: 1e6, ResumeWindow: 10 * time.Second}
+	var nodes [2]*Node
+	for rank := range nodes {
+		cfg := nodeConfig("alpha", rank, peers, scfg, b.TempDir())
+		cfg.Replicas, cfg.Quorum, cfg.Seed = 1, quorum, int64(rank+1)
+		cfg.Journal.FlushInterval = time.Millisecond
+		nodes[rank] = startNode(b, cfg)
+	}
+	primary, follower := nodes[0], nodes[1]
+	soaktest.WaitFor(b, "follower attached", func() bool {
 		st := primary.Status().Replication
 		if quorum >= 2 {
 			return st.ReplicasConnected == 1 && !st.QuorumDegraded
@@ -430,7 +354,7 @@ func benchClusterIngest(b *testing.B, quorum int) {
 	})
 
 	var streamBytes int64
-	for _, p := range kit.payloads {
+	for _, p := range kit.Payloads {
 		streamBytes += int64(len(p))
 	}
 	b.SetBytes(streams * streamBytes)
@@ -441,9 +365,9 @@ func benchClusterIngest(b *testing.B, quorum int) {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				rs := resumableClient(kit, primary.StreamAddr(), int64(i*streams+j)+1)
+				rs := kit.Resumable(primary.StreamAddr(), int64(i*streams+j)+1)
 				rs.Sender.TimeScale = 1e6
-				if _, err := rs.Stream(context.Background(), kit.payloads); err != nil {
+				if _, err := rs.Stream(context.Background(), kit.Payloads); err != nil {
 					b.Error(err)
 				}
 			}(j)

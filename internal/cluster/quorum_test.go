@@ -14,6 +14,7 @@ import (
 	"mpegsmooth/internal/frame"
 	"mpegsmooth/internal/journal"
 	"mpegsmooth/internal/server"
+	"mpegsmooth/internal/soaktest"
 )
 
 // trackerTimeout is generous against scheduler noise; tracker tests
@@ -215,32 +216,28 @@ func TestQuorumTrackerContext(t *testing.T) {
 // transport's jittered exponential backoff (counting each failure),
 // and attaches promptly once the primary appears.
 func TestFollowerDialBackoff(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 54))
-	addrs := freeAddrs(t, 2)
+	kit := soaktest.NewKit(t, 54)
+	addrs := soaktest.FreeAddrs(t, 2)
 	peers := []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}}
-	scfg := server.Config{LinkRate: 2 * kit.hello.PeakRate, TimeScale: soakTimeScale}
+	scfg := server.Config{LinkRate: 2 * kit.Hello.PeakRate, TimeScale: soaktest.TimeScale}
 
-	fcfg := Config{Shard: "alpha", Rank: 1, Peers: peers, Server: scfg, Seed: 11,
-		Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-	fastTimings(&fcfg)
+	fcfg := nodeConfig("alpha", 1, peers, scfg, t.TempDir())
+	fcfg.Seed = 11
 	// Keep the follower from concluding the primary is dead and
 	// promoting itself: this test is about the dial schedule alone.
 	fcfg.FailoverTimeout = time.Minute
 	fcfg.DialTimeout = 100 * time.Millisecond // backoff base 12.5ms
 	follower := startNode(t, fcfg)
 
-	waitFor(t, "dial retries accumulating", func() bool {
+	soaktest.WaitFor(t, "dial retries accumulating", func() bool {
 		return follower.Status().Replication.DialRetries >= 3
 	})
 	if follower.Role() != RoleFollower {
 		t.Fatal("follower promoted itself while only the dial was failing")
 	}
 
-	pcfg := Config{Shard: "alpha", Rank: 0, Peers: peers, Server: scfg,
-		Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-	fastTimings(&pcfg)
-	startNode(t, pcfg)
-	waitFor(t, "follower attached after primary start", func() bool {
+	startNode(t, nodeConfig("alpha", 0, peers, scfg, t.TempDir()))
+	soaktest.WaitFor(t, "follower attached after primary start", func() bool {
 		return follower.Status().Replication.Connected
 	})
 }
@@ -254,32 +251,27 @@ func TestTwoFollowerPromotionJitter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("promotion test skipped in -short mode")
 	}
-	kit := makeClient(t, testTrace(t, 54))
-	addrs := freeAddrs(t, 2)
+	kit := soaktest.NewKit(t, 54)
+	addrs := soaktest.FreeAddrs(t, 2)
 	peers := []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}}
-	scfg := server.Config{LinkRate: 2 * kit.hello.PeakRate, TimeScale: soakTimeScale, ResumeWindow: 10 * time.Second}
+	scfg := server.Config{LinkRate: 2 * kit.Hello.PeakRate, TimeScale: soaktest.TimeScale, ResumeWindow: 10 * time.Second}
 
-	pcfg := Config{Shard: "alpha", Rank: 0, Peers: peers, Server: scfg,
-		Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-	fastTimings(&pcfg)
-	primary := startNode(t, pcfg)
+	primary := startNode(t, nodeConfig("alpha", 0, peers, scfg, t.TempDir()))
 
 	followers := make([]*Node, 2)
 	for i := range followers {
-		fcfg := Config{Shard: "alpha", Rank: 1, Peers: peers, Server: scfg, Seed: int64(100 + i),
-			Journal: journal.Config{Dir: t.TempDir(), FlushInterval: 5 * time.Millisecond}}
-		fastTimings(&fcfg)
+		fcfg := nodeConfig("alpha", 1, peers, scfg, t.TempDir())
+		fcfg.Seed = int64(100 + i)
 		followers[i] = startNode(t, fcfg)
 	}
-	for i, f := range followers {
-		waitFor(t, "follower attached", func() bool {
+	for _, f := range followers {
+		soaktest.WaitFor(t, "follower attached", func() bool {
 			return f.Status().Replication.Connected
-		})
-		_ = i
+		}, report(followers...))
 	}
 
 	primary.Kill()
-	waitFor(t, "exactly one follower promoted, the other re-attached", func() bool {
+	soaktest.WaitFor(t, "exactly one follower promoted, the other re-attached", func() bool {
 		var primaries, attached int
 		for _, f := range followers {
 			switch f.Role() {
@@ -292,7 +284,7 @@ func TestTwoFollowerPromotionJitter(t *testing.T) {
 			}
 		}
 		return primaries == 1 && attached == 1
-	})
+	}, report(followers...))
 	var promotions int64
 	for _, f := range followers {
 		promotions += f.Status().Promotions
@@ -309,7 +301,7 @@ func TestTwoFollowerPromotionJitter(t *testing.T) {
 // FailoverTimeout its handshake deadline allows. 2 GiB does not fit a
 // 32-bit int: the cap must be compared before the length is converted.
 func TestReplHelloOversizedRefused(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	addrs := soaktest.FreeAddrs(t, 2)
 	cfg := Config{
 		Shard:           "alpha",
 		Peers:           []Peer{{Name: "alpha", StreamAddr: addrs[0], ReplAddr: addrs[1]}},

@@ -17,11 +17,14 @@ import (
 // refills for every decision: the View is read-only, valid only during
 // the Estimate call, and must not be retained.
 type View struct {
-	tau     float64
-	gop     mpeg.GOP
-	types   []mpeg.PictureType // explicit per-picture types; nil = follow gop
-	sizes   []int64
-	arrived int // sizes[:arrived] have arrived at the observation time
+	tau   float64
+	gop   mpeg.GOP
+	types []mpeg.PictureType // explicit per-picture types; nil = follow gop
+	// typeOffset is the pattern position of picture 0 when types follow
+	// gop: a stream resumed mid-sequence numbers its pictures from 0.
+	typeOffset int
+	sizes      []int64
+	arrived    int // sizes[:arrived] have arrived at the observation time
 }
 
 // at points the view at the learned sizes as observed at time now.
@@ -66,13 +69,14 @@ func (v *View) N() int { return v.gop.N }
 
 // Type returns the picture type at display index j: the explicit type
 // when the trace carries one (adaptive-pattern encoders), otherwise the
-// repeating pattern's. Types of future pictures come from the pattern —
+// repeating pattern's, from the pattern position the stream started at
+// (WithTypeOffset). Types of future pictures come from the pattern —
 // the paper's premise that the type sequence is known a priori.
 func (v *View) Type(j int) mpeg.PictureType {
 	if v.types != nil && j >= 0 && j < len(v.types) {
 		return v.types[j]
 	}
-	return v.gop.TypeOf(j)
+	return v.gop.TypeOf(j + v.typeOffset)
 }
 
 // Arrived reports whether picture j has fully arrived (encoded) at the

@@ -146,6 +146,19 @@ func WithLength(n int) SessionOption {
 	}
 }
 
+// WithTypeOffset numbers the stream's picture types from display index
+// n of its coding pattern: the first pushed picture has the type
+// gop.TypeOf(n). A stream resumed at picture n of a longer one passes n,
+// so its estimator reads the types its sender encoded. n <= 0 starts at
+// the pattern's I picture.
+func WithTypeOffset(n int) SessionOption {
+	return func(s *Session) {
+		if n > 0 {
+			s.engine.view.typeOffset = n % s.engine.view.gop.N
+		}
+	}
+}
+
 // withTypes supplies explicit per-picture types for adaptive-pattern
 // traces (used by Smooth; live streams follow the GOP pattern).
 func withTypes(types []mpeg.PictureType) SessionOption {

@@ -358,3 +358,55 @@ func TestKernelAllocs(t *testing.T) {
 		t.Errorf("declared-length Close allocates %v times, want at most 1", perClose)
 	}
 }
+
+// typeRecorder is the pattern estimator, recording the type its View
+// gives each picture it estimates.
+type typeRecorder struct {
+	PatternEstimator
+	seen map[int]mpeg.PictureType
+}
+
+func (r *typeRecorder) Estimate(j int, v *View) int64 {
+	r.seen[j] = v.Type(j)
+	return r.PatternEstimator.Estimate(j, v)
+}
+
+// TestSessionTypeOffset: a Session that starts at picture base of a
+// trace, mid-pattern, shows its estimator each picture's type as the
+// trace has it when WithTypeOffset(base) numbers the types. Without the
+// offset the estimator reads picture base as the pattern's I picture.
+func TestSessionTypeOffset(t *testing.T) {
+	tr := paperTrace(t, 54)
+	for _, base := range []int{0, 7, 13} {
+		for _, offset := range []bool{true, false} {
+			rec := &typeRecorder{seen: map[int]mpeg.PictureType{}}
+			var opts []SessionOption
+			if offset {
+				opts = append(opts, WithTypeOffset(base))
+			}
+			sess, err := NewSession(tr.Tau, tr.GOP, Config{K: 1, H: tr.GOP.N, D: 0.2, Estimator: rec},
+				append(opts, WithLength(tr.Len()-base))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range tr.Sizes[base:] {
+				if _, err := sess.Push(size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sess.Close()
+			if len(rec.seen) == 0 {
+				t.Fatal("the estimator estimated nothing")
+			}
+			wrong := 0
+			for j, ty := range rec.seen {
+				if ty != tr.TypeOf(base+j) {
+					wrong++
+				}
+			}
+			if want := offset || base%tr.GOP.N == 0; (wrong == 0) != want {
+				t.Errorf("start %d, offset %v: %d of %d estimated pictures read the wrong type", base, offset, wrong, len(rec.seen))
+			}
+		}
+	}
+}

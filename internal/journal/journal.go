@@ -952,7 +952,13 @@ func (j *Journal) Completed(rec TombstoneRecord) (uint64, error) {
 // lapsed resume window, or an aged-out tombstone. The returned sequence
 // is the record's position on the publish feed.
 func (j *Journal) Expired(token, nonce uint64, reason ExpireReason) (uint64, error) {
-	return j.commit(Record{Kind: kindExpire, Token: token, Nonce: nonce, Reason: reason})
+	return j.commit(ExpireRecord(token, nonce, reason))
+}
+
+// ExpireRecord is the record Expired commits, for a caller that commits
+// several expiries in one batch with AppendRecords.
+func ExpireRecord(token, nonce uint64, reason ExpireReason) Record {
+	return Record{Kind: kindExpire, Token: token, Nonce: nonce, Reason: reason}
 }
 
 // dropDirtyLocked discards a pending coalesced watermark and recycles

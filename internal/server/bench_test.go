@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpegsmooth/internal/journal"
+	"mpegsmooth/internal/soaktest"
 )
 
 // benchIngest pushes 8 concurrent streams through the full admission +
@@ -15,13 +16,13 @@ import (
 // machinery, not the schedule clock.
 func benchIngest(b *testing.B, j *journal.Journal) {
 	const streams = 8
-	kit := makeClient(b, testTrace(b, 54))
+	kit := soaktest.NewKit(b, 54)
 	var streamBytes int64
-	for _, p := range kit.payloads {
+	for _, p := range kit.Payloads {
 		streamBytes += int64(len(p))
 	}
 	cfg := Config{
-		LinkRate:  float64(streams) * kit.hello.PeakRate,
+		LinkRate:  float64(streams) * kit.Hello.PeakRate,
 		TimeScale: 1e6,
 	}
 	if j != nil {
@@ -42,7 +43,7 @@ func benchIngest(b *testing.B, j *journal.Journal) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				v, err := kit.streamWith(context.Background(), addr, 1e6, nil)
+				v, err := kit.StreamWith(context.Background(), addr, 1e6, nil)
 				if err != nil {
 					b.Error(err)
 				} else if !v.IsAdmitted() {
@@ -51,8 +52,10 @@ func benchIngest(b *testing.B, j *journal.Journal) {
 			}()
 		}
 		wg.Wait()
-		want := int64(i+1) * streams
-		waitForBench(b, srv, want)
+		soaktest.WaitFor(b, "iteration drain", func() bool {
+			s := srv.Snapshot()
+			return s.Streams.Completed == int64(i+1)*streams && s.Streams.Active == 0
+		})
 	}
 	b.StopTimer()
 	if j != nil {
@@ -81,11 +84,4 @@ func BenchmarkServerIngestJournal(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchIngest(b, j)
-}
-
-func waitForBench(b *testing.B, srv *Server, completed int64) {
-	waitFor(b, "iteration drain", func() bool {
-		s := srv.Snapshot()
-		return s.Streams.Completed == completed && s.Streams.Active == 0
-	})
 }

@@ -2,15 +2,18 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"mpegsmooth/internal/core"
 	"mpegsmooth/internal/journal"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
@@ -42,7 +45,7 @@ func startGenerationJournal(t testing.TB, cfg Config, jcfg journal.Config, addr 
 	}
 	cfg.Journal = j
 	if cfg.TimeScale == 0 {
-		cfg.TimeScale = soakTimeScale
+		cfg.TimeScale = soaktest.TimeScale
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -93,19 +96,6 @@ func (g *generation) shutdown(t testing.TB) {
 	}
 }
 
-// sendPictures writes payloads[from:to] as framed pictures.
-func sendPictures(t testing.TB, fw *transport.FrameWriter, kit *clientKit, from, to int) {
-	t.Helper()
-	for i := from; i < to; i++ {
-		if err := fw.WritePictureHeader(i, kit.tr.TypeOf(i), kit.payloads[i]); err != nil {
-			t.Fatalf("picture %d header: %v", i, err)
-		}
-		if err := fw.WriteChunk(kit.payloads[i]); err != nil {
-			t.Fatalf("picture %d payload: %v", i, err)
-		}
-	}
-}
-
 // TestCrashRecoveryResume: a stream is killed mid-flight with the
 // server, and the restarted generation — rebuilt purely from the
 // journal — answers the sender's resume with the durable watermark and
@@ -123,14 +113,12 @@ func TestCrashRecoveryResume(t *testing.T) {
 }
 
 func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []byte) {
-	kit := makeClient(t, testTrace(t, 54))
-	wantSum, err := transport.PrefixSum(mode, key, kit.payloads, kit.tr.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
+	kit := soaktest.NewKit(t, 54)
+	kit.Hello.Integrity, kit.Key = mode, key
+	wantSum := kit.Tag(kit.Trace.Len())
 	dir := t.TempDir()
 	cfg := Config{
-		LinkRate:     2 * kit.hello.PeakRate,
+		LinkRate:     2 * kit.Hello.PeakRate,
 		ReadTimeout:  5 * time.Second,
 		ResumeWindow: 20 * time.Second,
 		Integrity:    mode,
@@ -138,34 +126,20 @@ func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []by
 	}
 	gen1, addr := startGeneration(t, cfg, dir, "")
 
-	hello := kit.hello
+	hello := kit.Hello
 	hello.Nonce = 0xC0FFEE
-	hello.Integrity = mode
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	first := soaktest.Dial(t, addr, hello)
+	token := first.Verdict.ResumeToken
+	if !first.Verdict.IsAdmitted() || token == 0 {
+		t.Fatalf("admission verdict %+v", first.Verdict)
 	}
-	defer conn.Close()
-	fw := transport.NewFrameWriter(conn)
-	fr := transport.NewFrameReader(conn)
-	if err := fw.WriteHello(hello); err != nil {
-		t.Fatal(err)
-	}
-	v, err := fr.ReadVerdictTimeout(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.IsAdmitted() || v.ResumeToken == 0 {
-		t.Fatalf("admission verdict %+v", v)
-	}
-	token := v.ResumeToken
 
 	// Stream the head, then make sure every accepted picture's watermark
 	// reached the journal's coalescing buffer before forcing it out —
 	// the flush pins the recovery point at exactly `head`.
 	const head = 9
-	sendPictures(t, fw, kit, 0, head)
-	waitFor(t, "head pictures journaled", func() bool {
+	kit.Send(t, first.W, 0, head)
+	soaktest.WaitFor(t, "head pictures journaled", func() bool {
 		return gen1.jrnl.Stats().WatermarksCoalesced >= head
 	})
 	if err := gen1.jrnl.Flush(); err != nil {
@@ -179,80 +153,36 @@ func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []by
 	if snap.Streams.Recovered != 1 || snap.Streams.RecoveredTombstones != 0 {
 		t.Fatalf("recovery counters %+v, want 1 stream, 0 tombstones", snap.Streams)
 	}
-	waitFor(t, "recovered stream parked", func() bool {
+	soaktest.WaitFor(t, "recovered stream parked", func() bool {
 		return gen2.srv.Snapshot().Streams.Parked == 1
 	})
 
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	resumed := soaktest.Dial(t, addr, transport.StreamResume{Token: token})
+	if v := resumed.Verdict; !v.IsAdmitted() || v.NextIndex != head || v.PrefixFNV != kit.Tag(head) {
+		t.Fatalf("resume verdict %+v; want admitted at the recovered watermark %d with prefix hash %016x", v, head, kit.Tag(head))
 	}
-	defer conn2.Close()
-	fw2 := transport.NewFrameWriter(conn2)
-	fr2 := transport.NewFrameReader(conn2)
-	if err := fw2.WriteResume(transport.StreamResume{Token: token}); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := fr2.ReadVerdictTimeout(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v2.IsAdmitted() {
-		t.Fatalf("resume verdict %+v", v2)
-	}
-	if v2.NextIndex != head {
-		t.Fatalf("recovered watermark %d, want %d", v2.NextIndex, head)
-	}
-	headSum, err := transport.PrefixSum(mode, key, kit.payloads, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.PrefixFNV != headSum {
-		t.Fatalf("recovered prefix hash %016x, want %016x", v2.PrefixFNV, headSum)
-	}
-
-	sendPictures(t, fw2, kit, head, kit.tr.Len())
-	if err := fw2.WriteEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr2.ReadMessageTimeout(10 * time.Second); !errors.Is(err, transport.ErrClosed) {
-		t.Fatalf("completion ack: %v", err)
-	}
-	waitFor(t, "completion", func() bool {
+	resumed.Finish(t, kit, head)
+	soaktest.WaitFor(t, "completion", func() bool {
 		s := gen2.srv.Snapshot()
 		return s.Streams.Completed == 1 && s.Streams.Active == 0
 	})
 
-	g1, g2 := gen1.srv.Snapshot(), gen2.srv.Snapshot()
-	if g1.Streams.Admitted != 1 || g2.Streams.Admitted != 0 {
-		t.Errorf("admissions gen1=%d gen2=%d, want exactly one total (recovery re-admitted)",
-			g1.Streams.Admitted, g2.Streams.Admitted)
-	}
-	if g2.Faults.Resumed < 1 {
-		t.Errorf("post-restart resume not counted: %+v", g2.Faults)
-	}
-	if g2.ReservedPeak != 0 {
-		t.Errorf("reservation leaked across the crash: %.0f bps", g2.ReservedPeak)
-	}
-	fin := gen2.srv.FinishedStreams()
-	if len(fin) != 1 {
-		t.Fatalf("%d finished streams in gen2", len(fin))
-	}
-	if fin[0].PayloadFNV != wantSum || fin[0].Pictures != kit.tr.Len() {
-		t.Errorf("finished stream: %d pictures, hash %016x; want %d, %016x — bytes lost across the crash",
-			fin[0].Pictures, fin[0].PayloadFNV, kit.tr.Len(), wantSum)
+	end := soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, gen1.srv), stats(t, gen2.srv)}, JournalDir: dir}
+	if r := gen2.srv.Snapshot().Faults.Resumed; r < 1 {
+		t.Errorf("post-restart resume not counted: %d resumed", r)
 	}
 	// A second resume finds the tombstone, which must count the whole
 	// stream, not only the pictures this generation accepted.
-	v3, err := resumeOnce(addr, token)
+	v3, err := soaktest.Resume(addr, token)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3.Code != transport.AlreadyComplete || v3.NextIndex != kit.tr.Len() || v3.PrefixFNV != wantSum {
+	if v3.Code != transport.AlreadyComplete || v3.NextIndex != kit.Trace.Len() || v3.PrefixFNV != wantSum {
 		t.Errorf("second resume: %v at %d, hash %016x; want %v at %d, %016x",
-			v3.Code, v3.NextIndex, v3.PrefixFNV, transport.AlreadyComplete, kit.tr.Len(), wantSum)
+			v3.Code, v3.NextIndex, v3.PrefixFNV, transport.AlreadyComplete, kit.Trace.Len(), wantSum)
 	}
 	gen2.shutdown(t)
+	soaktest.Check(t, end)
 
 	// The completion survived gen2 too: a third generation recovers the
 	// tombstone, not the stream.
@@ -261,10 +191,8 @@ func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []by
 		t.Fatal(err)
 	}
 	defer j.Close()
-	st := j.State()
-	if len(st.Streams) != 0 || len(st.Tombstones) != 1 {
-		t.Errorf("final journal state: %d streams, %d tombstones, want 0/1",
-			len(st.Streams), len(st.Tombstones))
+	if n := len(j.State().Tombstones); n != 1 {
+		t.Errorf("final journal state: %d tombstones, want 1", n)
 	}
 }
 
@@ -275,38 +203,29 @@ func runCrashRecoveryResume(t *testing.T, mode transport.IntegrityMode, key []by
 // journaled: the next generation recovers it parked, and the sender's
 // resume completes it byte-exact.
 func TestShutdownKeepsParkedStreamRecoverable(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 27))
+	kit := soaktest.NewKit(t, 27)
 	dir := t.TempDir()
 	cfg := Config{
-		LinkRate:     2 * kit.hello.PeakRate,
+		LinkRate:     2 * kit.Hello.PeakRate,
 		ReadTimeout:  5 * time.Second,
 		ResumeWindow: 5 * time.Second,
 	}
 	gen1, addr := startGeneration(t, cfg, dir, "")
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := kit.hello
+	hello := kit.Hello
 	hello.Nonce = 0x5A1E
-	fw := transport.NewFrameWriter(conn)
-	if err := fw.WriteHello(hello); err != nil {
-		t.Fatal(err)
-	}
-	v, err := transport.NewFrameReader(conn).ReadVerdictTimeout(10 * time.Second)
-	if err != nil || !v.IsAdmitted() || v.ResumeToken == 0 {
-		t.Fatalf("admission verdict %+v, %v", v, err)
+	first := soaktest.Dial(t, addr, hello)
+	if v := first.Verdict; !v.IsAdmitted() || v.ResumeToken == 0 {
+		t.Fatalf("admission verdict %+v", v)
 	}
 	const head = 9
-	sendPictures(t, fw, kit, 0, head)
-	waitFor(t, "head pictures accepted", func() bool {
+	kit.Send(t, first.W, 0, head)
+	soaktest.WaitFor(t, "head pictures accepted", func() bool {
 		p := gen1.srv.Snapshot().PerStream
 		return len(p) == 1 && p[0].Pictures == head
 	})
-	conn.Close()
-	waitFor(t, "the stream to park", func() bool { return gen1.srv.Snapshot().Streams.Parked == 1 })
+	first.Close()
+	soaktest.WaitFor(t, "the stream to park", func() bool { return gen1.srv.Snapshot().Streams.Parked == 1 })
 
 	start := time.Now()
 	gen1.shutdown(t)
@@ -319,35 +238,21 @@ func TestShutdownKeepsParkedStreamRecoverable(t *testing.T) {
 	}
 
 	gen2, _ := startGeneration(t, cfg, dir, addr)
-	defer gen2.shutdown(t)
 	if s := gen2.srv.Snapshot().Streams; s.Recovered != 1 || s.Parked != 1 {
 		t.Fatalf("next generation recovered %d streams, %d parked; want the parked stream", s.Recovered, s.Parked)
 	}
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	resumed := soaktest.Dial(t, addr, transport.StreamResume{Token: first.Verdict.ResumeToken})
+	if v := resumed.Verdict; !v.IsAdmitted() || v.NextIndex != head || v.PrefixFNV != kit.Tag(head) {
+		t.Fatalf("resume verdict %+v; want admitted at picture %d with the head's hash", v, head)
 	}
-	defer conn2.Close()
-	fw2, fr2 := transport.NewFrameWriter(conn2), transport.NewFrameReader(conn2)
-	if err := fw2.WriteResume(transport.StreamResume{Token: v.ResumeToken}); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := fr2.ReadVerdictTimeout(10 * time.Second)
-	if err != nil || !v2.IsAdmitted() || v2.NextIndex != head || v2.PrefixFNV != payloadFNV(kit.payloads[:head]) {
-		t.Fatalf("resume verdict %+v, %v; want admitted at picture %d with the head's hash", v2, err, head)
-	}
-	sendPictures(t, fw2, kit, head, kit.tr.Len())
-	if err := fw2.WriteEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr2.ReadMessageTimeout(10 * time.Second); !errors.Is(err, transport.ErrClosed) {
-		t.Fatalf("completion ack: %v", err)
-	}
-	waitFor(t, "completion", func() bool {
+	resumed.Finish(t, kit, head)
+	soaktest.WaitFor(t, "completion", func() bool {
 		s := gen2.srv.Snapshot()
 		return s.Streams.Completed == 1 && s.Streams.Active == 0
 	})
-	checkSoakEnd(t, gen2.srv, 0, kit)
+	end := soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, gen1.srv), stats(t, gen2.srv)}, JournalDir: dir}
+	gen2.shutdown(t)
+	soaktest.Check(t, end)
 }
 
 // TestRecoverySkipsDeadTombstones: a journal holding 200 tombstones past
@@ -395,89 +300,204 @@ func TestRecoverySkipsDeadTombstones(t *testing.T) {
 	}
 }
 
+// TestRecoveryExpiresDeadStreamsInOneCommit: a journal holding 200
+// streams that cannot resume — 100 declared under an integrity mode the
+// server no longer runs, 100 whose prefix hash state is malformed —
+// beside one that can, costs server.New one fsync: every expiry rides
+// one commit. The resumable stream comes back parked, and the journal
+// forgets the other 200.
+func TestRecoveryExpiresDeadStreamsInOneCommit(t *testing.T) {
+	kit := soaktest.NewKit(t, 9)
+	fs := journal.NewMemFS()
+	j, err := journal.Open(journal.Config{FS: fs, FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tok := uint64(1); tok <= 201; tok++ {
+		hello := kit.Hello
+		hello.Nonce = tok
+		if tok <= 100 {
+			hello.Integrity = transport.IntegrityHMAC
+		}
+		if _, err := j.Admitted(journal.StreamRecord{Token: tok, Hello: hello}); err != nil {
+			t.Fatal(err)
+		}
+		if tok > 100 && tok <= 200 {
+			j.Watermark(tok, 3, []byte{1, 2, 3})
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if j, err = journal.Open(journal.Config{FS: fs, FlushInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(j.State().Streams); n != 201 {
+		t.Fatalf("journal holds %d streams before recovery, want 201", n)
+	}
+	before := j.Stats().Fsyncs
+	srv, err := New(Config{LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: time.Minute, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	if got := j.Stats().Fsyncs - before; got != 1 {
+		t.Errorf("server.New cost %d fsyncs, want 1", got)
+	}
+	if s := srv.Snapshot().Streams; s.Recovered != 1 || s.Parked != 1 {
+		t.Errorf("recovered %d streams, %d parked; want the resumable one", s.Recovered, s.Parked)
+	}
+	if n := j.Stats().LiveStreams; n != 1 {
+		t.Errorf("journal holds %d streams after recovery, want 1", n)
+	}
+}
+
+// TestRecoveredSessionReadsPictureTypes: a Driving1 stream recovered at
+// picture 7, a B picture, numbers its picture types from 7. Its
+// decisions are those of a Session that starts at pattern position 7,
+// not those of one that reads picture 7 as the pattern's I picture.
+func TestRecoveredSessionReadsPictureTypes(t *testing.T) {
+	const base = 7
+	kit := soaktest.NewKit(t, 27)
+	if ty := kit.Trace.TypeOf(base); ty == kit.Trace.TypeOf(0) {
+		t.Fatalf("picture %d is a %v, like picture 0: the test shows nothing", base, ty)
+	}
+	fs := journal.NewMemFS()
+	j, err := journal.Open(journal.Config{FS: fs, FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := kit.Hello
+	hello.Nonce = 0x7E
+	if _, err := j.Admitted(journal.StreamRecord{Token: 1, Hello: hello}); err != nil {
+		t.Fatal(err)
+	}
+	ph, err := transport.NewPrefixHash(transport.IntegrityFNV, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range kit.Payloads[:base] {
+		ph.Absorb(p, crc32.ChecksumIEEE(p))
+	}
+	j.Watermark(1, base, ph.AppendState(nil))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = journal.Open(journal.Config{FS: fs, FlushInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: time.Minute, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	srv.mu.Lock()
+	st := srv.resumable[1]
+	srv.mu.Unlock()
+	if st == nil {
+		t.Fatal("the stream was not recovered")
+	}
+
+	// The parked ingest does not touch the Session until a resume; push
+	// the rest of the stream as ingest would.
+	var got []float64
+	for _, p := range kit.Payloads[base:] {
+		decs, err := st.push(p, crc32.ChecksumIEEE(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range decs {
+			got = append(got, d.Rate)
+		}
+	}
+	decs, err := st.closeSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decs {
+		got = append(got, d.Rate)
+	}
+	rates := func(opts ...core.SessionOption) []float64 {
+		sess, err := core.NewSession(kit.Hello.Tau, kit.Hello.GOP, core.Config{K: kit.Hello.K, D: kit.Hello.D, H: kit.Hello.GOP.N},
+			append(opts, core.WithLength(kit.Trace.Len()-base))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []float64
+		for _, p := range kit.Payloads[base:] {
+			decs, err := sess.Push(int64(len(p)) * 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range decs {
+				out = append(out, d.Rate)
+			}
+		}
+		for _, d := range sess.Close() {
+			out = append(out, d.Rate)
+		}
+		return out
+	}
+	want, cold := rates(core.WithTypeOffset(base)), rates()
+	if slices.Equal(want, cold) {
+		t.Fatal("the decisions do not depend on the picture types: the test shows nothing")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("recovered stream decided %v, want %v: the types of a Session started at picture %d", got, want, base)
+	}
+}
+
 // TestCrashRecoveryAlreadyComplete: the completion is journaled before
 // the ack leaves, so a sender that finished just before the crash and
 // resumes against the restarted server gets a verifiable
 // AlreadyComplete verdict from the recovered tombstone — never a
 // rejection, never a second session.
 func TestCrashRecoveryAlreadyComplete(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 27))
-	wantFNV := payloadFNV(kit.payloads)
+	kit := soaktest.NewKit(t, 27)
+	wantFNV := kit.Tag(kit.Trace.Len())
 	dir := t.TempDir()
 	cfg := Config{
-		LinkRate:     2 * kit.hello.PeakRate,
+		LinkRate:     2 * kit.Hello.PeakRate,
 		ReadTimeout:  5 * time.Second,
 		ResumeWindow: 20 * time.Second,
 	}
 	gen1, addr := startGeneration(t, cfg, dir, "")
 
-	hello := kit.hello
+	hello := kit.Hello
 	hello.Nonce = 0xF00D
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fw := transport.NewFrameWriter(conn)
-	fr := transport.NewFrameReader(conn)
-	if err := fw.WriteHello(hello); err != nil {
-		t.Fatal(err)
-	}
-	v, err := fr.ReadVerdictTimeout(10 * time.Second)
-	if err != nil || !v.IsAdmitted() {
-		t.Fatalf("admission: %+v, %v", v, err)
-	}
-	sendPictures(t, fw, kit, 0, kit.tr.Len())
-	if err := fw.WriteEnd(); err != nil {
-		t.Fatal(err)
+	first := soaktest.Dial(t, addr, hello)
+	if !first.Verdict.IsAdmitted() {
+		t.Fatalf("admission: %+v", first.Verdict)
 	}
 	// The ack confirms the completion record was fsynced (it is written
 	// journal-first); from the sender's view this ack is now "lost".
-	if _, err := fr.ReadMessageTimeout(10 * time.Second); !errors.Is(err, transport.ErrClosed) {
-		t.Fatalf("completion ack: %v", err)
-	}
-	waitFor(t, "completion", func() bool { return gen1.srv.Snapshot().Streams.Completed == 1 })
+	first.Finish(t, kit, 0)
+	soaktest.WaitFor(t, "completion", func() bool { return gen1.srv.Snapshot().Streams.Completed == 1 })
 
 	gen1.kill(t)
 	gen2, _ := startGeneration(t, cfg, dir, addr)
-	defer gen2.shutdown(t)
 
 	snap := gen2.srv.Snapshot()
 	if snap.Streams.Recovered != 0 || snap.Streams.RecoveredTombstones != 1 {
 		t.Fatalf("recovery counters %+v, want 0 streams, 1 tombstone", snap.Streams)
 	}
 
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if err := transport.NewFrameWriter(conn2).WriteResume(transport.StreamResume{Token: v.ResumeToken}); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := transport.NewFrameReader(conn2).ReadVerdictTimeout(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := soaktest.Dial(t, addr, transport.StreamResume{Token: first.Verdict.ResumeToken}).Verdict
 	if v2.Code != transport.AlreadyComplete {
 		t.Fatalf("post-restart resume verdict %+v, want already-complete", v2)
 	}
-	if v2.NextIndex != kit.tr.Len() || v2.PrefixFNV != wantFNV {
+	if v2.NextIndex != kit.Trace.Len() || v2.PrefixFNV != wantFNV {
 		t.Fatalf("tombstone verdict next=%d fnv=%016x, want %d/%016x",
-			v2.NextIndex, v2.PrefixFNV, kit.tr.Len(), wantFNV)
+			v2.NextIndex, v2.PrefixFNV, kit.Trace.Len(), wantFNV)
 	}
 
-	g1, g2 := gen1.srv.Snapshot(), gen2.srv.Snapshot()
-	if g1.Streams.Admitted != 1 || g2.Streams.Admitted != 0 {
-		t.Errorf("admissions gen1=%d gen2=%d, want exactly one total",
-			g1.Streams.Admitted, g2.Streams.Admitted)
+	if n := gen2.srv.Snapshot().Streams.AlreadyComplete; n != 1 {
+		t.Errorf("already-complete answers %d, want 1", n)
 	}
-	if g2.Streams.AlreadyComplete != 1 {
-		t.Errorf("already-complete answers %d, want 1", g2.Streams.AlreadyComplete)
-	}
-	if g2.ReservedPeak != 0 {
-		t.Errorf("tombstone recovery reserved capacity: %.0f bps", g2.ReservedPeak)
-	}
+	end := soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, gen1.srv), stats(t, gen2.srv)}, JournalDir: dir}
+	gen2.shutdown(t)
+	soaktest.Check(t, end)
 }
 
 // TestCrashKillInsideCommitWindow: the server is killed while the first
@@ -499,11 +519,10 @@ func TestCrashKillInsideCommitWindow(t *testing.T) {
 
 func runKillInsideCommitWindow(t *testing.T, seed int64) {
 	const clients = 4
-	kit := makeClient(t, testTrace(t, 27))
-	wantFNV := payloadFNV(kit.payloads)
+	kit := soaktest.NewKit(t, 27)
 	dir := t.TempDir()
 	cfg := Config{
-		LinkRate:     float64(clients+1) * kit.hello.PeakRate,
+		LinkRate:     float64(clients+1) * kit.Hello.PeakRate,
 		ReadTimeout:  5 * time.Second,
 		ResumeWindow: 20 * time.Second,
 	}
@@ -534,7 +553,7 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		h := kit.hello
+		h := kit.Hello
 		h.Nonce = nonce(i)
 		if err := transport.NewFrameWriter(conn).WriteHello(h); err != nil {
 			t.Fatal(err)
@@ -558,7 +577,7 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 	for i := 1; i < clients; i++ {
 		hello(i)
 	}
-	waitFor(t, "admissions queued behind the held fsync", func() bool {
+	soaktest.WaitFor(t, "admissions queued behind the held fsync", func() bool {
 		return gen1.jrnl.Stats().CommitPending >= clients-1
 	})
 
@@ -571,7 +590,7 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 		defer close(killed)
 		gen1.srv.Kill()
 	}()
-	waitFor(t, "the kill to abandon the journal", func() bool {
+	soaktest.WaitFor(t, "the kill to abandon the journal", func() bool {
 		return gen1.jrnl.Stats().CommitPending == 0
 	})
 	release()
@@ -600,7 +619,6 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 	}
 
 	gen2, _ := startGeneration(t, cfg, dir, addr)
-	defer gen2.shutdown(t)
 	snap := gen2.srv.Snapshot()
 	if snap.Streams.Recovered != 0 || snap.Streams.RecoveredTombstones != 0 {
 		t.Fatalf("replay after kill-in-window recovered %d streams, %d tombstones; want a clean slate",
@@ -617,8 +635,8 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 		go func(i int) {
 			defer cwg.Done()
 			ck := *kit
-			ck.hello.Nonce = nonce(i)
-			v, err := ck.stream(ctx, addr)
+			ck.Hello.Nonce = nonce(i)
+			v, err := ck.Stream(ctx, addr)
 			if err == nil && !v.IsAdmitted() {
 				err = fmt.Errorf("retried hello got verdict %+v", v)
 			}
@@ -634,24 +652,15 @@ func runKillInsideCommitWindow(t *testing.T, seed int64) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	waitFor(t, "all retried clients complete", func() bool {
+	soaktest.WaitFor(t, "all retried clients complete", func() bool {
 		s := gen2.srv.Snapshot()
 		return s.Streams.Completed == clients && s.Streams.Active == 0
 	})
 
-	g2 := gen2.srv.Snapshot()
-	if g2.Streams.Admitted != clients {
-		t.Errorf("gen2 admitted %d sessions for %d clients, want exactly one each",
-			g2.Streams.Admitted, clients)
-	}
-	if g2.ReservedPeak != 0 {
-		t.Errorf("reservation leaked: %.0f bps", g2.ReservedPeak)
-	}
-	for _, fin := range gen2.srv.FinishedStreams() {
-		if fin.PayloadFNV != wantFNV {
-			t.Errorf("stream %d payload hash %016x, want %016x", fin.ID, fin.PayloadFNV, wantFNV)
-		}
-	}
+	// Every admission was the new generation's: the kill's rolled back.
+	end := soaktest.End{Kit: kit, Clients: clients, Servers: []soaktest.Stats{stats(t, gen1.srv), stats(t, gen2.srv)}, JournalDir: dir}
+	gen2.shutdown(t)
+	soaktest.Check(t, end)
 }
 
 // crashSoakSeeds are the fixed seeds the kill-and-restart soak replays.
@@ -685,10 +694,10 @@ func runCrashSoak(t *testing.T, seed int64) {
 		// soaks) so kills land mid-stream rather than after the fact.
 		crashTimeScale = 25
 	)
-	kit := makeClient(t, testTrace(t, 240))
+	kit := soaktest.NewKit(t, 240)
 	dir := t.TempDir()
 	cfg := Config{
-		LinkRate:     float64(clients+1) * kit.hello.PeakRate,
+		LinkRate:     float64(clients+1) * kit.Hello.PeakRate,
 		ReadTimeout:  2 * time.Second,
 		ResumeWindow: 30 * time.Second,
 		TimeScale:    crashTimeScale,
@@ -696,132 +705,65 @@ func runCrashSoak(t *testing.T, seed int64) {
 	gen, addr := startGeneration(t, cfg, dir, "")
 	gens := []*generation{gen}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	var (
-		wg          sync.WaitGroup
-		mu          sync.Mutex
-		doneClients int
-		resumes     int
-		already     int
-		failures    []error
-	)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs := resumableClient(kit, addr, seed*100+int64(i)+1)
-			rs.Sender.TimeScale = crashTimeScale
-			rs.MaxAttempts = 60
-			res, err := rs.Stream(ctx, kit.payloads)
-			mu.Lock()
-			defer mu.Unlock()
-			doneClients++
-			resumes += res.Resumes
-			if res.AlreadyComplete {
-				already++
-			}
-			if err != nil {
-				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
-			}
-		}(i)
-	}
-	allDone := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return doneClients == clients
-	}
+	soak := soaktest.StartSoak(t, kit, clients, func(i int) *transport.ResumableSender {
+		rs := kit.Resumable(addr, seed*100+int64(i)+1)
+		rs.Sender.TimeScale = crashTimeScale
+		rs.MaxAttempts = 60
+		return rs
+	})
 	// Total accepted pictures across live and completed streams — the
 	// soak's progress clock for choosing kill instants.
 	progress := func() int {
 		s := gen.srv.Snapshot()
-		total := int(s.Streams.Completed) * kit.tr.Len()
+		total := int(s.Streams.Completed) * kit.Trace.Len()
 		for _, ss := range s.PerStream {
 			total += ss.Pictures
 		}
 		return total
 	}
 
-	// The first kill waits until every client holds a delivered verdict
-	// (a picture accepted implies the admission was journaled and its
-	// verdict received), so a kill can never race an in-flight admission
-	// fsync and break the one-admission-per-client ledger.
-	waitFor(t, "all clients underway", func() bool {
-		s := gen.srv.Snapshot()
-		if s.Streams.Admitted != clients || len(s.PerStream) != clients {
-			return false
-		}
-		for _, ss := range s.PerStream {
-			if ss.Pictures < 1 {
-				return false
-			}
-		}
-		return true
-	})
+	// The first kill waits until every client is underway, so a kill can
+	// never race an in-flight admission fsync and break the
+	// one-admission-per-client ledger.
+	soak.Underway(func() soaktest.Stats { return stats(t, gen.srv) })
 	rng := rand.New(rand.NewSource(seed))
-	for k := 0; k < kills && !allDone(); k++ {
+	for k := 0; k < kills && !soak.Done(); k++ {
 		target := progress() + 10 + rng.Intn(40)
-		waitFor(t, "progress before kill", func() bool {
-			return allDone() || progress() >= target
+		soaktest.WaitFor(t, "progress before kill", func() bool {
+			return soak.Done() || progress() >= target
 		})
-		if allDone() {
+		if soak.Done() {
 			break
 		}
 		gen.kill(t)
 		gen, _ = startGeneration(t, cfg, dir, addr)
 		gens = append(gens, gen)
 	}
-	wg.Wait()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
+	tally := soak.Wait()
 	if len(gens) < 2 {
 		t.Fatal("no kill landed mid-stream; soak proved nothing")
 	}
-	waitFor(t, "final drain", func() bool {
+	soaktest.WaitFor(t, "final drain", func() bool {
 		s := gen.srv.Snapshot()
 		return s.Streams.Active == 0 && s.Streams.Parked == 0
 	})
 
-	// Every client was admitted by the first generation: the last one
-	// only recovers, resumes and completes.
-	checkSoakEnd(t, gen.srv, 0, kit)
-	var admittedTotal, recoveredTotal, resumedTotal, completedTotal int64
+	// Every client was admitted by the first generation: the later ones
+	// only recover, resume and complete.
+	end := soaktest.End{Kit: kit, Clients: clients, AlreadyComplete: tally.AlreadyComplete, JournalDir: dir}
+	var recoveredTotal, resumedTotal int64
 	for _, g := range gens {
 		s := g.srv.Snapshot()
-		admittedTotal += s.Streams.Admitted
 		recoveredTotal += s.Streams.Recovered
 		resumedTotal += s.Faults.Resumed
-		completedTotal += s.Streams.Completed
-	}
-	if admittedTotal != clients {
-		t.Errorf("admitted %d sessions across %d generations for %d clients — crash double-admitted",
-			admittedTotal, len(gens), clients)
+		end.Servers = append(end.Servers, stats(t, g.srv))
 	}
 	if recoveredTotal < 1 {
 		t.Errorf("no stream recovered from the journal across %d restarts", len(gens)-1)
 	}
-	if resumedTotal < 1 || resumes < 1 {
-		t.Errorf("no resume observed (server %d, clients %d)", resumedTotal, resumes)
+	if resumedTotal < 1 || tally.Resumes < 1 {
+		t.Errorf("no resume observed (server %d, clients %d)", resumedTotal, tally.Resumes)
 	}
-	// Every client succeeded; each success was either a counted server
-	// completion or an AlreadyComplete tombstone answer.
-	if completedTotal+int64(already) < clients {
-		t.Errorf("completions %d + already-complete %d < %d clients", completedTotal, already, clients)
-	}
-
-	// Durable ledger agrees: with every client finished, no journaled
-	// stream (reservation) survives the run.
 	gen.shutdown(t)
-	j, err := journal.Open(journal.Config{Dir: dir, FlushInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if n := len(j.State().Streams); n != 0 {
-		t.Errorf("%d streams still journaled after every client finished — durable reservation leak", n)
-	}
+	soaktest.Check(t, end)
 }

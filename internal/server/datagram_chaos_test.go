@@ -1,14 +1,13 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"mpegsmooth/internal/faultnet"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
@@ -18,29 +17,11 @@ import (
 func startDatagramServer(t testing.TB, cfg Config, nw *faultnet.PacketNet,
 	dgCfg transport.DatagramConfig) (*Server, string) {
 	t.Helper()
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = soakTimeScale
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := transport.ListenDatagram(nw.WrapPacketConn(pc), dgCfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, pc.LocalAddr().String()
+	return serve(t, cfg, transport.ListenDatagram(nw.WrapPacketConn(pc), dgCfg)), pc.LocalAddr().String()
 }
 
 // datagramSoakRTO is the ARQ retransmission schedule both sides use in
@@ -48,31 +29,6 @@ func startDatagramServer(t testing.TB, cfg Config, nw *faultnet.PacketNet,
 // budget, bounded enough that a deep outage exhausts the schedule and
 // exercises the reconnect/resume machinery instead of stalling forever.
 var datagramSoakRTO = transport.Backoff{Base: 5 * time.Millisecond, Max: 80 * time.Millisecond}
-
-// datagramClient builds a resumable sender that dials ARQ flows over a
-// fault-injected UDP socket — a fresh socket (and flow incarnation) per
-// reconnect, exactly like the production dial path.
-func datagramClient(kit *clientKit, addr string, seed int64,
-	nw *faultnet.PacketNet, dgCfg transport.DatagramConfig) *transport.ResumableSender {
-	return &transport.ResumableSender{
-		Sender: transport.Sender{TimeScale: soakTimeScale, Chunk: 512, WriteTimeout: 10 * time.Second},
-		Dial: func(ctx context.Context) (net.Conn, error) {
-			raddr, err := net.ResolveUDPAddr("udp", addr)
-			if err != nil {
-				return nil, err
-			}
-			udp, err := net.DialUDP("udp", nil, raddr)
-			if err != nil {
-				return nil, err
-			}
-			return transport.NewDatagramClientConn(nw.WrapConn(udp), dgCfg), nil
-		},
-		Hello:       kit.hello,
-		Backoff:     transport.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond},
-		MaxAttempts: 40,
-		Seed:        seed,
-	}
-}
 
 // datagramChaosConfig is the packet fault mix both directions run in
 // the soak: baseline i.i.d. loss, duplication, bounded reordering, and
@@ -110,12 +66,12 @@ func TestDatagramChaosSoak(t *testing.T) {
 
 func runDatagramSoak(t *testing.T, seed int64) {
 	const clients = 6
-	kit := makeClient(t, testTrace(t, 60))
+	kit := soaktest.NewKit(t, 60)
 
 	srvNet := faultnet.NewPacketNet(datagramChaosConfig(seed))
 	clientNet := faultnet.NewPacketNet(datagramChaosConfig(seed*1000 + 17))
 	srv, addr := startDatagramServer(t, Config{
-		LinkRate: float64(clients+1) * kit.hello.PeakRate,
+		LinkRate: float64(clients+1) * kit.Hello.PeakRate,
 		// A parked flow's liveness signal is pure silence — no UDP
 		// reset arrives when the peer redials — so the read timeout is
 		// the only thing freeing a dead flow for its successor.
@@ -134,36 +90,10 @@ func runDatagramSoak(t *testing.T, seed int64) {
 		MaxRetransmits: 8,
 		Linger:         200 * time.Millisecond,
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		resumes  int
-		failures []error
-	)
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs := datagramClient(kit, addr, seed*100+int64(i+1), clientNet, clientDG)
-			res, err := rs.Stream(ctx, kit.payloads)
-			mu.Lock()
-			defer mu.Unlock()
-			resumes += res.Resumes
-			if err != nil {
-				failures = append(failures, fmt.Errorf("client %d: %w", i, err))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	waitFor(t, "all streams drained", func() bool {
+	tally := soaktest.StartSoak(t, kit, clients, func(i int) *transport.ResumableSender {
+		return kit.Resumable(addr, seed*100+int64(i+1), soaktest.Datagram(clientNet, clientDG))
+	}).Wait()
+	soaktest.WaitFor(t, "all streams drained", func() bool {
 		s := srv.Snapshot()
 		return s.Streams.Completed == clients && s.Streams.Active == 0
 	})
@@ -172,7 +102,7 @@ func runDatagramSoak(t *testing.T, seed int64) {
 	// damaged packet channel damage a stream, and every redial, replayed
 	// hello, and deduplicated handshake converged on one reservation per
 	// client, and every reservation came back.
-	snap := checkSoakEnd(t, srv, clients, kit)
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: clients, Servers: []soaktest.Stats{stats(t, srv)}})
 	// The chaos was real in both directions: each injector dropped,
 	// duplicated, AND reordered.
 	for side, counts := range map[string]faultnet.PacketCounts{
@@ -183,5 +113,5 @@ func runDatagramSoak(t *testing.T, seed int64) {
 		}
 	}
 	t.Logf("seed %d: resumes=%d faults=%+v server=%+v client=%+v",
-		seed, resumes, snap.Faults, srvNet.Counts(), clientNet.Counts())
+		seed, tally.Resumes, srv.Snapshot().Faults, srvNet.Counts(), clientNet.Counts())
 }

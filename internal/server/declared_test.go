@@ -2,13 +2,12 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"mpegsmooth/internal/journal"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
@@ -16,26 +15,25 @@ import (
 // sender that declares 20 pictures and sends a 21st fails its stream,
 // releases its reservation, and the journal forgets it.
 func TestDeclaredCountOverrunFails(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 21))
-	kit.hello.Pictures = 20
+	kit := soaktest.NewKit(t, 21)
+	kit.Hello.Pictures = 20
 	j, err := journal.Open(journal.Config{FS: journal.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, addr := startServer(t, Config{
-		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
+		LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
 	})
-	conn, fw, v := kit.handshake(t, addr)
-	defer conn.Close()
+	_, fw, v := kit.Handshake(t, addr)
 	if !v.IsAdmitted() {
 		t.Fatalf("verdict %+v", v)
 	}
-	waitFor(t, "the admission to be journaled", func() bool { return srv.Snapshot().Journal.LiveStreams == 1 })
-	sendPictures(t, fw, kit, 0, kit.tr.Len())
+	soaktest.WaitFor(t, "the admission to be journaled", func() bool { return srv.Snapshot().Journal.LiveStreams == 1 })
+	kit.Send(t, fw, 0, kit.Trace.Len())
 	fw.WriteEnd() // the server may already have hung up
 
 	// finish journals the expiry after it counts the failure.
-	waitFor(t, "the overrunning stream to fail and be expired", func() bool {
+	soaktest.WaitFor(t, "the overrunning stream to fail and be expired", func() bool {
 		s := srv.Snapshot()
 		return s.Streams.Failed == 1 && s.Streams.Active == 0 && s.Journal.LiveStreams == 0
 	})
@@ -59,20 +57,19 @@ func TestDeclaredCountOverrunFails(t *testing.T) {
 func TestDeclaredCountBindsAfterRecovery(t *testing.T) {
 	for _, head := range []int{9, 20} {
 		t.Run(fmt.Sprintf("head%d", head), func(t *testing.T) {
-			kit := makeClient(t, testTrace(t, 21))
-			kit.hello.Pictures = 20
+			kit := soaktest.NewKit(t, 21)
+			kit.Hello.Pictures = 20
 			cfg := Config{
-				LinkRate: 2 * kit.hello.PeakRate, ReadTimeout: 5 * time.Second, ResumeWindow: 20 * time.Second,
+				LinkRate: 2 * kit.Hello.PeakRate, ReadTimeout: 5 * time.Second, ResumeWindow: 20 * time.Second,
 			}
 			dir := t.TempDir()
 			gen1, addr := startGeneration(t, cfg, dir, "")
-			conn, fw, v := kit.handshake(t, addr)
-			defer conn.Close()
+			_, fw, v := kit.Handshake(t, addr)
 			if !v.IsAdmitted() || v.ResumeToken == 0 {
 				t.Fatalf("verdict %+v", v)
 			}
-			sendPictures(t, fw, kit, 0, head)
-			waitFor(t, "head pictures journaled", func() bool {
+			kit.Send(t, fw, 0, head)
+			soaktest.WaitFor(t, "head pictures journaled", func() bool {
 				return gen1.jrnl.Stats().WatermarksCoalesced >= int64(head)
 			})
 			if err := gen1.jrnl.Flush(); err != nil {
@@ -81,24 +78,15 @@ func TestDeclaredCountBindsAfterRecovery(t *testing.T) {
 			gen1.kill(t)
 
 			gen2, _ := startGeneration(t, cfg, dir, addr)
-			waitFor(t, "recovered stream parked", func() bool { return gen2.srv.Snapshot().Streams.Parked == 1 })
-			conn2, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
+			soaktest.WaitFor(t, "recovered stream parked", func() bool { return gen2.srv.Snapshot().Streams.Parked == 1 })
+			resumed := soaktest.Dial(t, addr, transport.StreamResume{Token: v.ResumeToken})
+			if v2 := resumed.Verdict; !v2.IsAdmitted() || v2.NextIndex != head {
+				t.Fatalf("resume verdict %+v; want admitted at %d", v2, head)
 			}
-			defer conn2.Close()
-			fw2 := transport.NewFrameWriter(conn2)
-			if err := fw2.WriteResume(transport.StreamResume{Token: v.ResumeToken}); err != nil {
-				t.Fatal(err)
-			}
-			v2, err := transport.NewFrameReader(conn2).ReadVerdictTimeout(10 * time.Second)
-			if err != nil || !v2.IsAdmitted() || v2.NextIndex != head {
-				t.Fatalf("resume verdict %+v, %v; want admitted at %d", v2, err, head)
-			}
-			sendPictures(t, fw2, kit, head, kit.tr.Len())
-			fw2.WriteEnd() // the server may already have hung up
+			kit.Send(t, resumed.W, head, kit.Trace.Len())
+			resumed.W.WriteEnd() // the server may already have hung up
 
-			waitFor(t, "the overrunning stream to fail and be expired", func() bool {
+			soaktest.WaitFor(t, "the overrunning stream to fail and be expired", func() bool {
 				s := gen2.srv.Snapshot()
 				return s.Streams.Failed == 1 && s.Streams.Active == 0 && s.Journal.LiveStreams == 0
 			})
@@ -115,29 +103,28 @@ func TestDeclaredCountBindsAfterRecovery(t *testing.T) {
 // before its declared count. Declaring 54 and sending 40 then the end
 // marker completes, with every picture egressed within its bound.
 func TestDeclaredCountShortStreamCompletes(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 40))
-	kit.hello.Pictures = 54
-	srv, addr := startServer(t, Config{LinkRate: 2 * kit.hello.PeakRate})
+	kit := soaktest.NewKit(t, 40)
+	kit.Hello.Pictures = 54
+	srv, addr := startServer(t, Config{LinkRate: 2 * kit.Hello.PeakRate})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if v, err := kit.stream(ctx, addr); err != nil || !v.IsAdmitted() {
+	if v, err := kit.Stream(ctx, addr); err != nil || !v.IsAdmitted() {
 		t.Fatalf("verdict %+v, %v", v, err)
 	}
-	waitFor(t, "the short stream to complete", func() bool {
+	soaktest.WaitFor(t, "the short stream to complete", func() bool {
 		s := srv.Snapshot()
 		return s.Streams.Completed == 1 && s.Streams.Active == 0
 	})
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, srv)}})
 	var bits int64
-	for _, p := range kit.payloads {
+	for _, p := range kit.Payloads {
 		bits += int64(len(p)) * 8
 	}
-	snap := srv.Snapshot()
-	if snap.EgressedBits != bits || snap.DelayViolations != 0 || snap.Streams.Failed != 0 {
-		t.Errorf("egressed %d of %d bits, %d delay violations, %d failed; want all, 0, 0",
-			snap.EgressedBits, bits, snap.DelayViolations, snap.Streams.Failed)
+	if snap := srv.Snapshot(); snap.EgressedBits != bits || snap.DelayViolations != 0 {
+		t.Errorf("egressed %d of %d bits, %d delay violations; want all and 0", snap.EgressedBits, bits, snap.DelayViolations)
 	}
-	if fin := srv.FinishedStreams(); len(fin) != 1 || fin[0].Pictures != 40 || fin[0].Decisions != 40 {
-		t.Errorf("finished streams %+v; want one with 40 pictures and 40 decisions", fin)
+	if fin := srv.FinishedStreams(); len(fin) != 1 || fin[0].Decisions != 40 {
+		t.Errorf("finished streams %+v; want one with 40 decisions", fin)
 	}
 }
 
@@ -158,42 +145,29 @@ func TestDeclaredLengthEgressKeepsUp(t *testing.T) {
 		{"unknown", false, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			kit := makeClient(t, testTrace(t, 108))
+			kit := soaktest.NewKit(t, 108)
 			if !tc.declared {
-				kit.hello.Pictures = 0
+				kit.Hello.Pictures = 0
 			}
-			srv, addr := startServer(t, Config{LinkRate: 2 * kit.hello.PeakRate, TimeScale: 1e6})
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			fw, fr := transport.NewFrameWriter(conn), transport.NewFrameReader(conn)
-			if err := fw.WriteHello(kit.hello); err != nil {
-				t.Fatal(err)
-			}
-			if v, err := fr.ReadVerdict(); err != nil || !v.IsAdmitted() {
-				t.Fatalf("verdict %+v, %v", v, err)
+			srv, addr := startServer(t, Config{LinkRate: 2 * kit.Hello.PeakRate, TimeScale: 1e6})
+			c := soaktest.Dial(t, addr, kit.Hello)
+			if !c.Verdict.IsAdmitted() {
+				t.Fatalf("verdict %+v", c.Verdict)
 			}
 			var egressed int64 // bits of pictures 0..p−5
-			for i := range kit.payloads {
+			for i := range kit.Payloads {
 				if p := i - 1; tc.declared && p >= 5 {
-					egressed += int64(len(kit.payloads[p-5])) * 8
-					waitFor(t, "picture p−5 to leave before picture p+1 is sent", func() bool {
+					egressed += int64(len(kit.Payloads[p-5])) * 8
+					soaktest.WaitFor(t, "picture p−5 to leave before picture p+1 is sent", func() bool {
 						return srv.Snapshot().EgressedBits >= egressed
 					})
 				}
-				sendPictures(t, fw, kit, i, i+1)
+				kit.Send(t, c.W, i, i+1)
 			}
-			if err := fw.WriteEnd(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fr.ReadMessageTimeout(10 * time.Second); !errors.Is(err, transport.ErrClosed) {
-				t.Fatalf("completion ack: %v", err)
-			}
-			waitFor(t, "completion", func() bool { return srv.Snapshot().Streams.Completed == 1 })
+			c.Finish(t, kit, len(kit.Payloads))
+			soaktest.WaitFor(t, "completion", func() bool { return srv.Snapshot().Streams.Completed == 1 })
 			fin := srv.FinishedStreams()
-			if len(fin) != 1 || fin[0].Decisions != kit.tr.Len() {
+			if len(fin) != 1 || fin[0].Decisions != kit.Trace.Len() {
 				t.Fatalf("finished streams %+v", fin)
 			}
 			if got := fin[0].MaxUndecided; got != tc.maxUndecided {

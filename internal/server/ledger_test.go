@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mpegsmooth/internal/journal"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
@@ -121,9 +122,9 @@ func TestTombstoneLedgerKeepsTTLThroughLull(t *testing.T) {
 // reservation: the nonce map, read once under the server mutex in admit,
 // in the critical section that reserves.
 func TestHelloNonceReservesOnce(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 54))
-	kit.hello.Nonce = 0x5EED5EED
-	peak := kit.hello.PeakRate
+	kit := soaktest.NewKit(t, 54)
+	kit.Hello.Nonce = 0x5EED5EED
+	peak := kit.Hello.PeakRate
 
 	t.Run("concurrent-duplicates", func(t *testing.T) {
 		const clients = 16
@@ -142,7 +143,7 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				hello := kit.hello
+				hello := kit.Hello
 				<-start
 				o := srv.admit(wire{conn, transport.NewFrameReader(conn), transport.NewFrameWriter(conn)}, &hello, nil)
 				streams[c], verdicts[c] = o.st, transport.Verdict{Code: o.code}
@@ -172,7 +173,7 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 		}
 		srv.finish(admitted, errors.New("test: abandoned after admission"))
 		srv.mu.Lock()
-		outlived := srv.nonces[kit.hello.Nonce] != nil
+		outlived := srv.nonces[kit.Hello.Nonce] != nil
 		srv.mu.Unlock()
 		if outlived {
 			t.Error("nonce outlived its stream")
@@ -191,14 +192,13 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 
 	t.Run("changed-parameters", func(t *testing.T) {
 		srv, addr := startServer(t, Config{LinkRate: 4 * peak})
-		conn, _, v := kit.handshake(t, addr)
-		defer conn.Close()
+		conn, _, v := kit.Handshake(t, addr)
 		if !v.IsAdmitted() {
 			t.Fatalf("first hello: %+v", v)
 		}
 		changed := *kit
-		changed.hello.PeakRate = 2 * peak
-		reuse, _, v := changed.handshake(t, addr)
+		changed.Hello.PeakRate = 2 * peak
+		reuse, _, v := changed.Handshake(t, addr)
 		reuse.Close()
 		if v.Code != transport.RejectedMalformed {
 			t.Errorf("live nonce with a different peak: verdict %v, want %v", v.Code, transport.RejectedMalformed)
@@ -212,14 +212,14 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 			s := srv.Snapshot()
 			return s.Streams.Active == 0 && s.ReservedPeak == 0
 		}
-		waitFor(t, "reservation release", released)
+		soaktest.WaitFor(t, "reservation release", released)
 		// The nonce died with its stream: reusing it now is a new stream.
-		reuse, _, v = changed.handshake(t, addr)
+		reuse, _, v = changed.Handshake(t, addr)
 		reuse.Close()
 		if !v.IsAdmitted() {
 			t.Errorf("nonce reused after its stream ended: verdict %v, want admitted", v.Code)
 		}
-		waitFor(t, "second reservation release", released)
+		soaktest.WaitFor(t, "second reservation release", released)
 	})
 }
 
@@ -227,8 +227,8 @@ func TestHelloNonceReservesOnce(t *testing.T) {
 // never became durable is rolled back as busy and not counted as
 // admitted, so a sender whose retry is admitted counts once.
 func TestRolledBackAdmissionCountedOnce(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 27))
-	kit.hello.Nonce = 0xB0B5
+	kit := soaktest.NewKit(t, 27)
+	kit.Hello.Nonce = 0xB0B5
 	// Sync 1 is Open's snapshot; sync 2 is the first admission's batch.
 	faulty := journal.NewFaultFS(journal.NewMemFS(), journal.FaultConfig{FailSync: 2})
 	j, err := journal.Open(journal.Config{FS: faulty, FlushInterval: 5 * time.Millisecond})
@@ -236,25 +236,26 @@ func TestRolledBackAdmissionCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr := startServer(t, Config{
-		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
+		LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
 	})
-	conn, _, v := kit.handshake(t, addr)
+	conn, _, v := kit.Handshake(t, addr)
 	conn.Close()
 	if v.Code != transport.RejectedBusy {
 		t.Fatalf("hello whose admission record failed to sync: verdict %v, want %v", v.Code, transport.RejectedBusy)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if v, err := kit.stream(ctx, addr); err != nil || !v.IsAdmitted() {
+	if v, err := kit.Stream(ctx, addr); err != nil || !v.IsAdmitted() {
 		t.Fatalf("retried hello: verdict %v, %v", v.Code, err)
 	}
-	waitFor(t, "the retried stream to complete", func() bool {
+	soaktest.WaitFor(t, "the retried stream to complete", func() bool {
 		s := srv.Snapshot()
 		return s.Streams.Completed == 1 && s.Streams.Active == 0
 	})
-	if snap := srv.Snapshot(); snap.Streams.Admitted != 1 || snap.Streams.RejectedBusy != 1 {
-		t.Errorf("a rolled-back hello and its admitted retry: admitted %d, rejected_busy %d; want 1 and 1",
-			snap.Streams.Admitted, snap.Streams.RejectedBusy)
+	// One admission for the rolled-back hello and its admitted retry.
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, srv)}})
+	if busy := srv.Snapshot().Streams.RejectedBusy; busy != 1 {
+		t.Errorf("rejected_busy %d, want 1: the rolled-back hello", busy)
 	}
 }
 
@@ -265,8 +266,8 @@ func TestRolledBackAdmissionCountedOnce(t *testing.T) {
 // same nonce until it is admitted, reattaches to that one admission and
 // streams the whole trace. Nothing is admitted twice and nothing fails.
 func TestDupHelloDuringAdmissionCommit(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 27))
-	kit.hello.Nonce = 0xD0B1E
+	kit := soaktest.NewKit(t, 27)
+	kit.Hello.Nonce = 0xD0B1E
 	// Sync 1 is Open's snapshot; sync 2 is the first admission's batch.
 	faulty := journal.NewFaultFS(journal.NewMemFS(), journal.FaultConfig{})
 	held, release := faulty.HoldSync(2)
@@ -276,7 +277,7 @@ func TestDupHelloDuringAdmissionCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr := startServer(t, Config{
-		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
+		LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: 5 * time.Second, Journal: j,
 	})
 
 	// Hello A: its admission waits in the held fsync.
@@ -285,7 +286,7 @@ func TestDupHelloDuringAdmissionCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer first.Close()
-	if err := transport.NewFrameWriter(first).WriteHello(kit.hello); err != nil {
+	if err := transport.NewFrameWriter(first).WriteHello(kit.Hello); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -294,7 +295,7 @@ func TestDupHelloDuringAdmissionCommit(t *testing.T) {
 		t.Fatal("the admission never reached its fsync")
 	}
 	// The same hello on a second connection.
-	dup, _, v := kit.handshake(t, addr)
+	dup, _, v := kit.Handshake(t, addr)
 	dup.Close()
 	if v.Code != transport.RejectedBusy {
 		t.Errorf("hello retransmitted during its admission's fsync: verdict %v, want %v", v.Code, transport.RejectedBusy)
@@ -309,14 +310,14 @@ func TestDupHelloDuringAdmissionCommit(t *testing.T) {
 	// The sender gives up on that connection and retries.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := resumableClient(kit, addr, 1).Stream(ctx, kit.payloads); err != nil {
+	if _, err := kit.Resumable(addr, 1).Stream(ctx, kit.Payloads); err != nil {
 		t.Fatalf("sender: %v", err)
 	}
-	waitFor(t, "the stream to finish", func() bool {
+	soaktest.WaitFor(t, "the stream to finish", func() bool {
 		s := srv.Snapshot()
 		return s.Streams.Completed+s.Streams.Failed >= 1 && s.Streams.Active == 0
 	})
-	checkSoakEnd(t, srv, 1, kit)
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, srv)}})
 }
 
 // gatedWriter is an egress sink whose writes block until release is
@@ -328,40 +329,27 @@ func (g gatedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// resumeOnce dials addr, presents token, and returns the answer.
-func resumeOnce(addr string, token uint64) (transport.Verdict, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return transport.Verdict{}, err
-	}
-	defer conn.Close()
-	if err := transport.NewFrameWriter(conn).WriteResume(transport.StreamResume{Token: token}); err != nil {
-		return transport.Verdict{}, err
-	}
-	return transport.NewFrameReader(conn).ReadVerdictTimeout(10 * time.Second)
-}
-
 // TestResumeRacingFinish: resumes that race a completed stream's finish
 // are answered by the live stream (Admitted or RejectedBusy) or by its
 // tombstone (AlreadyComplete, carrying the final hash), never as an
 // unknown token: finish drops the token and entombs the stream in one
 // critical section, and a resume reads both under the same lock.
 func TestResumeRacingFinish(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 9))
+	kit := soaktest.NewKit(t, 9)
 	release := make(chan struct{})
 	srv, addr := startServer(t, Config{
-		LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 5 * time.Second,
+		LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: 5 * time.Second,
 		Egress: gatedWriter{release},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// The sender's completion ack arrives while egress is held at the
 	// gate: every picture is accepted, and the stream is still live.
-	v, err := kit.stream(ctx, addr)
+	v, err := kit.Stream(ctx, addr)
 	if err != nil || !v.IsAdmitted() {
 		t.Fatalf("stream: verdict %v, %v", v.Code, err)
 	}
-	wantFNV := payloadFNV(kit.payloads)
+	wantFNV := kit.Tag(kit.Trace.Len())
 	const resumers = 4
 	var busy atomic.Int64
 	var wg sync.WaitGroup
@@ -370,7 +358,7 @@ func TestResumeRacingFinish(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				got, err := resumeOnce(addr, v.ResumeToken)
+				got, err := soaktest.Resume(addr, v.ResumeToken)
 				if err != nil {
 					t.Errorf("resume: %v", err)
 					return
@@ -380,9 +368,9 @@ func TestResumeRacingFinish(t *testing.T) {
 					busy.Add(1)
 					continue
 				case transport.AlreadyComplete:
-					if got.NextIndex != len(kit.payloads) || got.PrefixFNV != wantFNV {
+					if got.NextIndex != len(kit.Payloads) || got.PrefixFNV != wantFNV {
 						t.Errorf("already complete at %d pictures, hash %016x; want %d, %016x",
-							got.NextIndex, got.PrefixFNV, len(kit.payloads), wantFNV)
+							got.NextIndex, got.PrefixFNV, len(kit.Payloads), wantFNV)
 					}
 				case transport.Admitted:
 				default:
@@ -392,10 +380,12 @@ func TestResumeRacingFinish(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, "resumes answered by the live stream", func() bool { return busy.Load() >= resumers })
+	soaktest.WaitFor(t, "resumes answered by the live stream", func() bool { return busy.Load() >= resumers })
 	close(release)
 	wg.Wait()
-	if snap := srv.Snapshot(); snap.Streams.Completed != 1 || snap.Streams.RejectedMalformed != 0 {
-		t.Errorf("completed %d, rejected_malformed %d; want 1 and 0", snap.Streams.Completed, snap.Streams.RejectedMalformed)
+	soaktest.WaitFor(t, "the stream to finish", func() bool { return srv.Snapshot().Streams.Active == 0 })
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, srv)}})
+	if n := srv.Snapshot().Streams.RejectedMalformed; n != 0 {
+		t.Errorf("rejected_malformed %d, want 0: a resume found neither the stream nor its tombstone", n)
 	}
 }

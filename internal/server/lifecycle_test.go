@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mpegsmooth/internal/journal"
+	"mpegsmooth/internal/soaktest"
 	"mpegsmooth/internal/transport"
 )
 
@@ -22,8 +23,8 @@ import (
 // stream whose sender hangs up for good, and a stream recovered from the
 // journal whose sender never redials.
 func TestResumeWindowLapse(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 27))
-	cfg := Config{LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 200 * time.Millisecond}
+	kit := soaktest.NewKit(t, 27)
+	cfg := Config{LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: 200 * time.Millisecond}
 
 	// serve starts a server on j, subscribed to j's record feed before
 	// the server can write to it.
@@ -41,7 +42,7 @@ func TestResumeWindowLapse(t *testing.T) {
 	// lapsed waits for the window to run out on the one stream srv holds,
 	// then checks the outcome.
 	lapsed := func(t *testing.T, srv *Server, addr string, feed <-chan []byte, token uint64) {
-		waitFor(t, "the resume window to lapse", func() bool {
+		soaktest.WaitFor(t, "the resume window to lapse", func() bool {
 			s := srv.Snapshot()
 			return s.Streams.Failed == 1 && s.Faults.ResumeExpired == 1 &&
 				s.Streams.Active == 0 && s.ReservedPeak == 0
@@ -74,8 +75,8 @@ func TestResumeWindowLapse(t *testing.T) {
 				t.Fatal("the journal never expired the lapsed stream")
 			}
 		}
-		waitFor(t, "the journal to forget the stream", func() bool { return srv.Snapshot().Journal.LiveStreams == 0 })
-		v, err := resumeOnce(addr, token)
+		soaktest.WaitFor(t, "the journal to forget the stream", func() bool { return srv.Snapshot().Journal.LiveStreams == 0 })
+		v, err := soaktest.Resume(addr, token)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestResumeWindowLapse(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, addr, feed := serve(t, j)
-		conn, _, v := kit.handshake(t, addr)
+		conn, _, v := kit.Handshake(t, addr)
 		conn.Close()
 		if !v.IsAdmitted() || v.ResumeToken == 0 {
 			t.Fatalf("verdict %+v", v)
@@ -104,8 +105,7 @@ func TestResumeWindowLapse(t *testing.T) {
 	t.Run("recovered", func(t *testing.T) {
 		dir := t.TempDir()
 		gen1, addr1 := startGeneration(t, cfg, dir, "")
-		conn, _, v := kit.handshake(t, addr1)
-		defer conn.Close()
+		_, _, v := kit.Handshake(t, addr1)
 		if !v.IsAdmitted() || v.ResumeToken == 0 {
 			t.Fatalf("verdict %+v", v)
 		}
@@ -158,7 +158,7 @@ func TestLifecycleTransitions(t *testing.T) {
 			len(states), len(events), failed+1, evFail+1)
 	}
 
-	kit := makeClient(t, testTrace(t, 9))
+	kit := soaktest.NewKit(t, 9)
 	srv, err := New(Config{LinkRate: 1e9, ResumeWindow: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestLifecycleTransitions(t *testing.T) {
 			if from == admitting || from == streaming {
 				w, peer = pipe()
 			}
-			st := newStream(w, kit.hello, prefix, 0, &srv.pool)
+			st := newStream(w, kit.Hello, prefix, 0, &srv.pool)
 			if st.sess, err = srv.newSession(st); err != nil {
 				t.Fatal(err)
 			}
@@ -255,8 +255,8 @@ func TestLifecycleTransitions(t *testing.T) {
 // reattach, finding the stream failed once its verdict is out, closes
 // the connection it was handing over rather than leaving it open.
 func TestCancelWhileClaimedClosesReattach(t *testing.T) {
-	kit := makeClient(t, testTrace(t, 9))
-	srv, err := New(Config{LinkRate: 2 * kit.hello.PeakRate, ResumeWindow: 20 * time.Second, TimeScale: soakTimeScale})
+	kit := soaktest.NewKit(t, 9)
+	srv, err := New(Config{LinkRate: 2 * kit.Hello.PeakRate, ResumeWindow: 20 * time.Second, TimeScale: soaktest.TimeScale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +265,13 @@ func TestCancelWhileClaimedClosesReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A recovered stream, parked with its ingest waiting out the window.
-	st := newStream(wire{}, kit.hello, prefix, 0, &srv.pool)
+	st := newStream(wire{}, kit.Hello, prefix, 0, &srv.pool)
 	st.token = 0x70CE
 	if st.sess, err = srv.newSession(st); err != nil {
 		t.Fatal(err)
 	}
 	srv.mu.Lock()
-	srv.admission.Rehydrate(kit.hello.PeakRate)
+	srv.admission.Rehydrate(kit.Hello.PeakRate)
 	srv.registerLocked(st)
 	srv.applyLocked(st, move{ev: evRecover})
 	srv.mu.Unlock()
@@ -296,7 +296,7 @@ func TestCancelWhileClaimedClosesReattach(t *testing.T) {
 		w := wire{conn: conn, fr: transport.NewFrameReader(conn), fw: transport.NewFrameWriter(conn)}
 		srv.answer(w, srv.admit(w, &transport.StreamResume{Token: st.token}, nil))
 	}()
-	waitFor(t, "the reattach to claim the stream", func() bool { return stateIs(claimed) })
+	soaktest.WaitFor(t, "the reattach to claim the stream", func() bool { return stateIs(claimed) })
 	srv.cancel()
 	<-ran
 	if !stateIs(failed) {

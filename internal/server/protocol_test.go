@@ -1,13 +1,14 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mpegsmooth/internal/faultnet"
+	"mpegsmooth/internal/soaktest"
+	"mpegsmooth/internal/transport"
 )
 
 // protocolSeeds are the fixed seeds the exactly-once harness replays
@@ -203,27 +204,25 @@ func TestProtocolRandomizedCompound(t *testing.T) {
 }
 
 func runProtocolScenario(t *testing.T, sc protoScenario, seed int64) {
-	kit := makeClient(t, testTrace(t, 18))
+	kit := soaktest.NewKit(t, 18)
 
 	serverNet := faultnet.New(faultnet.Config{Seed: seed, Ops: sc.serverOps})
 	clientNet := faultnet.New(faultnet.Config{Seed: seed + 1000, Ops: sc.clientOps})
 	srv, addr := startChaosServer(t, Config{
-		LinkRate:     2 * kit.hello.PeakRate,
+		LinkRate:     2 * kit.Hello.PeakRate,
 		ReadTimeout:  time.Second,
 		ResumeWindow: 10 * time.Second,
 	}, serverNet)
 
-	rs := resumableClient(kit, addr, seed)
-	rs.HandshakeTimeout = 400 * time.Millisecond
-	rs.Dial = clientNet.Dialer(rs.Dial)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	res, err := rs.Stream(ctx, kit.payloads)
-	if err != nil {
-		t.Fatalf("client failed (spurious rejection or unrecovered fault): %v", err)
-	}
-	waitFor(t, "stream drained", func() bool {
+	// A client error here is a spurious rejection or an unrecovered fault.
+	tally := soaktest.StartSoak(t, kit, 1, func(int) *transport.ResumableSender {
+		rs := kit.Resumable(addr, seed)
+		rs.HandshakeTimeout = 400 * time.Millisecond
+		rs.Dial = clientNet.Dialer(rs.Dial)
+		return rs
+	}).Wait()
+	res := tally.Results[0]
+	soaktest.WaitFor(t, "stream drained", func() bool {
 		s := srv.Snapshot()
 		return s.Streams.Completed == 1 && s.Streams.Active == 0
 	})
@@ -231,7 +230,8 @@ func runProtocolScenario(t *testing.T, sc protoScenario, seed int64) {
 	// Exactly one reservation ever, fully released, and no byte
 	// divergence: the one finished stream accepted every picture with the
 	// sender's exact bytes.
-	snap := checkSoakEnd(t, srv, 1, kit)
+	soaktest.Check(t, soaktest.End{Kit: kit, Clients: 1, Servers: []soaktest.Stats{stats(t, srv)}, AlreadyComplete: tally.AlreadyComplete})
+	snap := srv.Snapshot()
 	// Scenario-specific recovery evidence.
 	if res.Resumes < sc.minResumes {
 		t.Errorf("client resumed %d times, want at least %d", res.Resumes, sc.minResumes)

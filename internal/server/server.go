@@ -424,24 +424,25 @@ func (s *Server) stopLocked() net.Listener {
 // rehydrated) with a goroutine waiting out the resume window; unexpired
 // tombstones come back answerable. Stream records that no longer fit
 // this generation's configuration are expired in the journal rather than
-// resurrected wrong.
+// resurrected wrong, all of them in one commit.
 func (s *Server) recoverFromJournal() {
 	state := s.journal.State()
 	now := time.Now()
-	expire := func(token, nonce uint64, reason journal.ExpireReason, why string) {
-		if _, err := s.journal.Expired(token, nonce, reason); err != nil {
-			s.cfg.Logf("smoothd: recovery: expiring %016x (%s): %v", token, why, err)
-		} else {
-			s.cfg.Logf("smoothd: recovery: dropped journaled %s for token %016x", why, token)
-		}
+	var (
+		expired []journal.Record
+		whys    []string
+	)
+	expire := func(token uint64, rec *journal.StreamRecord, reason journal.ExpireReason, why string) {
+		expired = append(expired, journal.ExpireRecord(token, rec.Hello.Nonce, reason))
+		whys = append(whys, why)
 	}
 	for token, rec := range state.Streams {
 		if s.cfg.ResumeWindow <= 0 {
-			expire(token, rec.Hello.Nonce, journal.ExpireResumeWindow, "stream (resumption disabled)")
+			expire(token, rec, journal.ExpireResumeWindow, "resumption disabled")
 			continue
 		}
 		if rec.Hello.Integrity != s.cfg.Integrity {
-			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (integrity mode changed)")
+			expire(token, rec, journal.ExpireFailed, "integrity mode changed")
 			continue
 		}
 		ph, err := transport.NewPrefixHash(rec.Hello.Integrity, s.cfg.IntegrityKey)
@@ -449,14 +450,14 @@ func (s *Server) recoverFromJournal() {
 			err = ph.Restore(rec.HashState)
 		}
 		if err != nil {
-			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (prefix hash unrecoverable)")
+			expire(token, rec, journal.ExpireFailed, "prefix hash unrecoverable")
 			continue
 		}
 		st := newStream(wire{}, rec.Hello, ph, rec.Watermark, &s.pool)
 		st.token = token
 		sess, err := s.newSession(st)
 		if err != nil {
-			expire(token, rec.Hello.Nonce, journal.ExpireFailed, "stream (session rebuild failed)")
+			expire(token, rec, journal.ExpireFailed, "session rebuild failed")
 			continue
 		}
 		st.sess = sess
@@ -471,6 +472,16 @@ func (s *Server) recoverFromJournal() {
 			defer s.wg.Done()
 			s.run(st)
 		}()
+	}
+	if len(expired) > 0 {
+		err := s.journal.AppendRecords(expired)
+		for i, rec := range expired {
+			if err != nil {
+				s.cfg.Logf("smoothd: recovery: expiring %016x (%s): %v", rec.Token, whys[i], err)
+			} else {
+				s.cfg.Logf("smoothd: recovery: dropped journaled stream for token %016x (%s)", rec.Token, whys[i])
+			}
+		}
 	}
 	// Entomb in expiry order: the ledger sweeps expired tombstones off
 	// the front of its insertion order. An expired tombstone, or one whose
@@ -767,7 +778,9 @@ func (s *Server) answer(w wire, o outcome) {
 // newSession builds the smoothing Session for st's remaining pictures,
 // from its base on, with the server's policy and a lookahead of one
 // pattern, H = N: the hello carries no H, and the sender computed its
-// declared peak at H = N. A declared picture count is binding: the
+// declared peak at H = N. The Session numbers picture types from base,
+// so a stream recovered mid-pattern reads its pictures' own types. A
+// declared picture count is binding: the
 // Session refuses a picture beyond it, and it decides each picture as
 // soon as Theorem 1's inputs have arrived. A count of 0 leaves the
 // length unknown, and each decision waits for its H-picture window,
@@ -777,7 +790,7 @@ func (s *Server) newSession(st *stream) (*core.Session, error) {
 	remaining := st.hello.Pictures - st.base
 	sess, err := core.NewSession(st.hello.Tau, st.hello.GOP, core.Config{
 		K: st.hello.K, D: st.hello.D, H: st.hello.GOP.N, Policy: s.cfg.Policy,
-	}, core.WithObserver(st.observe), core.WithLength(remaining))
+	}, core.WithObserver(st.observe), core.WithLength(remaining), core.WithTypeOffset(st.base))
 	if err == nil && st.hello.Pictures > 0 && remaining <= 0 {
 		// A recovered stream whose every declared picture was accepted
 		// owes only its end marker.
